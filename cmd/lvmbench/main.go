@@ -75,7 +75,6 @@ func main() {
 	merge := flag.String("merge", "", "comma-separated shard documents to recombine; computes tables exactly as an unsharded run would")
 	cacheDir := flag.String("cache", "", "persistent run-output cache directory; completed runs are stored there and warm sweeps skip their simulations")
 	warmup := flag.Int("warmup", 0, "fast-forward the first N accesses of every run through functional state before measuring (changes measured counters; part of the run key and config fingerprint)")
-	batch := flag.Int("batch", 0, "translation pipeline chunk size; pure performance knob, every value produces bit-identical output (0 = default, 1 = scalar path)")
 	serve := flag.String("serve", "", "listen on this address as the sweep coordinator: dispatch the plan's runs to -worker processes, then render tables locally")
 	worker := flag.String("worker", "", "connect to a coordinator at this address and execute assigned runs with -j local workers until the sweep shuts down")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this path")
@@ -134,7 +133,6 @@ func main() {
 		merge:     *merge,
 		cacheDir:  *cacheDir,
 		warmup:    *warmup,
-		batch:     *batch,
 		serve:     *serve,
 		worker:    *worker,
 	}); err != nil {
@@ -156,7 +154,6 @@ type options struct {
 	merge     string
 	cacheDir  string
 	warmup    int
-	batch     int
 	serve     string
 	worker    string
 }
@@ -192,7 +189,6 @@ func run(o options) error {
 		cfg = experiments.Quick()
 	}
 	cfg.Warmup = o.warmup
-	cfg.Sim.BatchSize = o.batch
 
 	var keys []string
 	if o.only != "" {
@@ -328,7 +324,7 @@ func runMerge(o options) error {
 
 // runWorker connects to a coordinator and executes assigned runs until the
 // sweep shuts down. The worker builds its config from the same scale flags
-// as the coordinator (-quick/-warmup/-batch); the handshake's config
+// as the coordinator (-quick/-warmup); the handshake's config
 // fingerprint catches any mismatch before a single run is dispatched.
 func runWorker(o options) error {
 	cfg := experiments.Default()
@@ -336,7 +332,6 @@ func runWorker(o options) error {
 		cfg = experiments.Quick()
 	}
 	cfg.Warmup = o.warmup
-	cfg.Sim.BatchSize = o.batch
 	fp, err := cfg.Fingerprint()
 	if err != nil {
 		return err

@@ -119,8 +119,8 @@ func (t *Table) Release() {
 // Walker is the ASAP hardware walker: a radix walker plus the prefetcher.
 type Walker struct {
 	tables map[uint16]*Table
-	// lastASID/lastTable memoize the most recent tables lookup so batched
-	// walks skip the map per access; Attach/Detach invalidate it.
+	// lastASID/lastTable memoize the most recent tables lookup so walks
+	// skip the map per access; Attach/Detach invalidate it.
 	lastASID  uint16
 	lastTable *Table
 	rad       *radix.Walker
@@ -128,23 +128,6 @@ type Walker struct {
 	// embedded radix walker appends into it directly, so composing the
 	// prefetches with the validating walk never copies a trace.
 	buf mmu.WalkBuf
-
-	// plans queue the VMA decisions recorded by Lookup, consumed in order
-	// by WalkBatch; the embedded radix walker queues the matching walk
-	// plans (see the mmu.Lookuper contract).
-	plans    []plan
-	planPos  int
-	planASID uint16
-}
-
-// plan is one functional lookup's record: whether the VMA is prefetchable
-// and, if so, the two flat prefetch PAs. The translation itself is planned
-// by the embedded radix walker.
-type plan struct {
-	vpn      addr.VPN
-	noTable  bool
-	prefetch bool
-	pt, pmd  addr.PA
 }
 
 // NewWalker creates the walker (radix PWC sizing from Table 1).
@@ -210,73 +193,19 @@ func (w *Walker) Walk(asid uint16, v addr.VPN) mmu.Outcome {
 	return w.rad.WalkInto(&w.buf, asid, v)
 }
 
-// Lookup implements mmu.Lookuper: record the VMA decision (and prefetch
-// PAs) here, and delegate the translation to the embedded radix walker's
-// Lookup so its plan queue stays aligned with ours.
+// Lookup implements mmu.Lookuper: the translation resolved through the
+// table alone, with no prefetch, PWC probe, fill or trace.
 func (w *Walker) Lookup(asid uint16, v addr.VPN) (pte.Entry, bool) {
-	if w.planASID != asid {
-		w.plans = w.plans[:0]
-		w.planPos = 0
-		w.planASID = asid
-		w.rad.FlushPlans()
-	}
-	var p plan
-	p.vpn = v
-	t, ok := w.table(asid)
+	t, ok := w.tables[asid]
 	if !ok {
-		p.noTable = true
-		//lint:allow hotalloc plan queue grows to the batch size once, then recycles
-		w.plans = append(w.plans, p)
 		return 0, false
 	}
-	if vm := t.vmaFor(v); vm != nil && vm.prefetchable {
-		p.prefetch = true
-		p.pt = addr.SlotPA(vm.ptBase, uint64(v-vm.lo), pte.Bytes)
-		p.pmd = addr.SlotPA(vm.pmdBase, uint64(v-vm.lo)/512, pte.Bytes)
-	}
-	//lint:allow hotalloc plan queue grows to the batch size once, then recycles
-	w.plans = append(w.plans, p)
-	return w.rad.Lookup(asid, v)
+	return t.Lookup(v)
 }
 
-// WalkBatch implements mmu.BatchWalker: seed each slot with its planned
-// prefetches and let the embedded radix walker replay (or recompute) the
-// validating walk into the same buffer, then drain both plan queues.
+// WalkBatch implements mmu.BatchWalker by walking each VPN in turn.
 func (w *Walker) WalkBatch(asid uint16, vpns []addr.VPN, bufs *mmu.WalkBatchBuf) {
-	bufs.Reset(len(vpns))
-	for i, v := range vpns {
-		b := bufs.Buf(i)
-		if w.planPos < len(w.plans) && asid == w.planASID && w.plans[w.planPos].vpn == v {
-			p := &w.plans[w.planPos]
-			w.planPos++
-			if p.noTable {
-				bufs.SetOutcome(i, mmu.Outcome{})
-				continue
-			}
-			if p.prefetch {
-				b.Collapse()
-				b.Add(p.pt)
-				b.Add(p.pmd)
-			}
-			bufs.SetOutcome(i, w.rad.WalkNextInto(b, asid, v))
-			continue
-		}
-		// Mismatch fallback: recompute the VMA decision and walk fresh.
-		t, ok := w.table(asid)
-		if !ok {
-			bufs.SetOutcome(i, mmu.Outcome{})
-			continue
-		}
-		if vm := t.vmaFor(v); vm != nil && vm.prefetchable {
-			b.Collapse()
-			b.Add(addr.SlotPA(vm.ptBase, uint64(v-vm.lo), pte.Bytes))
-			b.Add(addr.SlotPA(vm.pmdBase, uint64(v-vm.lo)/512, pte.Bytes))
-		}
-		bufs.SetOutcome(i, w.rad.WalkNextInto(b, asid, v))
-	}
-	w.plans = w.plans[:0]
-	w.planPos = 0
-	w.rad.FlushPlans()
+	mmu.WalkSerial(w, asid, vpns, bufs)
 }
 
 var _ mmu.Walker = (*Walker)(nil)

@@ -14,101 +14,68 @@ import (
 // multiply-add (2 cycles, §7.4).
 type HWWalker struct {
 	lwc     *mmu.LWC
-	indexes map[uint16]attachment
+	indexes map[uint16]*attachment
 	// flushes counts LWC invalidations driven by OS retrains (§5.2).
 	flushes uint64
-	// lastRetrains tracks per-ASID retrain counts already reconciled.
-	lastRetrains map[uint16]uint64
-	lastRebuilds map[uint16]uint64
-	lastLazy     map[uint16]uint64
 	// buf is the reusable walk-trace buffer; Walk outcomes view it and
 	// stay valid until the next Walk.
 	buf mmu.WalkBuf
 
-	// lastASID/lastAt memoize the most recent indexes lookup so batched
-	// walks skip the map per access; Attach/Detach invalidate it.
+	// lastASID/lastAt memoize the most recent indexes lookup so walks skip
+	// the map per access; Attach/Detach invalidate it.
 	lastASID uint16
-	lastAt   attachment
-	hasLast  bool
-
-	// plans queue the walk plans recorded by Lookup, consumed in order by
-	// WalkBatch (see the mmu.Lookuper contract). Index.Walk returns slices
-	// viewing the index's reusable scratch, so Lookup copies each result's
-	// nodes and cluster PAs into the walker-owned flat arrays below.
-	plans      []walkPlan
-	planNodes  []NodeRef
-	planPTEPAs []addr.PA
-	planPos    int
-	planASID   uint16
-	// reconciled marks that OS retrain/rebuild events were already applied
-	// for the current batch; within one batch nothing mutates the index
-	// (Index.Walk only bumps SearchOverflows, which reconcile ignores), so
-	// one reconcile per batch equals the scalar per-walk reconcile.
-	reconciled bool
+	lastAt   *attachment
 }
 
-// walkPlan is one functional traversal's record: offsets into the shared
-// planNodes/planPTEPAs scratch plus the resolved entry.
-type walkPlan struct {
-	vpn              addr.VPN
-	noIndex          bool
-	nodeOff, nodeEnd int32
-	pteOff, pteEnd   int32
-	entry            pte.Entry
-	found            bool
-}
-
+// attachment is one address space's index plus the OS maintenance counts
+// the walker has already reconciled against the LWC.
 type attachment struct {
 	ix *Index
 	// norm applies the ASLR base registers (§5.2): raw VPN → the canonical
 	// VPN the index was trained on. Nil means identity.
 	norm func(addr.VPN) addr.VPN
+	// retrains, rebuilds and lazy are the index's Retrains, Rebuilds and
+	// LazyTrains counts as of the last reconcile.
+	retrains, rebuilds, lazy uint64
 }
 
 // NewHWWalker creates a walker with the Table-1 LWC size (16 entries).
 func NewHWWalker(lwcEntries int) *HWWalker {
 	return &HWWalker{
-		lwc:          mmu.NewLWC(lwcEntries),
-		indexes:      make(map[uint16]attachment),
-		lastRetrains: make(map[uint16]uint64),
-		lastRebuilds: make(map[uint16]uint64),
-		lastLazy:     make(map[uint16]uint64),
+		lwc:     mmu.NewLWC(lwcEntries),
+		indexes: make(map[uint16]*attachment),
 	}
 }
 
 // Attach registers a process's learned index under an ASID.
 func (w *HWWalker) Attach(asid uint16, ix *Index) {
-	w.indexes[asid] = attachment{ix: ix}
-	w.hasLast = false
+	w.AttachNormalized(asid, ix, nil)
 }
 
 // AttachNormalized registers an index together with the ASLR normalization
 // the OS exposed through base registers (§5.2).
 func (w *HWWalker) AttachNormalized(asid uint16, ix *Index, norm func(addr.VPN) addr.VPN) {
-	w.indexes[asid] = attachment{ix: ix, norm: norm}
-	w.hasLast = false
+	w.indexes[asid] = &attachment{ix: ix, norm: norm}
+	w.lastAt = nil
 }
 
 // Detach removes a process's index and flushes its LWC entries (process
 // exit; §4.6.2's ASID tagging makes this the only flush needed).
 func (w *HWWalker) Detach(asid uint16) {
 	delete(w.indexes, asid)
-	delete(w.lastRetrains, asid)
-	delete(w.lastRebuilds, asid)
-	delete(w.lastLazy, asid)
-	w.hasLast = false
+	w.lastAt = nil
 	w.lwc.FlushASID(asid)
 	w.flushes++
 }
 
 // attachmentFor resolves an ASID's attachment through the one-entry memo.
-func (w *HWWalker) attachmentFor(asid uint16) (attachment, bool) {
-	if w.hasLast && w.lastASID == asid {
+func (w *HWWalker) attachmentFor(asid uint16) (*attachment, bool) {
+	if w.lastAt != nil && w.lastASID == asid {
 		return w.lastAt, true
 	}
 	at, ok := w.indexes[asid]
 	if ok {
-		w.lastASID, w.lastAt, w.hasLast = asid, at, true
+		w.lastASID, w.lastAt = asid, at
 	}
 	return at, ok
 }
@@ -135,154 +102,79 @@ var _ metrics.Source = (*HWWalker)(nil)
 
 // Walk implements mmu.Walker.
 func (w *HWWalker) Walk(asid uint16, v addr.VPN) mmu.Outcome {
-	w.buf.Reset()
-	return w.walkInto(&w.buf, asid, v)
-}
-
-// walkInto is Walk's engine over a caller-supplied (already reset) buffer,
-// so the batch path's mismatch fallback can walk into a slot buffer.
-func (w *HWWalker) walkInto(b *mmu.WalkBuf, asid uint16, v addr.VPN) mmu.Outcome {
 	at, ok := w.attachmentFor(asid)
 	if !ok {
 		return mmu.Outcome{}
 	}
-	ix := at.ix
-	w.reconcile(asid, ix)
+	w.reconcile(asid, at)
 	if at.norm != nil {
 		v = at.norm(v)
 	}
-	r := ix.Walk(v)
+	r := at.ix.Walk(v)
+	w.buf.Reset()
 	wcc := 0
 	for _, n := range r.Nodes {
 		wcc += mmu.StepCycles
 		if !w.lwc.Lookup(asid, n.Level, n.Offset) {
 			// Fetch the 64-byte line holding the node from memory.
-			b.AddGroup(n.PA)
+			w.buf.AddGroup(n.PA)
 			w.lwc.Insert(asid, n.Level, n.Offset)
 		}
 	}
 	for _, pa := range r.PTEPAs {
-		b.AddGroup(pa)
+		w.buf.AddGroup(pa)
 	}
-	return b.Outcome(r.Entry, r.Found, wcc)
+	return w.buf.Outcome(r.Entry, r.Found, wcc)
 }
 
-// Lookup implements mmu.Lookuper: one Index.Walk resolves the translation
-// and its plan — the node chain and cluster PAs — which Lookup copies into
-// walker-owned scratch for the following WalkBatch to replay (Index.Walk's
-// result views index scratch valid only until the next Walk, and it
-// mutates the search-overflow counter, so it must run exactly once per
-// miss). OS retrain/rebuild reconciliation runs once per batch; see the
-// reconciled field for why that equals the scalar per-walk reconcile.
+// Lookup implements mmu.Lookuper: the translation resolved through the
+// learned index alone, with no OS reconcile, LWC probe, fill or trace.
 func (w *HWWalker) Lookup(asid uint16, v addr.VPN) (pte.Entry, bool) {
-	if w.planASID != asid {
-		w.drainPlans(asid)
-	}
-	var p walkPlan
-	p.vpn = v
-	at, ok := w.attachmentFor(asid)
+	at, ok := w.indexes[asid]
 	if !ok {
-		p.noIndex = true
-		//lint:allow hotalloc plan queue grows to the batch size once, then recycles
-		w.plans = append(w.plans, p)
 		return 0, false
 	}
-	if !w.reconciled {
-		w.reconcile(asid, at.ix)
-		w.reconciled = true
-	}
-	nv := v
 	if at.norm != nil {
-		nv = at.norm(v)
+		v = at.norm(v)
 	}
-	r := at.ix.Walk(nv)
-	p.nodeOff = int32(len(w.planNodes))
-	//lint:allow hotalloc plan scratch grows to the batch's trace volume once, then recycles
-	w.planNodes = append(w.planNodes, r.Nodes...)
-	p.nodeEnd = int32(len(w.planNodes))
-	p.pteOff = int32(len(w.planPTEPAs))
-	//lint:allow hotalloc plan scratch grows to the batch's trace volume once, then recycles
-	w.planPTEPAs = append(w.planPTEPAs, r.PTEPAs...)
-	p.pteEnd = int32(len(w.planPTEPAs))
-	p.entry, p.found = r.Entry, r.Found
-	//lint:allow hotalloc plan queue grows to the batch size once, then recycles
-	w.plans = append(w.plans, p)
-	return p.entry, p.found
+	r := at.ix.Walk(v)
+	return r.Entry, r.Found
 }
 
-// WalkBatch implements mmu.BatchWalker: replay the plans recorded by the
-// preceding Lookup sequence — the LWC lookups and fills run live, in
-// arrival order, against walker-owned copies of each walk's node chain —
-// falling back to fresh walks on mismatch, then drain the plan queue.
+// WalkBatch implements mmu.BatchWalker by walking each VPN in turn.
 func (w *HWWalker) WalkBatch(asid uint16, vpns []addr.VPN, bufs *mmu.WalkBatchBuf) {
-	bufs.Reset(len(vpns))
-	for i, v := range vpns {
-		b := bufs.Buf(i)
-		if w.planPos < len(w.plans) && asid == w.planASID && w.plans[w.planPos].vpn == v {
-			p := &w.plans[w.planPos]
-			w.planPos++
-			if p.noIndex {
-				bufs.SetOutcome(i, mmu.Outcome{})
-				continue
-			}
-			wcc := 0
-			for _, n := range w.planNodes[p.nodeOff:p.nodeEnd] {
-				wcc += mmu.StepCycles
-				if !w.lwc.Lookup(asid, n.Level, n.Offset) {
-					b.AddGroup(n.PA)
-					w.lwc.Insert(asid, n.Level, n.Offset)
-				}
-			}
-			for _, pa := range w.planPTEPAs[p.pteOff:p.pteEnd] {
-				b.AddGroup(pa)
-			}
-			bufs.SetOutcome(i, b.Outcome(p.entry, p.found, wcc))
-			continue
-		}
-		bufs.SetOutcome(i, w.walkInto(b, asid, v))
-	}
-	w.drainPlans(asid)
-}
-
-// drainPlans clears the plan queue and scratch for a new batch.
-func (w *HWWalker) drainPlans(asid uint16) {
-	w.plans = w.plans[:0]
-	w.planNodes = w.planNodes[:0]
-	w.planPTEPAs = w.planPTEPAs[:0]
-	w.planPos = 0
-	w.planASID = asid
-	w.reconciled = false
+	mmu.WalkSerial(w, asid, vpns, bufs)
 }
 
 // reconcile applies OS-side retrain/rebuild events to the LWC: a retrain
 // flushes the affected node, a rebuild flushes the address space (§5.2).
 // The walker polls the index's counters, which models the OS issuing the
 // flush at the moment it retrains.
-func (w *HWWalker) reconcile(asid uint16, ix *Index) {
-	s := ix.Stats()
-	if s.Rebuilds > w.lastRebuilds[asid] {
+func (w *HWWalker) reconcile(asid uint16, at *attachment) {
+	s := &at.ix.stats
+	if s.Rebuilds > at.rebuilds {
 		w.lwc.FlushASID(asid)
-		w.flushes += s.Rebuilds - w.lastRebuilds[asid]
-		w.lastRebuilds[asid] = s.Rebuilds
+		w.flushes += s.Rebuilds - at.rebuilds
+		at.rebuilds = s.Rebuilds
 		// A rebuild subsumes outstanding retrain flushes.
-		w.lastRetrains[asid] = s.Retrains
+		at.retrains = s.Retrains
 		return
 	}
-	if s.Retrains > w.lastRetrains[asid] {
+	if s.Retrains > at.retrains {
 		// The OS flushes only the retrained node; we conservatively flush
 		// the ASID's leaf entries by dropping the whole ASID — with a
 		// 16-entry LWC the cost is indistinguishable, and retrains are
 		// rare (≤3 per run, §7.3).
 		w.lwc.FlushASID(asid)
-		w.flushes += s.Retrains - w.lastRetrains[asid]
-		w.lastRetrains[asid] = s.Retrains
+		w.flushes += s.Retrains - at.retrains
+		at.retrains = s.Retrains
 	}
-	if s.LazyTrains > w.lastLazy[asid] {
+	if s.LazyTrains > at.lazy {
 		// A previously empty leaf got its first model: its cached
 		// empty-model LWC entry is stale.
 		w.lwc.FlushASID(asid)
-		w.flushes += s.LazyTrains - w.lastLazy[asid]
-		w.lastLazy[asid] = s.LazyTrains
+		w.flushes += s.LazyTrains - at.lazy
+		at.lazy = s.LazyTrains
 	}
 }
 

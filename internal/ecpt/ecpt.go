@@ -206,15 +206,6 @@ func (c *cuckoo) remove(v addr.VPN) bool {
 	return false
 }
 
-// probeInto appends the d physical addresses a hardware walk fetches to
-// the open group of b, allocation-free.
-func (c *cuckoo) probeInto(b *mmu.WalkBuf, v addr.VPN) {
-	tag := addr.AlignDown(v, c.size)
-	for _, w := range c.ways {
-		b.Add(w.slotPA(w.index(tag)))
-	}
-}
-
 // Table is one process's ECPT: one cuckoo structure per page size plus the
 // CWTs describing which sizes are present per region.
 type Table struct {
@@ -292,7 +283,7 @@ func (t *Table) Unmap(v addr.VPN) bool {
 
 // Lookup is the software walk.
 func (t *Table) Lookup(v addr.VPN) (pte.Entry, bool) {
-	for _, s := range []addr.PageSize{addr.Page4K, addr.Page2M} {
+	for _, s := range [...]addr.PageSize{addr.Page4K, addr.Page2M} {
 		if e, ok := t.tables[s].lookup(v); ok {
 			return e, true
 		}
@@ -343,8 +334,8 @@ func (t *Table) Release() {
 // Walker is the hardware ECPT walker with a CWC.
 type Walker struct {
 	tables map[uint16]*Table
-	// lastASID/lastTable memoize the most recent tables lookup so batched
-	// walks skip the map per access; Attach/Detach invalidate it.
+	// lastASID/lastTable memoize the most recent tables lookup so walks
+	// skip the map per access; Attach/Detach invalidate it.
 	lastASID  uint16
 	lastTable *Table
 	// cwcPMD caches CWT entries at 2MB-region granularity; cwcPUD at
@@ -353,27 +344,6 @@ type Walker struct {
 	// buf is the reusable walk-trace buffer; Walk outcomes view it and
 	// stay valid until the next Walk.
 	buf mmu.WalkBuf
-
-	// plans queue the walk plans recorded by Lookup, consumed in order by
-	// WalkBatch (see the mmu.Lookuper contract).
-	plans    []plan
-	planPos  int
-	planASID uint16
-}
-
-// plan is one functional lookup's record: the CWT entry location and the
-// way-probe PAs of every indicated page-size table, computed with a single
-// hash per way (the scalar Walk hashes twice: once for the probe trace,
-// once for the match). The replay adds the live CWC probes.
-type plan struct {
-	vpn     addr.VPN
-	noTable bool
-	region  uint64
-	cwtPA   addr.PA
-	probes  [2 * Ways]addr.PA
-	nprobe  int8
-	entry   pte.Entry
-	found   bool
 }
 
 // NewWalker creates the walker with Table-1 CWC sizing.
@@ -439,12 +409,7 @@ func (w *Walker) Walk(asid uint16, v addr.VPN) mmu.Outcome {
 		return mmu.Outcome{}
 	}
 	w.buf.Reset()
-	return w.walkInto(&w.buf, t, asid, v)
-}
-
-// walkInto is Walk's engine over a caller-supplied (already reset) buffer,
-// so the batch path's mismatch fallback can walk into a slot buffer.
-func (w *Walker) walkInto(b *mmu.WalkBuf, t *Table, asid uint16, v addr.VPN) mmu.Outcome {
+	b := &w.buf
 	region := t.region(v)
 
 	// An empty mask truly means nothing is mapped in the region (the CWT
@@ -458,52 +423,12 @@ func (w *Walker) walkInto(b *mmu.WalkBuf, t *Table, asid uint16, v addr.VPN) mmu
 	}
 
 	// All indicated page-size tables are probed as one parallel group,
-	// appended straight into the walk buffer; an empty group is dropped.
-	probeSizes := [...]addr.PageSize{addr.Page4K, addr.Page2M}
+	// 4K before 2M and ways in order; an empty group is dropped. Each way
+	// is hashed once, for both the probe address and the tag match, and
+	// the first matching (size, way) wins.
 	b.Group()
-	for _, s := range probeSizes {
-		if mask&(1<<uint(s)) != 0 {
-			t.tables[s].probeInto(b, v)
-		}
-	}
 	var entry pte.Entry
 	found := false
-	for _, s := range probeSizes {
-		if mask&(1<<uint(s)) != 0 {
-			if e, ok := t.tables[s].lookup(v); ok {
-				entry, found = e, true
-				break
-			}
-		}
-	}
-	return b.Outcome(entry, found, mmu.StepCycles)
-}
-
-// Lookup implements mmu.Lookuper: resolve the translation functionally and
-// record a walk plan. Each indicated way is hashed exactly once, serving
-// both the probe trace and the tag match — the scalar Walk hashes every
-// way twice (probeInto, then lookup).
-func (w *Walker) Lookup(asid uint16, v addr.VPN) (pte.Entry, bool) {
-	if w.planASID != asid {
-		w.plans = w.plans[:0]
-		w.planPos = 0
-		w.planASID = asid
-	}
-	var p plan
-	p.vpn = v
-	t, ok := w.table(asid)
-	if !ok {
-		p.noTable = true
-		//lint:allow hotalloc plan queue grows to the batch size once, then recycles
-		w.plans = append(w.plans, p)
-		return 0, false
-	}
-	p.region = t.region(v)
-	p.cwtPA = t.cwtPA(p.region)
-	mask := t.cwt[p.region]
-	// Sizes probed 4K before 2M and ways in order, matching the scalar
-	// probe trace; the first matching (size, way) wins, matching the
-	// scalar break-at-first-size lookup loop.
 	for _, s := range [...]addr.PageSize{addr.Page4K, addr.Page2M} {
 		if mask&(1<<uint(s)) == 0 {
 			continue
@@ -512,58 +437,28 @@ func (w *Walker) Lookup(asid uint16, v addr.VPN) (pte.Entry, bool) {
 		tag := addr.AlignDown(v, c.size)
 		for _, wy := range c.ways {
 			i := wy.index(tag)
-			p.probes[p.nprobe] = wy.slotPA(i)
-			p.nprobe++
-			if !p.found && wy.slots[i].Matches(v) {
-				p.entry, p.found = wy.slots[i].Entry, true
+			b.Add(wy.slotPA(i))
+			if !found && wy.slots[i].Matches(v) {
+				entry, found = wy.slots[i].Entry, true
 			}
 		}
 	}
-	//lint:allow hotalloc plan queue grows to the batch size once, then recycles
-	w.plans = append(w.plans, p)
-	return p.entry, p.found
+	return b.Outcome(entry, found, mmu.StepCycles)
 }
 
-// replay performs the timing half of a planned walk: live CWC probes and
-// fills, probe trace from the plan. The emitted trace is exactly the
-// scalar Walk's for the same table state.
-func (w *Walker) replay(b *mmu.WalkBuf, asid uint16, p *plan) mmu.Outcome {
-	if p.noTable {
-		return mmu.Outcome{}
+// Lookup implements mmu.Lookuper: the translation resolved through the
+// table alone, with no CWC probe, fill or trace.
+func (w *Walker) Lookup(asid uint16, v addr.VPN) (pte.Entry, bool) {
+	t, ok := w.tables[asid]
+	if !ok {
+		return 0, false
 	}
-	if !w.cwcPMD.Lookup(asid, p.region) && !w.cwcPUD.Lookup(asid, p.region>>9) {
-		b.AddGroup(p.cwtPA)
-		w.cwcPMD.Insert(asid, p.region)
-		w.cwcPUD.Insert(asid, p.region>>9)
-	}
-	b.Group()
-	for i := 0; i < int(p.nprobe); i++ {
-		b.Add(p.probes[i])
-	}
-	return b.Outcome(p.entry, p.found, mmu.StepCycles)
+	return t.Lookup(v)
 }
 
-// WalkBatch implements mmu.BatchWalker: replay the plans recorded by the
-// preceding Lookup sequence (falling back to fresh walks on mismatch) and
-// drain the plan queue.
+// WalkBatch implements mmu.BatchWalker by walking each VPN in turn.
 func (w *Walker) WalkBatch(asid uint16, vpns []addr.VPN, bufs *mmu.WalkBatchBuf) {
-	bufs.Reset(len(vpns))
-	for i, v := range vpns {
-		b := bufs.Buf(i)
-		if w.planPos < len(w.plans) && asid == w.planASID && w.plans[w.planPos].vpn == v {
-			p := &w.plans[w.planPos]
-			w.planPos++
-			bufs.SetOutcome(i, w.replay(b, asid, p))
-			continue
-		}
-		if t, ok := w.table(asid); ok {
-			bufs.SetOutcome(i, w.walkInto(b, t, asid, v))
-		} else {
-			bufs.SetOutcome(i, mmu.Outcome{})
-		}
-	}
-	w.plans = w.plans[:0]
-	w.planPos = 0
+	mmu.WalkSerial(w, asid, vpns, bufs)
 }
 
 var _ mmu.Walker = (*Walker)(nil)

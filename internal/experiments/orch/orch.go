@@ -104,9 +104,14 @@ func (w *wire) recv() (message, error) {
 	if n > maxMsgBytes {
 		return message{}, fmt.Errorf("orch: frame of %d bytes exceeds limit %d", n, maxMsgBytes)
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(w.conn, b); err != nil {
+	// Read the payload as it arrives rather than allocating the claimed
+	// length up front: a bare header must not pin a frame-sized buffer.
+	b, err := io.ReadAll(io.LimitReader(w.conn, int64(n)))
+	if err != nil {
 		return message{}, err
+	}
+	if len(b) != int(n) {
+		return message{}, fmt.Errorf("orch: frame truncated at %d of %d bytes: %w", len(b), n, io.ErrUnexpectedEOF)
 	}
 	var m message
 	if err := json.Unmarshal(b, &m); err != nil {

@@ -224,35 +224,14 @@ func (t *Table) Release() {
 // Walker is the FPT hardware walker with a PWC over folded upper entries.
 type Walker struct {
 	tables map[uint16]*Table
-	// lastASID/lastTable memoize the most recent tables lookup so batched
-	// walks skip the map per access; Attach/Detach invalidate it.
+	// lastASID/lastTable memoize the most recent tables lookup so walks
+	// skip the map per access; Attach/Detach invalidate it.
 	lastASID  uint16
 	lastTable *Table
 	upper     *mmu.PWC
 	// buf is the reusable walk-trace buffer; Walk outcomes view it and
 	// stay valid until the next Walk.
 	buf mmu.WalkBuf
-
-	// plans queue the walk plans recorded by Lookup, consumed in order by
-	// WalkBatch (see the mmu.Lookuper contract).
-	plans    []plan
-	planPos  int
-	planASID uint16
-}
-
-// plan is one functional lookup's record: the fetch PAs of the folded (or
-// radix-fallback) chain plus the resolved entry. Region and lazy
-// leaf-table installs happen during Lookup, in arrival order — exactly
-// where the scalar Walk would perform them.
-type plan struct {
-	vpn     addr.VPN
-	noTable bool
-	folded  bool
-	upperPA addr.PA
-	pmdPA   addr.PA
-	leafPA  addr.PA
-	entry   pte.Entry
-	found   bool
 }
 
 // NewWalker creates the walker (32-entry upper PWC, as radix's per-level
@@ -307,12 +286,7 @@ func (w *Walker) Walk(asid uint16, v addr.VPN) mmu.Outcome {
 		return mmu.Outcome{}
 	}
 	w.buf.Reset()
-	return w.walkInto(&w.buf, t, asid, v)
-}
-
-// walkInto is Walk's engine over a caller-supplied (already reset) buffer,
-// so the batch path's mismatch fallback can walk into a slot buffer.
-func (w *Walker) walkInto(b *mmu.WalkBuf, t *Table, asid uint16, v addr.VPN) mmu.Outcome {
+	b := &w.buf
 	r := t.regionFor(v)
 
 	upperHit := w.upper.Lookup(asid, uint64(v)>>upperIndexBits)
@@ -332,77 +306,19 @@ func (w *Walker) walkInto(b *mmu.WalkBuf, t *Table, asid uint16, v addr.VPN) mmu
 	return b.Outcome(e, found, mmu.StepCycles)
 }
 
-// Lookup implements mmu.Lookuper: resolve the translation functionally
-// (performing any first-touch region or lazy leaf-table installs exactly
-// where the scalar Walk would) and record the fetch chain for WalkBatch.
+// Lookup implements mmu.Lookuper: the translation resolved through the
+// table alone, with no region install, PWC probe, fill or trace.
 func (w *Walker) Lookup(asid uint16, v addr.VPN) (pte.Entry, bool) {
-	if w.planASID != asid {
-		w.plans = w.plans[:0]
-		w.planPos = 0
-		w.planASID = asid
-	}
-	var p plan
-	p.vpn = v
-	t, ok := w.table(asid)
+	t, ok := w.tables[asid]
 	if !ok {
-		p.noTable = true
-		//lint:allow hotalloc plan queue grows to the batch size once, then recycles
-		w.plans = append(w.plans, p)
 		return 0, false
 	}
-	r := t.regionFor(v)
-	p.upperPA = t.upperPA(v)
-	p.folded = r.folded && t.upperFolded
-	if !p.folded {
-		p.pmdPA = t.pmdPA(r, v)
-	}
-	p.leafPA = t.leafPA(r, v)
-	p.entry, p.found = t.Lookup(v)
-	//lint:allow hotalloc plan queue grows to the batch size once, then recycles
-	w.plans = append(w.plans, p)
-	return p.entry, p.found
+	return t.Lookup(v)
 }
 
-// replay performs the timing half of a planned walk: the upper-PWC probe
-// and fill run live, the fetch chain comes from the plan.
-func (w *Walker) replay(b *mmu.WalkBuf, asid uint16, p *plan) mmu.Outcome {
-	if p.noTable {
-		return mmu.Outcome{}
-	}
-	if !w.upper.Lookup(asid, uint64(p.vpn)>>upperIndexBits) {
-		b.AddGroup(p.upperPA)
-		w.upper.Insert(asid, uint64(p.vpn)>>upperIndexBits)
-	}
-	if p.folded {
-		b.AddGroup(p.leafPA)
-	} else {
-		b.AddGroup(p.pmdPA)
-		b.AddGroup(p.leafPA)
-	}
-	return b.Outcome(p.entry, p.found, mmu.StepCycles)
-}
-
-// WalkBatch implements mmu.BatchWalker: replay the plans recorded by the
-// preceding Lookup sequence (falling back to fresh walks on mismatch) and
-// drain the plan queue.
+// WalkBatch implements mmu.BatchWalker by walking each VPN in turn.
 func (w *Walker) WalkBatch(asid uint16, vpns []addr.VPN, bufs *mmu.WalkBatchBuf) {
-	bufs.Reset(len(vpns))
-	for i, v := range vpns {
-		b := bufs.Buf(i)
-		if w.planPos < len(w.plans) && asid == w.planASID && w.plans[w.planPos].vpn == v {
-			p := &w.plans[w.planPos]
-			w.planPos++
-			bufs.SetOutcome(i, w.replay(b, asid, p))
-			continue
-		}
-		if t, ok := w.table(asid); ok {
-			bufs.SetOutcome(i, w.walkInto(b, t, asid, v))
-		} else {
-			bufs.SetOutcome(i, mmu.Outcome{})
-		}
-	}
-	w.plans = w.plans[:0]
-	w.planPos = 0
+	mmu.WalkSerial(w, asid, vpns, bufs)
 }
 
 var _ mmu.Walker = (*Walker)(nil)

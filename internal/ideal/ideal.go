@@ -92,29 +92,13 @@ func (t *Table) Release() {
 // Walker implements mmu.Walker with exactly one memory request per walk.
 type Walker struct {
 	tables map[uint16]*Table
-	// lastASID/lastTable memoize the most recent tables lookup so batched
-	// walks skip the map per access; Attach/Detach invalidate it.
+	// lastASID/lastTable memoize the most recent tables lookup so walks
+	// skip the map per access; Attach/Detach invalidate it.
 	lastASID  uint16
 	lastTable *Table
 	// buf is the reusable walk-trace buffer; Walk outcomes view it and
 	// stay valid until the next Walk.
 	buf mmu.WalkBuf
-
-	// plans queue the walk plans recorded by Lookup, consumed in order by
-	// WalkBatch (see the mmu.Lookuper contract).
-	plans    []plan
-	planPos  int
-	planASID uint16
-}
-
-// plan is one functional lookup's record: the single slot PA plus the
-// resolved entry (the ideal walker has no walk-cache state to replay).
-type plan struct {
-	vpn     addr.VPN
-	noTable bool
-	pa      addr.PA
-	entry   pte.Entry
-	found   bool
 }
 
 // NewWalker creates the walker.
@@ -168,58 +152,19 @@ func (w *Walker) Walk(asid uint16, v addr.VPN) mmu.Outcome {
 	return w.buf.Outcome(e, found, 0)
 }
 
-// Lookup implements mmu.Lookuper: resolve the translation and record the
-// slot PA the timing walk fetches.
+// Lookup implements mmu.Lookuper: the translation resolved through the
+// table alone, with no trace.
 func (w *Walker) Lookup(asid uint16, v addr.VPN) (pte.Entry, bool) {
-	if w.planASID != asid {
-		w.plans = w.plans[:0]
-		w.planPos = 0
-		w.planASID = asid
-	}
-	var p plan
-	p.vpn = v
-	t, ok := w.table(asid)
+	t, ok := w.tables[asid]
 	if !ok {
-		p.noTable = true
-		//lint:allow hotalloc plan queue grows to the batch size once, then recycles
-		w.plans = append(w.plans, p)
 		return 0, false
 	}
-	p.entry, p.found = t.Lookup(v)
-	p.pa = t.entryPA(addr.AlignDown(v, p.entry.Size()), p.entry.Size())
-	//lint:allow hotalloc plan queue grows to the batch size once, then recycles
-	w.plans = append(w.plans, p)
-	return p.entry, p.found
+	return t.Lookup(v)
 }
 
-// WalkBatch implements mmu.BatchWalker: replay the plans recorded by the
-// preceding Lookup sequence (falling back to fresh walks on mismatch) and
-// drain the plan queue.
+// WalkBatch implements mmu.BatchWalker by walking each VPN in turn.
 func (w *Walker) WalkBatch(asid uint16, vpns []addr.VPN, bufs *mmu.WalkBatchBuf) {
-	bufs.Reset(len(vpns))
-	for i, v := range vpns {
-		b := bufs.Buf(i)
-		if w.planPos < len(w.plans) && asid == w.planASID && w.plans[w.planPos].vpn == v {
-			p := &w.plans[w.planPos]
-			w.planPos++
-			if p.noTable {
-				bufs.SetOutcome(i, mmu.Outcome{})
-				continue
-			}
-			b.AddGroup(p.pa)
-			bufs.SetOutcome(i, b.Outcome(p.entry, p.found, 0))
-			continue
-		}
-		if t, ok := w.table(asid); ok {
-			e, found := t.Lookup(v)
-			b.AddGroup(t.entryPA(addr.AlignDown(v, e.Size()), e.Size()))
-			bufs.SetOutcome(i, b.Outcome(e, found, 0))
-		} else {
-			bufs.SetOutcome(i, mmu.Outcome{})
-		}
-	}
-	w.plans = w.plans[:0]
-	w.planPos = 0
+	mmu.WalkSerial(w, asid, vpns, bufs)
 }
 
 var _ mmu.Walker = (*Walker)(nil)

@@ -56,9 +56,8 @@ func inHotAllocScope(path string) bool { return hotAllocPkgs[StripVariant(path)]
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc: "hotalloc statically seals the zero-allocation translate hot path. " +
-		"From the roots sim.step, CPU.translate, the batch pipeline " +
-		"(CPU.TranslateBatch, CPU.FastForward), the serving drive loop's " +
-		"inner call (Session.Step), and every scheme walker's " +
+		"From the roots sim.step, CPU.translate, CPU.FastForward, the " +
+		"serving drive loop's inner call (Session.Step), and every scheme walker's " +
 		"Walk/WalkInto/WalkBatch/Lookup (resolved through the cross-package " +
 		"call graph, interface dispatch included), it flags every reachable " +
 		"heap-allocating construct: make/new, appends outside the " +
@@ -91,14 +90,14 @@ func runHotAlloc(pass *ProgramPass) {
 		}
 		recv := n.Recv()
 		switch n.Fn.Name() {
-		case "step", "translate", "TranslateBatch", "FastForward":
+		case "step", "translate", "FastForward":
 			if n.Pkg.PkgPath == ModulePath+"/internal/sim" && recv != nil && isCPUType(recv) {
 				roots = append(roots, n)
 			}
 		case "Step":
 			// Session.Step is the serving drive loop's inner call (lvmd runs
 			// every tenant through it), so it inherits the same sealed
-			// zero-allocation bar as the batch pipeline it wraps.
+			// zero-allocation bar as the step it loops over.
 			if n.Pkg.PkgPath == ModulePath+"/internal/sim" && recv != nil && isSessionType(recv) {
 				roots = append(roots, n)
 			}

@@ -1,7 +1,7 @@
 // Package lvmd is the simulation-as-a-service daemon: clients open
 // access-trace sessions over a length-prefixed JSON wire protocol, each
 // session simulates on its own per-tenant machine (physical memory, OS
-// kernel, CPU) driven through the batched translation pipeline, and live
+// kernel, CPU) driven through sim.Session's translation loop, and live
 // per-tenant metric windows stream back as the trace advances.
 //
 // The serving contract is the same determinism bar the experiment stack
@@ -162,9 +162,14 @@ func (w *wire) recv() (message, error) {
 	if n > maxMsgBytes {
 		return message{}, fmt.Errorf("lvmd: frame of %d bytes exceeds limit %d", n, maxMsgBytes)
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(w.conn, b); err != nil {
+	// Read the payload as it arrives rather than allocating the claimed
+	// length up front: a bare header must not pin a frame-sized buffer.
+	b, err := io.ReadAll(io.LimitReader(w.conn, int64(n)))
+	if err != nil {
 		return message{}, err
+	}
+	if len(b) != int(n) {
+		return message{}, fmt.Errorf("lvmd: frame truncated at %d of %d bytes: %w", len(b), n, io.ErrUnexpectedEOF)
 	}
 	var m message
 	if err := json.Unmarshal(b, &m); err != nil {

@@ -201,29 +201,26 @@ type Walker interface {
 	Walk(asid uint16, v addr.VPN) Outcome
 }
 
-// Lookuper is the functional half of a batched walker: Lookup resolves a
-// translation without charging walk caches or emitting a memory-request
-// trace, so the simulator can fill the TLB before the timing walk runs.
-// Walkers record a per-VPN walk plan during Lookup; a following WalkBatch
-// over the same (asid, vpn) sequence replays the recorded plans, so each
-// table traversal happens exactly once per miss.
+// Lookuper is a pure functional resolve: Lookup translates v through the
+// walker's own table and returns the Entry/Found its Walk would, without
+// probing or filling any walk cache, emitting a request trace, or changing
+// the walker's metric snapshot. The simulator never calls it; it serves
+// callers that need a translation without disturbing timing state.
 type Lookuper interface {
 	Lookup(asid uint16, v addr.VPN) (pte.Entry, bool)
 }
 
-// BatchWalker extends Walker with a batched seam: one call walks a whole
-// miss batch, amortizing per-walk dispatch and keeping walker scratch and
-// walk caches hot. Implementations must preserve per-access outcome
-// ordering and produce, for each vpns[i], exactly the walk-cache operations
-// and request trace the scalar Walk would — slot i's Outcome views
-// bufs.Buf(i) and stays valid until the next WalkBatch.
+// BatchWalker extends Walker with a batched seam: one call walks a miss
+// batch in order, leaving slot i with exactly the Outcome Walk(asid,
+// vpns[i]) would have returned, valid until the next WalkBatch. Every
+// walker implements it with WalkSerial.
 type BatchWalker interface {
 	Walker
 	WalkBatch(asid uint16, vpns []addr.VPN, bufs *WalkBatchBuf)
 }
 
 // WalkBatchBuf holds the per-slot walk buffers and sealed outcomes of one
-// batched walk. The caller owns one and passes it to WalkBatch; slots are
+// WalkBatch call. The caller owns one and passes it to WalkBatch; slots are
 // reused across batches, so in steady state no call allocates.
 type WalkBatchBuf struct {
 	bufs []WalkBuf
@@ -243,19 +240,13 @@ func (b *WalkBatchBuf) Reset(n int) {
 	}
 }
 
-// Buf returns slot i's walk buffer for the walker to fill.
-func (b *WalkBatchBuf) Buf(i int) *WalkBuf { return &b.bufs[i] }
-
-// SetOutcome seals slot i's result.
-func (b *WalkBatchBuf) SetOutcome(i int, o Outcome) { b.outs[i] = o }
-
 // Outcome returns slot i's sealed result, valid until the next Reset.
 func (b *WalkBatchBuf) Outcome(i int) Outcome { return b.outs[i] }
 
-// WalkSerial adapts any Walker to the WalkBatch seam by looping Walk and
-// copying each trace into its slot, so schemes can adopt native batched
-// walks incrementally.
-func WalkSerial(w Walker, asid uint16, vpns []addr.VPN, bufs *WalkBatchBuf) {
+// WalkSerial implements the WalkBatch seam for any Walker by looping Walk
+// and copying each trace into its slot. It is generic over the walker type
+// so a walker passing itself is not boxed into an interface.
+func WalkSerial[W Walker](w W, asid uint16, vpns []addr.VPN, bufs *WalkBatchBuf) {
 	bufs.Reset(len(vpns))
 	for i, v := range vpns {
 		out := w.Walk(asid, v)

@@ -161,8 +161,8 @@ func (t *Table) Release() {
 // Walker is the hardware radix page walker with a 3-level PWC.
 type Walker struct {
 	tables map[uint16]*Table
-	// lastASID/lastTable memoize the most recent tables lookup so batched
-	// walks skip the map on every access; Attach/Detach invalidate it.
+	// lastASID/lastTable memoize the most recent tables lookup so walks
+	// skip the map on every access; Attach/Detach invalidate it.
 	lastASID  uint16
 	lastTable *Table
 	// pml4e caches root entries (prefix v>>27), pdpte caches level-3
@@ -171,29 +171,6 @@ type Walker struct {
 	// buf is the reusable walk-trace buffer; Walk outcomes view it and
 	// stay valid until the next Walk.
 	buf mmu.WalkBuf
-
-	// plans queue the walk plans recorded by Lookup, consumed in order by
-	// WalkBatch (see the mmu.Lookuper contract).
-	plans    []plan
-	planPos  int
-	planASID uint16
-}
-
-// plan is one functional traversal's record: the entry PAs along the
-// chain, how deep it reached, and where a leaf (if any) sits. The timing
-// replay combines it with live PWC probes to emit exactly the scalar
-// Walk's trace without touching the table again.
-type plan struct {
-	vpn addr.VPN
-	// pas[l-1] is the entry PA the walk fetches at level l.
-	pas [addr.RadixLevels]addr.PA
-	// leafLevel is the level holding a present leaf (0 = not mapped).
-	leafLevel int8
-	// reach is the deepest level the chain reaches before a leaf or a
-	// missing child stops it.
-	reach   int8
-	noTable bool
-	entry   pte.Entry
 }
 
 // NewWalker creates a walker over per-ASID tables with Table-1 PWC sizing
@@ -321,116 +298,19 @@ func (w *Walker) WalkInto(b *mmu.WalkBuf, asid uint16, v addr.VPN) mmu.Outcome {
 	return b.Outcome(0, false, wcc)
 }
 
-// Lookup implements mmu.Lookuper: a functional traversal that resolves
-// the translation without walk-cache charges or trace emission, recording
-// a plan the next WalkBatch replays.
+// Lookup implements mmu.Lookuper: the translation resolved through the
+// table alone, with no walk-cache probe, fill or trace.
 func (w *Walker) Lookup(asid uint16, v addr.VPN) (pte.Entry, bool) {
-	if w.planASID != asid {
-		w.plans = w.plans[:0]
-		w.planPos = 0
-		w.planASID = asid
-	}
-	var p plan
-	p.vpn = v
-	t, ok := w.table(asid)
+	t, ok := w.tables[asid]
 	if !ok {
-		p.noTable = true
-		//lint:allow hotalloc plan queue grows to the batch size once, then recycles
-		w.plans = append(w.plans, p)
 		return 0, false
 	}
-	n := t.root
-	for level := addr.RadixLevels; ; level-- {
-		idx := addr.RadixIndex(v, level)
-		p.pas[level-1] = n.entryPA(idx)
-		if e := n.leaves[idx]; e.Present() {
-			p.leafLevel = int8(level)
-			p.reach = int8(level)
-			p.entry = e
-			break
-		}
-		if level == 1 || n.children[idx] == nil {
-			p.reach = int8(level)
-			break
-		}
-		n = n.children[idx]
-	}
-	//lint:allow hotalloc plan queue grows to the batch size once, then recycles
-	w.plans = append(w.plans, p)
-	return p.entry, p.leafLevel != 0
+	return t.Lookup(v)
 }
 
-// WalkNextInto is WalkInto's batched counterpart: if the next queued plan
-// matches (asid, v) it replays the recorded traversal against live PWC
-// state; otherwise it falls back to a fresh full walk. ASAP composes it
-// the same way it composes WalkInto.
-func (w *Walker) WalkNextInto(b *mmu.WalkBuf, asid uint16, v addr.VPN) mmu.Outcome {
-	if w.planPos < len(w.plans) && asid == w.planASID && w.plans[w.planPos].vpn == v {
-		p := &w.plans[w.planPos]
-		w.planPos++
-		return w.replay(b, asid, v, p)
-	}
-	return w.WalkInto(b, asid, v)
-}
-
-// replay performs the timing half of a planned walk: the PWC probes and
-// fills run against live cache state, the table chain comes from the plan.
-// The emitted trace is exactly WalkInto's for the same table state.
-func (w *Walker) replay(b *mmu.WalkBuf, asid uint16, v addr.VPN, p *plan) mmu.Outcome {
-	if p.noTable {
-		return mmu.Outcome{}
-	}
-	startLevel := addr.RadixLevels
-	wcc := mmu.StepCycles
-	if w.pde.Lookup(asid, uint64(v)>>9) {
-		startLevel = 1
-	} else if wcc += mmu.StepCycles; w.pdpte.Lookup(asid, uint64(v)>>18) {
-		startLevel = 2
-	} else if wcc += mmu.StepCycles; w.pml4e.Lookup(asid, uint64(v)>>27) {
-		startLevel = 3
-	}
-	if ll := int(p.leafLevel); ll != 0 {
-		if ll > startLevel {
-			// Huge leaf above the PWC-covered level (the silent-descent
-			// hit of WalkInto): one fetch, no PWC fill.
-			b.AddGroup(p.pas[ll-1])
-			return b.Outcome(p.entry, true, wcc)
-		}
-		for level := startLevel; level >= ll; level-- {
-			b.AddGroup(p.pas[level-1])
-		}
-		w.fill(asid, v, ll)
-		return b.Outcome(p.entry, true, wcc)
-	}
-	r := int(p.reach)
-	if r > startLevel {
-		// The chain breaks above the fetch region: WalkInto's silent
-		// descent returns without emitting a request.
-		return b.Outcome(0, false, wcc)
-	}
-	for level := startLevel; level >= r; level-- {
-		b.AddGroup(p.pas[level-1])
-	}
-	return b.Outcome(0, false, wcc)
-}
-
-// WalkBatch implements mmu.BatchWalker: replay the plans recorded by the
-// preceding Lookup sequence (falling back to fresh walks on mismatch) and
-// drain the plan queue.
+// WalkBatch implements mmu.BatchWalker by walking each VPN in turn.
 func (w *Walker) WalkBatch(asid uint16, vpns []addr.VPN, bufs *mmu.WalkBatchBuf) {
-	bufs.Reset(len(vpns))
-	for i, v := range vpns {
-		bufs.SetOutcome(i, w.WalkNextInto(bufs.Buf(i), asid, v))
-	}
-	w.FlushPlans()
-}
-
-// FlushPlans drains the plan queue after a batch. Composing walkers (ASAP)
-// that consume plans through WalkNextInto call this at the end of their
-// own WalkBatch.
-func (w *Walker) FlushPlans() {
-	w.plans = w.plans[:0]
-	w.planPos = 0
+	mmu.WalkSerial(w, asid, vpns, bufs)
 }
 
 var _ mmu.BatchWalker = (*Walker)(nil)

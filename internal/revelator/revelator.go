@@ -229,8 +229,8 @@ func (t *Table) Release() {
 // the critical path; the radix verify walk rides the verify region.
 type Walker struct {
 	tables map[uint16]*Table
-	// lastASID/lastTable memoize the most recent tables lookup so batched
-	// walks skip the map per access; Attach/Detach invalidate it.
+	// lastASID/lastTable memoize the most recent tables lookup so walks
+	// skip the map per access; Attach/Detach invalidate it.
 	lastASID  uint16
 	lastTable *Table
 	rad       *radix.Walker
@@ -294,7 +294,7 @@ func (w *Walker) Walk(asid uint16, v addr.VPN) mmu.Outcome {
 		return mmu.Outcome{}
 	}
 	w.buf.Reset()
-	return w.walkInto(&w.buf, t, asid, v, false)
+	return w.walkInto(&w.buf, t, asid, v)
 }
 
 // walkInto emits one walk's trace into b: the hash probe chain (dependent
@@ -303,9 +303,8 @@ func (w *Walker) Walk(asid uint16, v addr.VPN) mmu.Outcome {
 // overlaps it with the data access. The walk-cache charge is StepCycles for
 // the hash computation plus the verify walk's PWC probes. A hash miss means
 // the page is unmapped (the table mirrors the radix exactly): the fault is
-// confirmed by the OS, so no verify walk is issued. batched selects the
-// radix walker's plan-replay entry point.
-func (w *Walker) walkInto(b *mmu.WalkBuf, t *Table, asid uint16, v addr.VPN, batched bool) mmu.Outcome {
+// confirmed by the OS, so no verify walk is issued.
+func (w *Walker) walkInto(b *mmu.WalkBuf, t *Table, asid uint16, v addr.VPN) mmu.Outcome {
 	e, found := t.lookup(b, v)
 	if !found {
 		w.specMisses.Inc()
@@ -313,45 +312,23 @@ func (w *Walker) walkInto(b *mmu.WalkBuf, t *Table, asid uint16, v addr.VPN, bat
 	}
 	w.specResolved.Inc()
 	b.BeginVerify()
-	var radOut mmu.Outcome
-	if batched {
-		radOut = w.rad.WalkNextInto(b, asid, v)
-	} else {
-		radOut = w.rad.WalkInto(b, asid, v)
-	}
+	radOut := w.rad.WalkInto(b, asid, v)
 	return b.Outcome(e, true, mmu.StepCycles+radOut.WalkCacheCycles)
 }
 
-// Lookup implements mmu.Lookuper: resolve from the hash table; on a hit the
-// embedded radix walker records the verify-walk plan the following
-// WalkBatch replays. The hash table only changes on OS map/unmap — never
-// during a batch — so WalkBatch recomputes the same probe chain live.
+// Lookup implements mmu.Lookuper: the translation resolved through the
+// hash table alone, with no verify walk, walk-cache probe or trace.
 func (w *Walker) Lookup(asid uint16, v addr.VPN) (pte.Entry, bool) {
-	t, ok := w.table(asid)
+	t, ok := w.tables[asid]
 	if !ok {
 		return 0, false
 	}
-	e, found := t.lookup(nil, v)
-	if found {
-		w.rad.Lookup(asid, v)
-	}
-	return e, found
+	return t.lookup(nil, v)
 }
 
-// WalkBatch implements mmu.BatchWalker: re-probe the hash table per slot
-// (identical to the Lookup-time chain) and replay the recorded radix verify
-// plans.
+// WalkBatch implements mmu.BatchWalker by walking each VPN in turn.
 func (w *Walker) WalkBatch(asid uint16, vpns []addr.VPN, bufs *mmu.WalkBatchBuf) {
-	bufs.Reset(len(vpns))
-	t, ok := w.table(asid)
-	for i, v := range vpns {
-		if !ok {
-			bufs.SetOutcome(i, mmu.Outcome{})
-			continue
-		}
-		bufs.SetOutcome(i, w.walkInto(bufs.Buf(i), t, asid, v, true))
-	}
-	w.rad.FlushPlans()
+	mmu.WalkSerial(w, asid, vpns, bufs)
 }
 
 var _ mmu.Walker = (*Walker)(nil)

@@ -193,60 +193,6 @@ func TestWalkTraceShape(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesScalar runs the Lookup-then-WalkBatch pipeline against a
-// fresh walker's scalar walks: every slot must agree on entry, groups, and
-// the verify partition.
-func TestBatchMatchesScalar(t *testing.T) {
-	build := func() (*Table, *Walker) {
-		tb := newTable(t, 64)
-		w := NewWalker()
-		w.Attach(1, tb)
-		for i := 0; i < 32; i++ {
-			if err := tb.Map(addr.VPN(i*3), pte.New(addr.PPN(0x100+i), addr.Page4K)); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return tb, w
-	}
-	_, batched := build()
-	_, scalar := build()
-	vpns := []addr.VPN{0, 3, 30, 5 /* unmapped */, 93, 0}
-
-	for _, v := range vpns {
-		batched.Lookup(1, v)
-	}
-	var bufs mmu.WalkBatchBuf
-	batched.WalkBatch(1, vpns, &bufs)
-
-	for i, v := range vpns {
-		got := bufs.Outcome(i)
-		want := scalar.Walk(1, v)
-		if got.Found != want.Found || got.Entry != want.Entry {
-			t.Fatalf("slot %d (vpn %d): %v/%t, scalar %v/%t",
-				i, v, got.Entry, got.Found, want.Entry, want.Found)
-		}
-		if got.NumGroups() != want.NumGroups() || got.VerifyGroups() != want.VerifyGroups() {
-			t.Fatalf("slot %d (vpn %d): trace %d/%d groups, scalar %d/%d",
-				i, v, got.NumGroups(), got.VerifyGroups(), want.NumGroups(), want.VerifyGroups())
-		}
-		if got.WalkCacheCycles != want.WalkCacheCycles {
-			t.Errorf("slot %d (vpn %d): wcc %d, scalar %d",
-				i, v, got.WalkCacheCycles, want.WalkCacheCycles)
-		}
-		for gi := 0; gi < want.NumGroups(); gi++ {
-			gg, wg := got.Group(gi), want.Group(gi)
-			if len(gg) != len(wg) {
-				t.Fatalf("slot %d group %d: %v vs %v", i, gi, gg, wg)
-			}
-			for j := range wg {
-				if gg[j] != wg[j] {
-					t.Errorf("slot %d group %d[%d]: %#x vs %#x", i, gi, j, gg[j], wg[j])
-				}
-			}
-		}
-	}
-}
-
 func TestTableBytesIncludesHashRegion(t *testing.T) {
 	tb := newTable(t, 64)
 	if tb.TableBytes() != tb.Radix.TableBytes()+phys.BlockBytes(tb.order) {

@@ -9,24 +9,20 @@ import (
 // paused and resumed at arbitrary access positions. A server drives one
 // Session per tenant in bounded Step chunks so thousands of concurrent
 // traces can interleave on a worker pool, cutting metric windows between
-// steps — and because Step replays exactly the chunked batch pipeline the
-// one-shot loop uses, a Session's Result and every interval delta are
-// bit-identical to Run/RunIntervals over the same trace (test-enforced).
+// steps — and because Step runs exactly the per-access step the one-shot
+// loop uses, a Session's Result and every interval delta are bit-identical
+// to Run/RunIntervals over the same trace (test-enforced).
 //
 // A Session is single-goroutine: the caller serializes Step/Extend/Finish.
 type Session struct {
-	c      *CPU
-	asid   uint16
-	trace  []workload.Access
-	instrs int
-	res    Result
-	base   metrics.Set
-	delta  bool
-	start  int
-	pos    int
-	// lats, when non-nil, receives access i's end-to-end latency at
-	// lats[i-start]; it must have length len(trace)-start.
-	lats     []float64
+	c        *CPU
+	asid     uint16
+	trace    []workload.Access
+	instrs   int
+	res      Result
+	base     metrics.Set
+	delta    bool
+	pos      int
 	finished bool
 	stream   bool
 }
@@ -54,7 +50,6 @@ func (c *CPU) NewSessionFrom(asid uint16, w *workload.Workload, start int) *Sess
 		instrs: w.InstrsPerAccess,
 		res:    Result{Workload: w.Name, Scheme: c.walker.Name()},
 		delta:  start > 0,
-		start:  start,
 		pos:    start,
 	}
 	if s.delta {
@@ -102,48 +97,20 @@ func (s *Session) Remaining() int { return len(s.trace) - s.pos }
 // session may become un-done again when Extend delivers more trace.
 func (s *Session) Done() bool { return s.pos >= len(s.trace) }
 
-// Step advances the session by up to n accesses through the translation
-// pipeline and returns the number consumed. Chunking is a pure performance
-// knob: any Step sequence over the same trace produces bit-identical
-// results, because the batch pipeline already guarantees it per chunk and
-// Step never reorders or splits an access.
+// Step advances the session by up to n accesses and returns the number
+// consumed. Chunking is a pure performance knob: any Step sequence over the
+// same trace produces bit-identical results, because each access is one
+// step in trace order whatever the chunk boundaries.
 func (s *Session) Step(n int) int {
 	if s.finished || n <= 0 {
 		return 0
 	}
-	c := s.c
-	tr := s.trace
-	limit := s.pos + n
-	if limit > len(tr) {
-		limit = len(tr)
+	start := s.pos
+	limit := min(s.pos+n, len(s.trace))
+	for ; s.pos < limit; s.pos++ {
+		s.c.step(s.asid, s.trace[s.pos], s.instrs, 0, &s.res)
 	}
-	consumed := limit - s.pos
-	if consumed <= 0 {
-		return 0
-	}
-	batch := c.batchSize()
-	if c.cfg.Midgard || batch <= 1 || c.bw == nil || c.lk == nil {
-		for ; s.pos < limit; s.pos++ {
-			lat := c.step(s.asid, tr[s.pos], s.instrs, 0, &s.res)
-			if s.lats != nil {
-				s.lats[s.pos-s.start] = lat
-			}
-		}
-		return consumed
-	}
-	for s.pos < limit {
-		end := s.pos + batch
-		if end > limit {
-			end = limit
-		}
-		var lats []float64
-		if s.lats != nil {
-			lats = s.lats[s.pos-s.start : end-s.start]
-		}
-		c.TranslateBatch(s.asid, tr[s.pos:end:end], s.instrs, &s.res, lats)
-		s.pos = end
-	}
-	return consumed
+	return limit - start
 }
 
 // Finish seals the session and derives the Result from the component

@@ -102,26 +102,31 @@ func TestStreamSessionMatchesRun(t *testing.T) {
 	}
 }
 
-// TestSessionStepZeroAllocs seals the serving hot loop: once machine
-// scratch is warm, Step must not touch the heap (session creation and
-// Finish may; the per-chunk drive loop may not).
+// TestSessionStepZeroAllocs seals the serving hot loop for every scheme:
+// once machine scratch is warm, a Step of DefaultBatchSize accesses must
+// not touch the heap (session creation and Finish may; the per-chunk drive
+// loop may not).
 func TestSessionStepZeroAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement is not meaningful under -short's reduced fixtures")
 	}
-	cpu, _, w := benchCPU(t, oskernel.SchemeLVM, false, benchParams())
-	cpu.Run(1, w)
-	cpu.Run(1, w)
-	s := cpu.NewSession(1, w)
-	n := len(w.Accesses)
-	allocs := testing.AllocsPerRun(n/DefaultBatchSize, func() {
-		if s.Step(DefaultBatchSize) == 0 {
-			s = cpu.NewSession(1, w) // session drained; renew outside measurement interest
-		}
-	})
-	// One renewal allocation amortized across n/batch runs rounds to zero;
-	// any per-Step allocation would not.
-	if allocs >= 1 {
-		t.Errorf("%.2f allocs per steady-state Step, want 0", allocs)
+	for _, scheme := range oskernel.AllSchemes() {
+		t.Run(string(scheme), func(t *testing.T) {
+			cpu, _, w := benchCPU(t, scheme, false, benchParams())
+			cpu.Run(1, w)
+			cpu.Run(1, w)
+			s := cpu.NewSession(1, w)
+			n := len(w.Accesses)
+			allocs := testing.AllocsPerRun(n/DefaultBatchSize, func() {
+				if s.Step(DefaultBatchSize) == 0 {
+					s = cpu.NewSession(1, w) // session drained; renew outside measurement interest
+				}
+			})
+			// One renewal allocation amortized across n/batch runs rounds to
+			// zero; any per-Step allocation would not.
+			if allocs >= 1 {
+				t.Errorf("%s: %.2f allocs per steady-state Step, want 0", scheme, allocs)
+			}
+		})
 	}
 }

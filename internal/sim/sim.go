@@ -40,16 +40,12 @@ type Config struct {
 	// the intermediate (virtual) address first; translation is needed only
 	// when the request misses the LLC.
 	Midgard bool
-	// BatchSize is the translation pipeline's chunk size — a pure
-	// performance knob: every value produces bit-identical Results and
-	// metrics (test-enforced). 0 means DefaultBatchSize; 1 forces the
-	// scalar per-access path. Excluded from JSON (and therefore from the
-	// experiment config fingerprint) because it cannot change any output.
-	BatchSize int `json:"-"`
 }
 
-// DefaultBatchSize is the translation pipeline's chunk size when
-// Config.BatchSize is zero.
+// DefaultBatchSize is the miss-batch length in which the repository
+// benchmark's layer ledger (perfbench/) drives walkers through
+// mmu.BatchWalker. The simulator never reads it: every run steps one access
+// at a time.
 const DefaultBatchSize = 64
 
 // withTLBDefaults fills unset TLB geometry with the Table-1 sizes. It is
@@ -161,55 +157,17 @@ type CPU struct {
 	tlbs   *tlb.Hierarchy
 	caches *cache.Hierarchy
 	walker mmu.Walker
-	// bw/lk are the walker's batch seam, nil when it only implements the
-	// scalar Walk (the pipeline needs both: lk resolves misses functionally
-	// so the TLB can fill in arrival order, bw replays the timing walks).
-	bw mmu.BatchWalker
-	lk mmu.Lookuper
-
-	batch batchState
-}
-
-// batchState is the reusable scratch of the translation pipeline.
-type batchState struct {
-	bufs mmu.WalkBatchBuf
-	vpns []addr.VPN
-	recs []accessRec
-}
-
-// accessRec carries one access's functional-phase results to the retire
-// phase.
-type accessRec struct {
-	va     addr.VA
-	vpn    addr.VPN
-	entry  pte.Entry
-	tlbLat int
-	slot   int32
-	hitL1  bool
-	miss   bool
-	fault  bool
 }
 
 // New creates a core bound to a scheme walker.
 func New(cfg Config, walker mmu.Walker) *CPU {
 	cfg = cfg.withTLBDefaults()
-	c := &CPU{
+	return &CPU{
 		cfg:    cfg,
 		tlbs:   tlb.NewHierarchySized(cfg.TLBL1Small, cfg.TLBL1Huge, cfg.TLBL2, cfg.TLBL2Huge),
 		caches: cache.New(cfg.Cache, dram.New(cfg.DRAM)),
 		walker: walker,
 	}
-	c.bw, _ = walker.(mmu.BatchWalker)
-	c.lk, _ = walker.(mmu.Lookuper)
-	return c
-}
-
-// batchSize resolves the configured chunk size.
-func (c *CPU) batchSize() int {
-	if c.cfg.BatchSize == 0 {
-		return DefaultBatchSize
-	}
-	return c.cfg.BatchSize
 }
 
 // TLBs exposes the TLB hierarchy for inspection.
@@ -313,283 +271,68 @@ func (c *CPU) RunFrom(asid uint16, w *workload.Workload, start int) Result {
 }
 
 // runOpts selects run's optional behaviours; the zero value is a plain
-// full-trace run. It replaces the hook/obs closure pair the step
-// unification left behind: latency observation and interval cuts are part
-// of the loop itself now, so the batch retire path can feed them directly.
+// full-trace run.
 type runOpts struct {
 	// start is the first access index simulated (the measured region is
 	// [start, len(Accesses))). When start > 0, finish reports component
 	// counters as deltas over the run.
 	start int
-	// hook injects per-access extra cycles (OS work). A non-nil hook can
-	// mutate OS state between accesses, which would invalidate recorded
-	// walk plans — so it forces the scalar path.
+	// hook injects per-access extra cycles (OS work); it runs before the
+	// access touches the TLB.
 	hook func(i int) float64
 	// lats, when non-nil, receives access i's end-to-end latency at
 	// lats[i-start]; it must have length len(Accesses)-start.
 	lats []float64
 	// every cuts interval windows at access-count multiples (0 = none);
-	// cut is invoked at each boundary. Batch chunks are clamped so a batch
-	// never straddles a boundary.
+	// cut is invoked at each boundary.
 	every int
 	cut   func(end int)
 }
 
-// run is the single translation loop behind Run, RunFrom, RunTail and
-// RunIntervals, implemented over the resumable Session: the trace is
-// consumed in Step chunks clamped to interval boundaries so a batch never
-// straddles a cut. Per-access hooks can mutate OS state between accesses
-// (invalidating recorded walk plans), so the hook path keeps its dedicated
-// scalar loop; all paths produce bit-identical Results.
+// run is the translation loop behind Run, RunFrom, RunTail and
+// RunIntervals: one step per access, in trace order.
 func (c *CPU) run(asid uint16, w *workload.Workload, o runOpts) Result {
-	if o.hook != nil {
-		res := Result{Workload: w.Name, Scheme: c.walker.Name()}
-		var base metrics.Set
-		if o.start > 0 {
-			base = c.Snapshot()
-		}
-		instrs := w.InstrsPerAccess
-		for i := o.start; i < len(w.Accesses); i++ {
-			lat := c.step(asid, w.Accesses[i], instrs, o.hook(i), &res)
-			if o.lats != nil {
-				o.lats[i-o.start] = lat
-			}
-			if o.every > 0 && (i+1)%o.every == 0 {
-				o.cut(i + 1)
-			}
-		}
-		c.finish(&res, base, o.start > 0)
-		return res
+	res := Result{Workload: w.Name, Scheme: c.walker.Name()}
+	var base metrics.Set
+	if o.start > 0 {
+		base = c.Snapshot()
 	}
-	s := c.NewSessionFrom(asid, w, o.start)
-	s.lats = o.lats
-	for !s.Done() {
-		limit := s.Remaining()
-		if o.every > 0 {
-			// Clamp the step to the next interval boundary so a batch never
-			// straddles a cut and window contents cannot shift.
-			if next := (s.pos/o.every+1)*o.every - s.pos; next < limit {
-				limit = next
-			}
+	instrs := w.InstrsPerAccess
+	for i := o.start; i < len(w.Accesses); i++ {
+		extra := 0.0
+		if o.hook != nil {
+			extra = o.hook(i)
 		}
-		s.Step(limit)
-		if o.every > 0 && s.pos%o.every == 0 {
-			o.cut(s.pos)
+		lat := c.step(asid, w.Accesses[i], instrs, extra, &res)
+		if o.lats != nil {
+			o.lats[i-o.start] = lat
+		}
+		if o.every > 0 && (i+1)%o.every == 0 {
+			o.cut(i + 1)
 		}
 	}
-	return s.Finish()
-}
-
-// prepareBatch runs the pipeline's functional and timing-walk phases over
-// one chunk. Phase T, per access in arrival order: probe the TLB; on an L2
-// miss resolve the translation functionally (mmu.Lookuper) and fill the
-// TLB, so later accesses to the same page hit exactly as they would in the
-// scalar loop. Phase W: one WalkBatch over the misses replays the recorded
-// plans — walk-cache state and request traces accrue per miss in arrival
-// order. Each component (TLB, walk caches, cache hierarchy) sees exactly
-// the scalar loop's operation sequence, which is why results stay
-// bit-identical at any batch size.
-func (c *CPU) prepareBatch(asid uint16, accesses []workload.Access) []accessRec {
-	n := len(accesses)
-	for len(c.batch.recs) < n {
-		//lint:allow hotalloc record slab grows to the batch size once, then recycles
-		c.batch.recs = append(c.batch.recs, accessRec{})
-	}
-	recs := c.batch.recs[:n]
-	vpns := c.batch.vpns[:0]
-	nmiss := 0
-	for k := range accesses {
-		a := &accesses[k]
-		v := addr.VPNOf(a.VA)
-		r := &recs[k]
-		tr, hit := c.tlbs.Lookup(asid, v)
-		r.va = a.VA
-		r.vpn = v
-		r.entry = tr.Entry
-		r.tlbLat = tr.Latency
-		r.hitL1 = tr.HitL1
-		r.miss = !hit
-		r.fault = false
-		if !hit {
-			r.slot = int32(nmiss)
-			nmiss++
-			//lint:allow hotalloc miss list grows to the batch size once, then recycles
-			vpns = append(vpns, v)
-			e, found := c.lk.Lookup(asid, v)
-			r.entry = e
-			r.fault = !found
-			if found {
-				c.tlbs.Fill(asid, v, e)
-			}
-		}
-	}
-	c.batch.vpns = vpns
-	if nmiss > 0 {
-		c.bw.WalkBatch(asid, vpns, &c.batch.bufs)
-	}
-	return recs
-}
-
-// TranslateBatch runs one chunk of accesses through the three-phase
-// translation pipeline and charges the existing accounting in arrival
-// order. Phase R (retire), per access: the same float accruals, in the
-// same per-accumulator order, as the scalar step — retire, TLB latency,
-// walk latency (charging the walk's memory requests to the caches), data
-// access — so tail-study latencies and every cycle sum stay bit-identical.
-// lats, when non-nil, receives per-access end-to-end latencies.
-func (c *CPU) TranslateBatch(asid uint16, accesses []workload.Access, instrs int, res *Result, lats []float64) {
-	recs := c.prepareBatch(asid, accesses)
-	retire := float64(instrs) / c.cfg.IssueWidth
-	for k := range recs {
-		r := &recs[k]
-		res.Instructions += uint64(instrs)
-		res.Accesses++
-		lat := retire
-		res.Cycles += retire
-		res.TLBCycles += float64(r.tlbLat)
-		res.Cycles += float64(r.tlbLat)
-		lat += float64(r.tlbLat)
-		verify := 0.0
-		if r.miss {
-			res.L2TLBMisses++
-			out := c.batch.bufs.Outcome(int(r.slot))
-			res.Walks++
-			res.WalkRefs += uint64(out.Refs())
-			wlat, wver := c.walkLatency(out)
-			res.WalkCycles += wlat
-			res.Cycles += wlat
-			lat += wlat
-			if r.fault {
-				// A faulting walk has no data access to overlap with.
-				if wver != 0 {
-					res.WalkCycles += wver
-					res.Cycles += wver
-					lat += wver
-				}
-				res.Faults++
-				if lats != nil {
-					lats[k] = lat
-				}
-				continue
-			}
-			verify = wver
-		}
-		if !r.hitL1 {
-			res.L1TLBMisses++
-		}
-		pa := addr.Translate(r.va, r.entry.PPN(), r.entry.Size())
-		dataLat := float64(c.caches.Access(pa, false)) * (1 - c.cfg.DataOverlap)
-		// Verify-overlap: same accounting as step — only the suffix's excess
-		// over the exposed data latency is charged (zero extra float ops for
-		// non-speculative schemes).
-		if verify > dataLat {
-			exposed := verify - dataLat
-			res.WalkCycles += exposed
-			res.Cycles += exposed
-			lat += exposed
-		}
-		res.Cycles += dataLat
-		lat += dataLat
-		if lats != nil {
-			lats[k] = lat
-		}
-	}
+	c.finish(&res, base, o.start > 0)
+	return res
 }
 
 // FastForward streams the first n accesses of the trace through the
-// machine's functional state — TLBs, walk caches, cache tags, DRAM rows —
-// with no latency accounting and no Result: component state afterwards is
-// exactly what a timing run over the same prefix leaves behind, at a
-// fraction of the cost. It returns the number of accesses consumed
-// (min(n, len(trace))); follow with RunFrom to measure from warmed state.
+// machine — TLBs, walk caches, cache tags, DRAM rows — stepping each into a
+// discarded Result: component state afterwards is exactly what a timing run
+// over the same prefix leaves behind, and the caller's Result sees none of
+// it. It returns the number of accesses consumed (min(n, len(trace)));
+// follow with RunFrom to measure from warmed state.
 func (c *CPU) FastForward(asid uint16, w *workload.Workload, n int) int {
-	if n > len(w.Accesses) {
-		n = len(w.Accesses)
-	}
-	if n <= 0 {
-		return 0
-	}
-	batch := c.batchSize()
-	if c.cfg.Midgard || batch <= 1 || c.bw == nil || c.lk == nil {
-		for i := 0; i < n; i++ {
-			c.forwardStep(asid, w.Accesses[i])
-		}
-		return n
-	}
-	for i := 0; i < n; {
-		end := i + batch
-		if end > n {
-			end = n
-		}
-		recs := c.prepareBatch(asid, w.Window(i, end))
-		for k := range recs {
-			r := &recs[k]
-			if r.miss {
-				out := c.batch.bufs.Outcome(int(r.slot))
-				for gi, groups := 0, out.NumGroups(); gi < groups; gi++ {
-					for _, pa := range out.Group(gi) {
-						c.caches.Access(pa, true)
-					}
-				}
-				if r.fault {
-					continue
-				}
-			}
-			pa := addr.Translate(r.va, r.entry.PPN(), r.entry.Size())
-			c.caches.Access(pa, false)
-		}
-		i = end
+	n = min(max(n, 0), len(w.Accesses))
+	var discard Result
+	for i := 0; i < n; i++ {
+		c.step(asid, w.Accesses[i], w.InstrsPerAccess, 0, &discard)
 	}
 	return n
 }
 
-// forwardStep is FastForward's scalar fallback (Midgard, batch size 1, or
-// walkers without the batch seam): the state operations of step, none of
-// the accounting.
-func (c *CPU) forwardStep(asid uint16, a workload.Access) {
-	v := addr.VPNOf(a.VA)
-	if c.cfg.Midgard {
-		//lint:allow addrtypes Midgard's cache hierarchy is indexed by the intermediate (virtual) address, so the VA bits are reinterpreted as the cache key on purpose
-		raw := c.caches.Access(addr.PA(a.VA), false)
-		if raw > c.cfg.Cache.L3.LatencyCycles {
-			c.forwardTranslate(asid, v)
-		}
-		return
-	}
-	entry, ok := c.forwardTranslate(asid, v)
-	if !ok {
-		return
-	}
-	pa := addr.Translate(a.VA, entry.PPN(), entry.Size())
-	c.caches.Access(pa, false)
-}
-
-// forwardTranslate performs translate's state operations — TLB probe, the
-// walk with its memory requests charged to the caches, the TLB fill —
-// without accounting. Returns the entry and whether the page is mapped.
-// Verify-region requests are state operations like any other (the verify
-// walk really touches the caches; only its latency overlaps), so the loop
-// below deliberately spans critical and verify groups alike.
-func (c *CPU) forwardTranslate(asid uint16, v addr.VPN) (pte.Entry, bool) {
-	tr, hit := c.tlbs.Lookup(asid, v)
-	if hit {
-		return tr.Entry, true
-	}
-	out := c.walker.Walk(asid, v)
-	for gi, groups := 0, out.NumGroups(); gi < groups; gi++ {
-		for _, pa := range out.Group(gi) {
-			c.caches.Access(pa, true)
-		}
-	}
-	if !out.Found {
-		return 0, false
-	}
-	c.tlbs.Fill(asid, v, out.Entry)
-	return out.Entry, true
-}
-
 // step runs one access through the machine model — the per-access
-// translate-then-access sequence shared by every access path. Each cycle
+// translate-then-access sequence every run, session and fast-forward loops
+// over. Each cycle
 // component is charged to res.Cycles as it accrues; the return value is
 // the access's end-to-end latency (the same components summed in accrual
 // order), which the tail study consumes per request.

@@ -150,8 +150,8 @@ func (t *Table) Release() {
 // walk (with its PWC) on a store miss, then the off-critical-path fill.
 type Walker struct {
 	tables map[uint16]*Table
-	// lastASID/lastTable memoize the most recent tables lookup so batched
-	// walks skip the map per access; Attach/Detach invalidate it.
+	// lastASID/lastTable memoize the most recent tables lookup so walks
+	// skip the map per access; Attach/Detach invalidate it.
 	lastASID  uint16
 	lastTable *Table
 	rad       *radix.Walker
@@ -216,15 +216,14 @@ func (w *Walker) Walk(asid uint16, v addr.VPN) mmu.Outcome {
 		return mmu.Outcome{}
 	}
 	w.buf.Reset()
-	return w.walkInto(&w.buf, t, asid, v, false)
+	return w.walkInto(&w.buf, t, asid, v)
 }
 
 // walkInto emits one walk's trace into b: the store probe (one request, one
 // group — it enters the hierarchy at L2 like every walk request, so its
 // latency is the store's cache residency), then on a probe miss the radix
-// fallback, then the store fill in the verify region. batched selects the
-// radix walker's plan-replay entry point.
-func (w *Walker) walkInto(b *mmu.WalkBuf, t *Table, asid uint16, v addr.VPN, batched bool) mmu.Outcome {
+// fallback, then the store fill in the verify region.
+func (w *Walker) walkInto(b *mmu.WalkBuf, t *Table, asid uint16, v addr.VPN) mmu.Outcome {
 	slotPA := t.SlotPA(v)
 	b.AddGroup(slotPA)
 	if e, hit := t.probe(v); hit {
@@ -232,12 +231,7 @@ func (w *Walker) walkInto(b *mmu.WalkBuf, t *Table, asid uint16, v addr.VPN, bat
 		return b.Outcome(e, true, mmu.StepCycles)
 	}
 	w.storeMisses.Inc()
-	var radOut mmu.Outcome
-	if batched {
-		radOut = w.rad.WalkNextInto(b, asid, v)
-	} else {
-		radOut = w.rad.WalkInto(b, asid, v)
-	}
+	radOut := w.rad.WalkInto(b, asid, v)
 	wcc := radOut.WalkCacheCycles + mmu.StepCycles
 	if radOut.Found && radOut.Entry.Size() == addr.Page4K {
 		// Install the fetched entry off the critical path: the store write
@@ -250,37 +244,23 @@ func (w *Walker) walkInto(b *mmu.WalkBuf, t *Table, asid uint16, v addr.VPN, bat
 	return b.Outcome(radOut.Entry, radOut.Found, wcc)
 }
 
-// Lookup implements mmu.Lookuper: resolve functionally without mutating the
-// store (fills happen in the timing walk, keeping scalar and batched runs
-// identical); on a store miss the embedded radix walker records the plan the
-// following WalkBatch replays.
+// Lookup implements mmu.Lookuper: the translation resolved through the
+// store and the radix table alone — the store is probed first, as Walk
+// does, but never filled, and no walk cache is probed or filled.
 func (w *Walker) Lookup(asid uint16, v addr.VPN) (pte.Entry, bool) {
-	t, ok := w.table(asid)
+	t, ok := w.tables[asid]
 	if !ok {
 		return 0, false
 	}
 	if e, hit := t.probe(v); hit {
 		return e, true
 	}
-	return w.rad.Lookup(asid, v)
+	return t.Lookup(v)
 }
 
-// WalkBatch implements mmu.BatchWalker: probe the live store per slot and
-// replay the radix plans recorded by the preceding Lookup sequence on store
-// misses. A same-batch fill can overwrite a slot another VPN's Lookup hit
-// on (a direct-mapped conflict); the radix walker's plan-mismatch fallback
-// walks those fresh, so the batch still matches the scalar semantics.
+// WalkBatch implements mmu.BatchWalker by walking each VPN in turn.
 func (w *Walker) WalkBatch(asid uint16, vpns []addr.VPN, bufs *mmu.WalkBatchBuf) {
-	bufs.Reset(len(vpns))
-	t, ok := w.table(asid)
-	for i, v := range vpns {
-		if !ok {
-			bufs.SetOutcome(i, mmu.Outcome{})
-			continue
-		}
-		bufs.SetOutcome(i, w.walkInto(bufs.Buf(i), t, asid, v, true))
-	}
-	w.rad.FlushPlans()
+	mmu.WalkSerial(w, asid, vpns, bufs)
 }
 
 var _ mmu.Walker = (*Walker)(nil)

@@ -145,8 +145,8 @@ func TestHugePagesNotCached(t *testing.T) {
 	}
 }
 
-// TestLookupDoesNotFill: the functional half must leave the store untouched
-// so scalar and batched runs see identical store contents.
+// TestLookupDoesNotFill: Lookup is a pure resolve, so it must leave the
+// store untouched and the following timing walk must still miss it.
 func TestLookupDoesNotFill(t *testing.T) {
 	tb := newTable(t)
 	w := NewWalker()
