@@ -8,7 +8,10 @@
 // provided: one-shot hashing and a convenience Sum64 for table indexing.
 package blake2b
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // iv is the BLAKE2b initialization vector (RFC 7693 §2.6).
 var iv = [8]uint64{
@@ -34,18 +37,19 @@ var sigma = [12][16]uint8{
 	{14, 10, 4, 8, 9, 15, 13, 6, 1, 12, 0, 2, 11, 7, 5, 3},
 }
 
-func rotr(x uint64, n uint) uint64 { return x>>n | x<<(64-n) }
-
-// g is the BLAKE2b mixing function (RFC 7693 §3.1).
-func g(v *[16]uint64, a, b, c, d int, x, y uint64) {
-	v[a] = v[a] + v[b] + x
-	v[d] = rotr(v[d]^v[a], 32)
-	v[c] = v[c] + v[d]
-	v[b] = rotr(v[b]^v[c], 24)
-	v[a] = v[a] + v[b] + y
-	v[d] = rotr(v[d]^v[a], 16)
-	v[c] = v[c] + v[d]
-	v[b] = rotr(v[b]^v[c], 63)
+// g is the BLAKE2b mixing function (RFC 7693 §3.1) on the four state words
+// (a, b, c, d) with message words x and y. It returns the words rather than
+// updating an array so Sum64 can keep the whole state in registers.
+func g(a, b, c, d, x, y uint64) (uint64, uint64, uint64, uint64) {
+	a += b + x
+	d = bits.RotateLeft64(d^a, -32)
+	c += d
+	b = bits.RotateLeft64(b^c, -24)
+	a += b + y
+	d = bits.RotateLeft64(d^a, -16)
+	c += d
+	b = bits.RotateLeft64(b^c, -63)
+	return a, b, c, d
 }
 
 // compress applies the F compression function to one 128-byte block.
@@ -63,14 +67,14 @@ func compress(h *[8]uint64, block *[128]byte, t uint64, final bool) {
 	}
 	for r := 0; r < 12; r++ {
 		s := &sigma[r]
-		g(&v, 0, 4, 8, 12, m[s[0]], m[s[1]])
-		g(&v, 1, 5, 9, 13, m[s[2]], m[s[3]])
-		g(&v, 2, 6, 10, 14, m[s[4]], m[s[5]])
-		g(&v, 3, 7, 11, 15, m[s[6]], m[s[7]])
-		g(&v, 0, 5, 10, 15, m[s[8]], m[s[9]])
-		g(&v, 1, 6, 11, 12, m[s[10]], m[s[11]])
-		g(&v, 2, 7, 8, 13, m[s[12]], m[s[13]])
-		g(&v, 3, 4, 9, 14, m[s[14]], m[s[15]])
+		v[0], v[4], v[8], v[12] = g(v[0], v[4], v[8], v[12], m[s[0]], m[s[1]])
+		v[1], v[5], v[9], v[13] = g(v[1], v[5], v[9], v[13], m[s[2]], m[s[3]])
+		v[2], v[6], v[10], v[14] = g(v[2], v[6], v[10], v[14], m[s[4]], m[s[5]])
+		v[3], v[7], v[11], v[15] = g(v[3], v[7], v[11], v[15], m[s[6]], m[s[7]])
+		v[0], v[5], v[10], v[15] = g(v[0], v[5], v[10], v[15], m[s[8]], m[s[9]])
+		v[1], v[6], v[11], v[12] = g(v[1], v[6], v[11], v[12], m[s[10]], m[s[11]])
+		v[2], v[7], v[8], v[13] = g(v[2], v[7], v[8], v[13], m[s[12]], m[s[13]])
+		v[3], v[4], v[9], v[14] = g(v[3], v[4], v[9], v[14], m[s[14]], m[s[15]])
 	}
 	for i := 0; i < 8; i++ {
 		h[i] ^= v[i] ^ v[i+8]
@@ -117,16 +121,128 @@ func Sum256(data []byte) [32]byte {
 }
 
 // Sum64 hashes a 64-bit key and returns the first 8 digest bytes as a
-// uint64, the form the hashed-page-table baseline uses for slot selection.
-// It runs the single-block path inline — same parameter block and final
-// compression as Sum(key, 8) — so hot-path table indexing never allocates
-// a digest buffer.
+// uint64, the form the hashed page tables (ecpt, revelator, hashpt) use for
+// slot selection. It equals the little-endian first word of
+// Sum(le(key), 8), which TestSum64MatchesSum checks, but runs as one
+// specialised final compression: the parameter block, offset counter and
+// final flag are folded into the initial state, the 16 working words live in
+// locals, and the message schedule is folded too. The key is message word 0
+// and words 1..15 are zero, so each of the 96 unrolled g calls below passes
+// the key where sigma names word 0 and the constant 0 everywhere else.
 func Sum64(key uint64) uint64 {
-	var h [8]uint64
-	copy(h[:], iv[:])
-	h[0] ^= 0x01010000 ^ 8
-	var block [128]byte
-	binary.LittleEndian.PutUint64(block[:], key)
-	compress(&h, &block, 8, true)
-	return h[0]
+	p0 := iv[0] ^ 0x01010000 ^ 8 // h[0] after the parameter block, as in Sum
+	v0, v1, v2, v3 := p0, iv[1], iv[2], iv[3]
+	v4, v5, v6, v7 := iv[4], iv[5], iv[6], iv[7]
+	v8, v9, v10, v11 := iv[0], iv[1], iv[2], iv[3]
+	v12, v13, v14, v15 := iv[4]^8, iv[5], ^iv[6], iv[7] // t = 8 bytes, final block
+
+	v0, v4, v8, v12 = g(v0, v4, v8, v12, key, 0)
+	v1, v5, v9, v13 = g(v1, v5, v9, v13, 0, 0)
+	v2, v6, v10, v14 = g(v2, v6, v10, v14, 0, 0)
+	v3, v7, v11, v15 = g(v3, v7, v11, v15, 0, 0)
+	v0, v5, v10, v15 = g(v0, v5, v10, v15, 0, 0)
+	v1, v6, v11, v12 = g(v1, v6, v11, v12, 0, 0)
+	v2, v7, v8, v13 = g(v2, v7, v8, v13, 0, 0)
+	v3, v4, v9, v14 = g(v3, v4, v9, v14, 0, 0)
+
+	v0, v4, v8, v12 = g(v0, v4, v8, v12, 0, 0)
+	v1, v5, v9, v13 = g(v1, v5, v9, v13, 0, 0)
+	v2, v6, v10, v14 = g(v2, v6, v10, v14, 0, 0)
+	v3, v7, v11, v15 = g(v3, v7, v11, v15, 0, 0)
+	v0, v5, v10, v15 = g(v0, v5, v10, v15, 0, 0)
+	v1, v6, v11, v12 = g(v1, v6, v11, v12, key, 0)
+	v2, v7, v8, v13 = g(v2, v7, v8, v13, 0, 0)
+	v3, v4, v9, v14 = g(v3, v4, v9, v14, 0, 0)
+
+	v0, v4, v8, v12 = g(v0, v4, v8, v12, 0, 0)
+	v1, v5, v9, v13 = g(v1, v5, v9, v13, 0, key)
+	v2, v6, v10, v14 = g(v2, v6, v10, v14, 0, 0)
+	v3, v7, v11, v15 = g(v3, v7, v11, v15, 0, 0)
+	v0, v5, v10, v15 = g(v0, v5, v10, v15, 0, 0)
+	v1, v6, v11, v12 = g(v1, v6, v11, v12, 0, 0)
+	v2, v7, v8, v13 = g(v2, v7, v8, v13, 0, 0)
+	v3, v4, v9, v14 = g(v3, v4, v9, v14, 0, 0)
+
+	v0, v4, v8, v12 = g(v0, v4, v8, v12, 0, 0)
+	v1, v5, v9, v13 = g(v1, v5, v9, v13, 0, 0)
+	v2, v6, v10, v14 = g(v2, v6, v10, v14, 0, 0)
+	v3, v7, v11, v15 = g(v3, v7, v11, v15, 0, 0)
+	v0, v5, v10, v15 = g(v0, v5, v10, v15, 0, 0)
+	v1, v6, v11, v12 = g(v1, v6, v11, v12, 0, 0)
+	v2, v7, v8, v13 = g(v2, v7, v8, v13, 0, key)
+	v3, v4, v9, v14 = g(v3, v4, v9, v14, 0, 0)
+
+	v0, v4, v8, v12 = g(v0, v4, v8, v12, 0, key)
+	v1, v5, v9, v13 = g(v1, v5, v9, v13, 0, 0)
+	v2, v6, v10, v14 = g(v2, v6, v10, v14, 0, 0)
+	v3, v7, v11, v15 = g(v3, v7, v11, v15, 0, 0)
+	v0, v5, v10, v15 = g(v0, v5, v10, v15, 0, 0)
+	v1, v6, v11, v12 = g(v1, v6, v11, v12, 0, 0)
+	v2, v7, v8, v13 = g(v2, v7, v8, v13, 0, 0)
+	v3, v4, v9, v14 = g(v3, v4, v9, v14, 0, 0)
+
+	v0, v4, v8, v12 = g(v0, v4, v8, v12, 0, 0)
+	v1, v5, v9, v13 = g(v1, v5, v9, v13, 0, 0)
+	v2, v6, v10, v14 = g(v2, v6, v10, v14, key, 0)
+	v3, v7, v11, v15 = g(v3, v7, v11, v15, 0, 0)
+	v0, v5, v10, v15 = g(v0, v5, v10, v15, 0, 0)
+	v1, v6, v11, v12 = g(v1, v6, v11, v12, 0, 0)
+	v2, v7, v8, v13 = g(v2, v7, v8, v13, 0, 0)
+	v3, v4, v9, v14 = g(v3, v4, v9, v14, 0, 0)
+
+	v0, v4, v8, v12 = g(v0, v4, v8, v12, 0, 0)
+	v1, v5, v9, v13 = g(v1, v5, v9, v13, 0, 0)
+	v2, v6, v10, v14 = g(v2, v6, v10, v14, 0, 0)
+	v3, v7, v11, v15 = g(v3, v7, v11, v15, 0, 0)
+	v0, v5, v10, v15 = g(v0, v5, v10, v15, key, 0)
+	v1, v6, v11, v12 = g(v1, v6, v11, v12, 0, 0)
+	v2, v7, v8, v13 = g(v2, v7, v8, v13, 0, 0)
+	v3, v4, v9, v14 = g(v3, v4, v9, v14, 0, 0)
+
+	v0, v4, v8, v12 = g(v0, v4, v8, v12, 0, 0)
+	v1, v5, v9, v13 = g(v1, v5, v9, v13, 0, 0)
+	v2, v6, v10, v14 = g(v2, v6, v10, v14, 0, 0)
+	v3, v7, v11, v15 = g(v3, v7, v11, v15, 0, 0)
+	v0, v5, v10, v15 = g(v0, v5, v10, v15, 0, key)
+	v1, v6, v11, v12 = g(v1, v6, v11, v12, 0, 0)
+	v2, v7, v8, v13 = g(v2, v7, v8, v13, 0, 0)
+	v3, v4, v9, v14 = g(v3, v4, v9, v14, 0, 0)
+
+	v0, v4, v8, v12 = g(v0, v4, v8, v12, 0, 0)
+	v1, v5, v9, v13 = g(v1, v5, v9, v13, 0, 0)
+	v2, v6, v10, v14 = g(v2, v6, v10, v14, 0, 0)
+	v3, v7, v11, v15 = g(v3, v7, v11, v15, key, 0)
+	v0, v5, v10, v15 = g(v0, v5, v10, v15, 0, 0)
+	v1, v6, v11, v12 = g(v1, v6, v11, v12, 0, 0)
+	v2, v7, v8, v13 = g(v2, v7, v8, v13, 0, 0)
+	v3, v4, v9, v14 = g(v3, v4, v9, v14, 0, 0)
+
+	v0, v4, v8, v12 = g(v0, v4, v8, v12, 0, 0)
+	v1, v5, v9, v13 = g(v1, v5, v9, v13, 0, 0)
+	v2, v6, v10, v14 = g(v2, v6, v10, v14, 0, 0)
+	v3, v7, v11, v15 = g(v3, v7, v11, v15, 0, 0)
+	v0, v5, v10, v15 = g(v0, v5, v10, v15, 0, 0)
+	v1, v6, v11, v12 = g(v1, v6, v11, v12, 0, 0)
+	v2, v7, v8, v13 = g(v2, v7, v8, v13, 0, 0)
+	v3, v4, v9, v14 = g(v3, v4, v9, v14, 0, key)
+
+	v0, v4, v8, v12 = g(v0, v4, v8, v12, key, 0)
+	v1, v5, v9, v13 = g(v1, v5, v9, v13, 0, 0)
+	v2, v6, v10, v14 = g(v2, v6, v10, v14, 0, 0)
+	v3, v7, v11, v15 = g(v3, v7, v11, v15, 0, 0)
+	v0, v5, v10, v15 = g(v0, v5, v10, v15, 0, 0)
+	v1, v6, v11, v12 = g(v1, v6, v11, v12, 0, 0)
+	v2, v7, v8, v13 = g(v2, v7, v8, v13, 0, 0)
+	v3, v4, v9, v14 = g(v3, v4, v9, v14, 0, 0)
+
+	v0, v4, v8, v12 = g(v0, v4, v8, v12, 0, 0)
+	v1, v5, v9, v13 = g(v1, v5, v9, v13, 0, 0)
+	v2, v6, v10, v14 = g(v2, v6, v10, v14, 0, 0)
+	v3, v7, v11, v15 = g(v3, v7, v11, v15, 0, 0)
+	v0, v5, v10, v15 = g(v0, v5, v10, v15, 0, 0)
+	v1, v6, v11, v12 = g(v1, v6, v11, v12, key, 0)
+	v2, v7, v8, v13 = g(v2, v7, v8, v13, 0, 0)
+	v3, v4, v9, v14 = g(v3, v4, v9, v14, 0, 0)
+
+	return p0 ^ v0 ^ v8
 }

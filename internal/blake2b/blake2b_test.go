@@ -2,7 +2,9 @@ package blake2b
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -102,5 +104,43 @@ func TestQuickNoTrivialCollisions(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSum64MatchesSum checks the single-block Sum64 kernel against the RFC
+// path: Sum64(k) must equal the little-endian first word of Sum(le(k), 8)
+// for random keys, edge keys and the ECPT way seeds, and three pinned known
+// answers (which Python's hashlib.blake2b(digest_size=8) reproduces) guard
+// against both paths drifting together.
+func TestSum64MatchesSum(t *testing.T) {
+	ref := func(k uint64) uint64 {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], k)
+		return binary.LittleEndian.Uint64(Sum(b[:], 8))
+	}
+	if err := quick.Check(func(k uint64) bool { return Sum64(k) == ref(k) }, nil); err != nil {
+		t.Error(err)
+	}
+	edges := []uint64{0, 1, 1 << 63, math.MaxUint64}
+	// ECPT seeds way i of the size-s table with i*0x9e3779b97f4a7c15+s.
+	for _, size := range []uint64{0, 1, 2} {
+		for i := uint64(0); i < 3; i++ {
+			edges = append(edges, i*0x9e3779b97f4a7c15+size)
+		}
+	}
+	for _, k := range edges {
+		if got, want := Sum64(k), ref(k); got != want {
+			t.Errorf("Sum64(%#x) = %#x, Sum gives %#x", k, got, want)
+		}
+	}
+	known := []struct{ key, want uint64 }{
+		{0, 0x18cc49ca5bea08ca},
+		{1, 0xfd0529b07bbc0433},
+		{0x0123456789abcdef, 0x1539bf6cb59293ec},
+	}
+	for _, c := range known {
+		if got := Sum64(c.key); got != c.want {
+			t.Errorf("Sum64(%#x) = %#x, want %#x", c.key, got, c.want)
+		}
 	}
 }

@@ -98,6 +98,9 @@ func (c *cuckoo) loadFactor() float64 {
 	return float64(c.used) / float64(c.capacity())
 }
 
+// unhashed is a placement's way-index cache before any way has been hashed.
+var unhashed = [Ways]int{-1, -1, -1}
+
 // insert places a tagged entry, displacing existing entries cuckoo-style;
 // resizes and rehashes when a chain exceeds MaxKicks or the load factor is
 // too high.
@@ -108,16 +111,19 @@ func (c *cuckoo) insert(tag addr.VPN, e pte.Entry) error {
 		}
 	}
 	item := pte.Tagged{Tag: tag, Entry: e}
-	// Overwrite if present.
-	for _, w := range c.ways {
+	// Overwrite if present. The indices hashed here seed the first
+	// placement attempt, so a fresh insert hashes each way once.
+	var idx [Ways]int
+	for j, w := range c.ways {
 		i := w.index(tag)
 		if w.slots[i].Valid() && w.slots[i].Tag == tag {
 			w.slots[i] = item
 			return nil
 		}
+		idx[j] = i
 	}
 	for attempt := 0; attempt < 4; attempt++ {
-		homeless, ok := c.tryPlace(item)
+		homeless, ok := c.tryPlace(item, idx)
 		if ok {
 			c.used++
 			return nil
@@ -128,28 +134,36 @@ func (c *cuckoo) insert(tag addr.VPN, e pte.Entry) error {
 		if err := c.resize(); err != nil {
 			return err
 		}
-		item = homeless
+		item, idx = homeless, unhashed
 	}
 	return fmt.Errorf("ecpt: insert failed after resize")
 }
 
-// tryPlace attempts cuckoo placement. On failure it returns the item left
-// homeless at the end of the displacement chain (which is generally NOT the
-// item passed in — earlier links of the chain have been placed).
-func (c *cuckoo) tryPlace(item pte.Tagged) (pte.Tagged, bool) {
+// tryPlace attempts cuckoo placement. idx caches item's index in each way,
+// -1 where that way is not hashed yet; each step hashes the missing ways
+// lazily in way order, so no way is hashed twice for one item. On failure
+// it returns the item left homeless at the end of the displacement chain
+// (which is generally NOT the item passed in — earlier links of the chain
+// have been placed).
+func (c *cuckoo) tryPlace(item pte.Tagged, idx [Ways]int) (pte.Tagged, bool) {
 	for kick := 0; kick < MaxKicks; kick++ {
-		for _, w := range c.ways {
-			i := w.index(item.Tag)
-			if !w.slots[i].Valid() {
-				w.slots[i] = item
+		for j, w := range c.ways {
+			if idx[j] < 0 {
+				idx[j] = w.index(item.Tag)
+			}
+			if !w.slots[idx[j]].Valid() {
+				w.slots[idx[j]] = item
 				return pte.Tagged{}, true
 			}
 		}
-		// All ways occupied: evict from a random way and retry with the
-		// displaced item.
-		w := c.ways[c.rng.Intn(Ways)]
-		i := w.index(item.Tag)
+		// All ways occupied, so all are hashed: evict from a random way
+		// and retry with the displaced item, whose index in that way is
+		// the slot it was evicted from.
+		r := c.rng.Intn(Ways)
+		w, i := c.ways[r], idx[r]
 		item, w.slots[i] = w.slots[i], item
+		idx = unhashed
+		idx[r] = i
 	}
 	return item, false
 }
@@ -169,7 +183,7 @@ func (c *cuckoo) resize() error {
 	for _, ow := range old {
 		for _, s := range ow.slots {
 			if s.Valid() {
-				if _, ok := c.tryPlace(s); !ok {
+				if _, ok := c.tryPlace(s, unhashed); !ok {
 					return fmt.Errorf("ecpt: rehash failed")
 				}
 				c.used++
@@ -259,15 +273,9 @@ func (t *Table) Map(v addr.VPN, e pte.Entry) error {
 	if err := c.insert(tag, e); err != nil {
 		return err
 	}
-	// Update CWT bits for every region the mapping touches.
-	regions := uint64(1)
-	if e.Size() == addr.Page2M {
-		regions = 1
-	}
-	base := t.region(tag)
-	for r := uint64(0); r < regions; r++ {
-		t.cwt[base+r] |= 1 << uint(e.Size())
-	}
+	// A 4K or 2M mapping lies within one 2MB region: set its size bit in
+	// that region's CWT entry.
+	t.cwt[t.region(tag)] |= 1 << uint(e.Size())
 	return nil
 }
 

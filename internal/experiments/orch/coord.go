@@ -191,10 +191,20 @@ func (c *coordinator) handle(conn net.Conn) {
 		w.send(message{Type: msgReject, Reason: reason})
 		return
 	}
-	wc := c.register(hello, w, conn)
+	wc := c.newWorkerConn(hello, w, conn)
 	c.os.WorkerConnected(wc.name, wc.remote, wc.capacity)
+	// Welcome before joining, so Serve's shutdown never overtakes it.
 	if err := w.send(message{Type: msgWelcome, Worker: wc.name}); err != nil {
 		c.unregister(wc, err)
+		return
+	}
+	if joined, clean := c.join(wc); !joined {
+		// The sweep finished while this worker connected, after Serve
+		// took its list of live workers: wind it down the same way here.
+		if clean {
+			w.send(message{Type: msgShutdown})
+		}
+		c.unregister(wc, nil)
 		return
 	}
 	c.dispatch()
@@ -231,7 +241,7 @@ func (c *coordinator) vetHello(m message) string {
 	return ""
 }
 
-func (c *coordinator) register(m message, w *wire, conn net.Conn) *workerConn {
+func (c *coordinator) newWorkerConn(m message, w *wire, conn net.Conn) *workerConn {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.nextName++
@@ -248,8 +258,19 @@ func (c *coordinator) register(m message, w *wire, conn net.Conn) *workerConn {
 	if wc.budget == 0 {
 		wc.budget = experiments.DefaultMemBudgetBytes
 	}
-	c.workers = append(c.workers, wc)
 	return wc
+}
+
+// join adds wc to the live workers unless the sweep has already finished,
+// in which case it also reports whether the sweep finished cleanly.
+func (c *coordinator) join(wc *workerConn) (joined, clean bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.finished {
+		return false, c.err == nil
+	}
+	c.workers = append(c.workers, wc)
+	return true, false
 }
 
 // unregister removes a dead (or cleanly departing) worker and requeues its
