@@ -116,11 +116,7 @@ func (c *Client) Open(open OpenRequest) error {
 
 // Send delivers one streamed trace chunk; done marks the end of the trace.
 func (c *Client) Send(accesses []workload.Access, done bool) error {
-	was := make([]WireAccess, len(accesses))
-	for i, a := range accesses {
-		was[i] = WireAccess{VA: uint64(a.VA), W: a.Write}
-	}
-	return c.w.send(message{Type: msgTrace, Accesses: was, Done: done})
+	return c.w.send(message{Type: msgTrace, Count: len(accesses), Trace: packTrace(accesses), Done: done})
 }
 
 // WaitAdmitted blocks until the daemon admits the session past the memory
@@ -180,7 +176,7 @@ func (c *Client) consume(m message, onInterval func(IntervalDoc)) (bool, *Result
 		}
 		return true, m.Result, nil
 	case msgError:
-		if m.Reason == "session killed" {
+		if m.Reason == reasonKilled {
 			return false, nil, ErrKilled
 		}
 		return false, nil, fmt.Errorf("lvmd: session failed: %s", m.Reason)

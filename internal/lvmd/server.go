@@ -9,7 +9,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"lvm/internal/addr"
 	"lvm/internal/experiments/sched"
 	"lvm/internal/workload"
 )
@@ -28,11 +27,11 @@ type Server struct {
 	quit  chan struct{} // closed by Close; cancels queued admissions
 
 	mu       sync.Mutex
-	ln       net.Listener              // guarded by mu
-	wls      map[string]*workloadOnce  // guarded by mu
-	sessions map[uint64]*session       // guarded by mu
-	nextID   uint64                    // guarded by mu
-	closing  bool                      // guarded by mu
+	ln       net.Listener             // guarded by mu
+	wls      map[string]*workloadOnce // guarded by mu
+	sessions map[uint64]*session      // guarded by mu
+	nextID   uint64                   // guarded by mu
+	closing  bool                     // guarded by mu
 
 	wg sync.WaitGroup
 }
@@ -62,12 +61,14 @@ type session struct {
 
 	// traceCh delivers streamed trace chunks to the simulating goroutine.
 	traceCh chan traceChunk
-	// cancel is closed (once) on client drop, kill, or daemon shutdown.
+	// cancel is closed (once) on client drop, kill, bad frame, or daemon
+	// shutdown.
 	cancel     chan struct{}
 	cancelOnce sync.Once
-	// killed distinguishes an explicit kill (connection still healthy, an
-	// error frame is owed) from a drop.
-	killed atomic.Bool
+	// owed is the reason of the error frame an aborted session still owes
+	// its client: set for a kill or a bad frame (the connection is still
+	// healthy), nil for a drop or shutdown.
+	owed atomic.Pointer[string]
 }
 
 // traceChunk is one inbound msgTrace frame, decoded.
@@ -76,10 +77,15 @@ type traceChunk struct {
 	done     bool
 }
 
-// abort cancels the session. killed marks an explicit client kill.
-func (s *session) abort(killed bool) {
-	if killed {
-		s.killed.Store(true)
+// reasonKilled is the error-frame reason of a killed session; the client
+// maps it to ErrKilled.
+const reasonKilled = "session killed"
+
+// abort cancels the session. A non-empty reason is owed to the client as
+// an error frame; the first one given wins.
+func (s *session) abort(reason string) {
+	if reason != "" {
+		s.owed.CompareAndSwap(nil, &reason)
 	}
 	s.cancelOnce.Do(func() { close(s.cancel) })
 }
@@ -162,7 +168,7 @@ func (srv *Server) Close() {
 
 	close(srv.quit)
 	for _, s := range live {
-		s.abort(false)
+		s.abort("")
 		s.w.close()
 	}
 	srv.wg.Wait()
@@ -185,7 +191,7 @@ func (srv *Server) KillSession(id uint64) error {
 	if s == nil {
 		return fmt.Errorf("lvmd: kill of unknown session %d", id)
 	}
-	s.abort(true)
+	s.abort(reasonKilled)
 	return nil
 }
 
@@ -298,7 +304,7 @@ func (srv *Server) handle(conn net.Conn) {
 		defer srv.wg.Done()
 		select {
 		case <-srv.quit:
-			s.abort(false)
+			s.abort("")
 		case <-s.cancel:
 		}
 	}()
@@ -335,26 +341,28 @@ func (srv *Server) handle(conn net.Conn) {
 		AllocBytes:     after.TotalAlloc - before.TotalAlloc,
 		HeapInuseBytes: after.HeapInuse,
 	})
-	if runErr != nil {
+	if runErr != nil && !errors.Is(runErr, errAborted) {
 		w.send(message{Type: msgError, Reason: runErr.Error()})
 	}
 }
 
 // readLoop drains the client's frames: trace chunks feed the simulating
-// goroutine, a kill frame or connection loss cancels the session. It exits
-// when the connection dies — handle's deferred close guarantees that.
+// goroutine; a kill frame, a malformed trace frame or connection loss
+// cancels the session. It exits when the connection dies — handle's
+// deferred close guarantees that.
 func (srv *Server) readLoop(s *session) {
 	for {
 		m, err := s.w.recv()
 		if err != nil {
-			s.abort(false)
+			s.abort("")
 			return
 		}
 		switch m.Type {
 		case msgTrace:
-			accesses := make([]workload.Access, len(m.Accesses))
-			for i, a := range m.Accesses {
-				accesses[i] = workload.Access{VA: addr.VA(a.VA), Write: a.W}
+			accesses, err := unpackTrace(m.Count, m.Trace)
+			if err != nil {
+				s.abort(err.Error())
+				return
 			}
 			select {
 			case s.traceCh <- traceChunk{accesses: accesses, done: m.Done}:
@@ -365,17 +373,17 @@ func (srv *Server) readLoop(s *session) {
 				return
 			}
 		case msgKill:
-			s.abort(true)
+			s.abort(reasonKilled)
 			return
 		}
 	}
 }
 
-// sendAborted owes an explicitly killed session an error frame; dropped
-// clients get nothing (the connection is gone).
+// sendAborted sends a session aborted by a kill or a bad frame the error
+// frame it is owed; dropped clients get nothing (the connection is gone).
 func (srv *Server) sendAborted(s *session) {
-	if s.killed.Load() {
-		s.w.send(message{Type: msgError, Reason: "session killed"})
+	if r := s.owed.Load(); r != nil {
+		s.w.send(message{Type: msgError, Reason: *r})
 	}
 }
 

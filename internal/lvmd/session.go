@@ -23,8 +23,8 @@ const maxStepChunk = 1 << 16
 //
 // A nil return means the result frame was sent (or at least attempted); a
 // non-nil return is turned into an error frame by the caller. errAborted
-// is returned for cancelled sessions — handle's sendAborted has already
-// owed killed clients their frame by the time it is checked.
+// is returned for cancelled sessions, after sendAborted has sent any error
+// frame the client is owed.
 func (srv *Server) runSession(s *session, wl *workload.Workload, open OpenRequest) error {
 	// The machine is private to this session — its own phys.Memory, tables,
 	// and TLBs — so end-of-life is simply dropping the reference. An explicit

@@ -17,17 +17,21 @@ package lvmd
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
 
+	"lvm/internal/addr"
 	"lvm/internal/oskernel"
+	"lvm/internal/workload"
 )
 
 // ProtocolVersion gates the handshake; the daemon rejects clients speaking
-// a different frame layout.
-const ProtocolVersion = 1
+// a different frame layout. Version 2 packs each trace chunk into bytes
+// (see packTrace).
+const ProtocolVersion = 2
 
 // StreamSchemaVersion versions the interval/result stream documents. It is
 // vetted in the handshake alongside the config fingerprint so a client
@@ -76,12 +80,6 @@ type OpenRequest struct {
 	Stream bool `json:"stream,omitempty"`
 }
 
-// WireAccess is one streamed trace access.
-type WireAccess struct {
-	VA uint64 `json:"va"`
-	W  bool   `json:"w,omitempty"`
-}
-
 // IntervalDoc is one streamed metric window: the component-counter deltas
 // that accrued over the half-open access range [Start, End), serialized
 // with the deterministic metrics.Set encoding — the bytes equal what a
@@ -123,12 +121,53 @@ type message struct {
 	// when this session cleared the semaphore.
 	ChargeBytes uint64 `json:"charge_bytes,omitempty"`
 	QueueDepth  int    `json:"queue_depth,omitempty"`
-	// trace fields; Done marks the end of a streamed trace.
-	Accesses []WireAccess `json:"accesses,omitempty"`
-	Done     bool         `json:"done,omitempty"`
+	// trace fields: Count accesses packed into Trace (see packTrace; the
+	// bytes travel as base64); Done marks the end of a streamed trace.
+	Count int    `json:"count,omitempty"`
+	Trace []byte `json:"trace,omitempty"`
+	Done  bool   `json:"done,omitempty"`
 	// interval / result payloads.
 	Interval *IntervalDoc `json:"interval,omitempty"`
 	Result   *ResultDoc   `json:"result,omitempty"`
+}
+
+// packTrace encodes accesses as a trace payload: each VA as 8 bytes
+// little-endian, unshifted and unmasked, then a write bitmap of ⌈n/8⌉
+// bytes whose bit i%8 of byte i/8 is access i's write flag. Unused bitmap
+// bits are zero.
+func packTrace(accesses []workload.Access) []byte {
+	n := len(accesses)
+	b := make([]byte, 8*n+(n+7)/8)
+	bits := b[8*n:]
+	for i, a := range accesses {
+		binary.LittleEndian.PutUint64(b[8*i:], uint64(a.VA))
+		if a.Write {
+			bits[i/8] |= 1 << (i % 8)
+		}
+	}
+	return b
+}
+
+// unpackTrace decodes a payload of count accesses packed by packTrace. It
+// checks the payload's length against count before allocating anything,
+// so a hostile count cannot size an allocation, and it rejects set unused
+// bitmap bits, so every payload it accepts re-encodes to itself.
+func unpackTrace(count int, b []byte) ([]workload.Access, error) {
+	if count < 0 || count > len(b)/8 || len(b) != 8*count+(count+7)/8 {
+		return nil, fmt.Errorf("trace frame claims %d accesses in %d bytes, want 8 bytes each plus a ⌈n/8⌉-byte write bitmap", count, len(b))
+	}
+	bits := b[8*count:]
+	if count%8 != 0 && bits[count/8]>>(count%8) != 0 {
+		return nil, errors.New("trace frame's write bitmap has bits set past its last access")
+	}
+	accesses := make([]workload.Access, count)
+	for i := range accesses {
+		accesses[i] = workload.Access{
+			VA:    addr.VA(binary.LittleEndian.Uint64(b[8*i:])),
+			Write: bits[i/8]&(1<<(i%8)) != 0,
+		}
+	}
+	return accesses, nil
 }
 
 // wire frames length-prefixed (4-byte big-endian) JSON messages over one

@@ -3,7 +3,9 @@ package oskernel
 import (
 	"testing"
 
+	"lvm/internal/addr"
 	"lvm/internal/phys"
+	"lvm/internal/vas"
 )
 
 // TestKillReturnsAllMemory: after launch + kill, the allocator must be back
@@ -119,5 +121,40 @@ func TestKillErrors(t *testing.T) {
 	}
 	if err := sys.Kill(1); err == nil {
 		t.Error("double kill succeeded")
+	}
+}
+
+// TestMapPage1GTakesWholeFrame maps a 1 GB page into a launched radix
+// process: the frame behind it must be a whole order-MaxOrder block (2^18
+// base pages), and Kill must return every page.
+func TestMapPage1GTakesWholeFrame(t *testing.T) {
+	mem := phys.New(2 << 30)
+	before := mem.FreePages()
+	sys := NewSystem(mem, SchemeRadix)
+	// A few heap pages under the same top-level table entry as the 1 GB
+	// page, so mapping it allocates no table pages of its own.
+	heap := vas.Region{Kind: vas.Heap, Base: 0x1000, Span: 16}
+	for i := 0; i < heap.Span; i++ {
+		heap.Mapped = append(heap.Mapped, heap.Base+addr.VPN(i))
+	}
+	if _, err := sys.Launch(1, &vas.AddressSpace{Regions: []vas.Region{heap}}, false); err != nil {
+		t.Fatal(err)
+	}
+	v := addr.VPN(addr.Page1G.BaseVPNs())
+	launched := mem.FreePages()
+	if err := sys.MapPage(1, v, addr.Page1G); err != nil {
+		t.Fatal(err)
+	}
+	if took := launched - mem.FreePages(); took != 1<<18 {
+		t.Errorf("1 GB MapPage took %d pages, want %d", took, 1<<18)
+	}
+	if e, ok := sys.SoftwareLookup(1, v+12345); !ok || e.Size() != addr.Page1G {
+		t.Errorf("1 GB page does not translate: entry %v, found %t", e, ok)
+	}
+	if err := sys.Kill(1); err != nil {
+		t.Fatal(err)
+	}
+	if got := mem.FreePages(); got != before {
+		t.Errorf("leaked %d pages (free %d -> %d)", before-got, before, got)
 	}
 }
