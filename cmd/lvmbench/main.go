@@ -20,12 +20,15 @@
 //	lvmbench -quick -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // Scale-out sweeps split the execute phase across hosts and skip repeated
-// work (see EXPERIMENTS.md "Sharding and caching sweeps"):
+// work (see EXPERIMENTS.md "Sharding and caching sweeps"). A shard only
+// fills its run cache; copying the caches together and running a warm
+// sweep merges them:
 //
-//	lvmbench -shard 0/2 -json part0.json      # this host's partition only
-//	lvmbench -shard 1/2 -json part1.json      # another host's partition
-//	lvmbench -merge part0.json,part1.json     # recombine: tables + optional -json
 //	lvmbench -cache ~/.cache/lvmbench         # persist run outputs; warm reruns skip sims
+//	lvmbench -shard 0/2 -cache c0             # this host's partition, into c0
+//	lvmbench -shard 1/2 -cache c1             # another host's partition, into c1
+//	cp -r c1/. c0/                            # merge: copy the caches together
+//	lvmbench -cache c0 -json out.json         # warm sweep: tables + -json, no simulation
 //	lvmbench -shard 0/2 -list                 # show the cost-balanced assignment
 //
 // The orchestrator runs the same sweep across live worker processes
@@ -41,8 +44,8 @@
 // The -json document is schema-versioned and byte-identical at any -j
 // (unless -timings adds the machine-dependent host_seconds fields); CI
 // diffs it against the committed bench_baseline.json with cmd/benchgate.
-// A merged document is byte-identical to an unsharded run's, and a warm
-// -cache sweep re-simulates nothing while emitting identical bytes.
+// A warm -cache sweep, over one host's cache or over shard caches copied
+// together, re-simulates nothing while emitting identical bytes.
 //
 // The -cpuprofile/-memprofile flags capture pprof profiles of the whole
 // sweep (see EXPERIMENTS.md "Profiling the hot path" for the workflow).
@@ -69,10 +72,9 @@ func main() {
 	workers := flag.Int("j", runtime.NumCPU(), "simulation worker goroutines")
 	memGiB := flag.Uint64("mem", 0, "memory budget in GiB bounding the summed simulated footprint of in-flight runs (0 = default 32)")
 	list := flag.Bool("list", false, "print the selected experiments and deduped run matrix with estimated costs, then exit without executing")
-	jsonPath := flag.String("json", "", "write per-run metrics as schema-versioned JSON to this path (with -shard: the partial shard document)")
+	jsonPath := flag.String("json", "", "write per-run metrics as schema-versioned JSON to this path")
 	timings := flag.Bool("timings", false, "include host wall-clock fields in -json output (breaks byte-identity across invocations)")
-	shard := flag.String("shard", "", "execute only shard i/n of the run matrix (deterministic cost-balanced partition) and write a partial document to -json")
-	merge := flag.String("merge", "", "comma-separated shard documents to recombine; computes tables exactly as an unsharded run would")
+	shard := flag.String("shard", "", "execute only shard i/n of the run matrix (deterministic cost-balanced partition) into the -cache directory")
 	cacheDir := flag.String("cache", "", "persistent run-output cache directory; completed runs are stored there and warm sweeps skip their simulations")
 	warmup := flag.Int("warmup", 0, "fast-forward the first N accesses of every run through functional state before measuring (changes measured counters; part of the run key and config fingerprint)")
 	serve := flag.String("serve", "", "listen on this address as the sweep coordinator: dispatch the plan's runs to -worker processes, then render tables locally")
@@ -130,7 +132,6 @@ func main() {
 		jsonPath:  *jsonPath,
 		timings:   *timings,
 		shard:     *shard,
-		merge:     *merge,
 		cacheDir:  *cacheDir,
 		warmup:    *warmup,
 		serve:     *serve,
@@ -151,7 +152,6 @@ type options struct {
 	jsonPath  string
 	timings   bool
 	shard     string
-	merge     string
 	cacheDir  string
 	warmup    int
 	serve     string
@@ -163,25 +163,23 @@ func run(o options) error {
 		switch {
 		case o.serve != "":
 			return fmt.Errorf("-worker and -serve are mutually exclusive: a process is either a coordinator or a worker")
-		case o.shard != "", o.merge != "", o.list:
-			return fmt.Errorf("-worker takes its runs from the coordinator; -shard/-merge/-list do not apply")
+		case o.shard != "", o.list:
+			return fmt.Errorf("-worker takes its runs from the coordinator; -shard/-list do not apply")
 		case o.jsonPath != "", o.cacheDir != "", o.only != "":
 			return fmt.Errorf("-json/-cache/-only belong on the coordinator; the worker only executes assigned runs")
 		}
 		return runWorker(o)
 	}
-	if o.serve != "" && (o.shard != "" || o.merge != "" || o.list) {
-		return fmt.Errorf("-serve owns the whole plan; -shard/-merge/-list do not apply")
+	if o.serve != "" && (o.shard != "" || o.list) {
+		return fmt.Errorf("-serve owns the whole plan; -shard/-list do not apply")
 	}
-
-	if o.merge != "" {
-		if o.shard != "" {
-			return fmt.Errorf("-merge and -shard are mutually exclusive: shards execute, merge recombines")
+	if o.shard != "" && !o.list {
+		switch {
+		case o.cacheDir == "":
+			return fmt.Errorf("-shard requires -cache: the run cache it fills is a shard's only output")
+		case o.jsonPath != "":
+			return fmt.Errorf("-shard does not write -json: copy the shard caches together and run a warm -cache sweep for the document")
 		}
-		if o.list {
-			return fmt.Errorf("-merge and -list are mutually exclusive")
-		}
-		return runMerge(o)
 	}
 
 	cfg := experiments.Default()
@@ -251,22 +249,12 @@ func run(o options) error {
 	}
 
 	if o.shard != "" {
-		if o.jsonPath == "" {
-			return fmt.Errorf("-shard requires -json: the partial document is the shard's only output")
-		}
 		fmt.Fprintf(os.Stderr, "plan: %d experiments, %d deduped runs, shard %s, %d workers\n",
 			len(plan.Experiments), len(plan.Runs), spec, o.workers)
 		if err := r.ExecuteRuns(plan, opt); err != nil {
 			return err
 		}
-		b, err := r.ShardJSON(plan, keys, spec, experiments.RunJSONOptions{Timings: o.timings})
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(o.jsonPath, b, 0o644); err != nil {
-			return fmt.Errorf("writing %s: %w", o.jsonPath, err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote shard %s to %s\n", spec, o.jsonPath)
+		fmt.Fprintf(os.Stderr, "filled shard %s into %s\n", spec, opt.Cache.Dir())
 		return nil
 	}
 
@@ -274,44 +262,6 @@ func run(o options) error {
 		len(plan.Experiments), len(plan.Runs), o.workers)
 
 	results, err := r.ExecutePlan(plan, opt)
-	if err != nil {
-		return err
-	}
-	for _, res := range results {
-		fmt.Print(res.Render())
-	}
-
-	return writeRunsJSON(r, plan, o)
-}
-
-// runMerge recombines shard documents, computes every table over the
-// merged run matrix (nothing re-executes: the documents carry all runs),
-// and optionally re-emits the unsharded-identical -json document.
-func runMerge(o options) error {
-	var files []experiments.ShardFile
-	for _, name := range strings.Split(o.merge, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		b, err := os.ReadFile(name)
-		if err != nil {
-			return fmt.Errorf("merge: reading %s: %w", name, err)
-		}
-		files = append(files, experiments.ShardFile{Name: name, Data: b})
-	}
-	r, plan, err := experiments.MergeShards(files)
-	if err != nil {
-		return err
-	}
-	r.SetSink(experiments.NewWriterSink(os.Stderr))
-	fmt.Fprintf(os.Stderr, "merged %d shard(s): %d experiments, %d runs\n",
-		len(files), len(plan.Experiments), len(plan.Runs))
-
-	results, err := r.ExecutePlan(plan, experiments.ExecOptions{
-		Workers:        o.workers,
-		MemBudgetBytes: o.memGiB << 30,
-	})
 	if err != nil {
 		return err
 	}

@@ -254,8 +254,8 @@ func (r *Runner) BuildWorkloads(names []string, workers int) error {
 func (r *Runner) Sink() Sink { return r.sink }
 
 // InstallRun stores a completed output under its key, exactly as if the
-// runner had simulated it locally: the seam MergeShards and the sweep
-// orchestrator use to feed remotely executed runs into the compute phase.
+// runner had simulated it locally: the seam the sweep orchestrator uses to
+// feed remotely executed runs into the compute phase.
 func (r *Runner) InstallRun(key RunKey, out *RunOutput) { r.installRun(key, out) }
 
 // LookupRun returns the in-memory output for key, if present.

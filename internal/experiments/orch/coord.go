@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"lvm/internal/experiments"
+	"lvm/internal/wire"
 )
 
 // Options bounds a coordinator.
@@ -52,7 +53,7 @@ type runState struct {
 type workerConn struct {
 	name     string
 	remote   string
-	w        *wire
+	w        *wire.Conn[message]
 	capacity int
 	budget   uint64
 	used     uint64 // summed charges of running
@@ -68,8 +69,8 @@ type coordinator struct {
 	os   experiments.OrchSink
 
 	mu       sync.Mutex
-	cond     *sync.Cond    // signals finished; uses mu
-	states   []*runState   // plan order; guarded by mu
+	cond     *sync.Cond  // signals finished; uses mu
+	states   []*runState // plan order; guarded by mu
 	byKey    map[experiments.RunKey]*runState
 	workers  []*workerConn // guarded by mu
 	nextName int           // guarded by mu
@@ -83,7 +84,8 @@ type coordinator struct {
 // Serve runs a sweep coordinator on ln until every run in p has an
 // installed output (or a run exhausts its retries, or the cache fails).
 // Workers connect with Worker.Run; their handshake is vetted against the
-// runner's config fingerprint exactly like -merge vets shard documents.
+// runner's config fingerprint, the same identity that namespaces the run
+// cache.
 // On success the runner holds the complete run matrix — byte-identical to
 // an unsharded ExecuteRuns — and the compute phase can proceed locally.
 //
@@ -168,9 +170,9 @@ func Serve(ln net.Listener, r *experiments.Runner, p experiments.Plan, opt Optio
 		if err == nil {
 			// Best-effort: the frame lands before the close, so a healthy
 			// worker drains it and exits cleanly.
-			wc.w.send(message{Type: msgShutdown})
+			wc.w.Send(message{Type: msgShutdown})
 		}
-		wc.w.close()
+		wc.w.Close()
 	}
 	c.wg.Wait()
 	return err
@@ -181,20 +183,20 @@ func Serve(ln net.Listener, r *experiments.Runner, p experiments.Plan, opt Optio
 // inside the coordinator's WaitGroup, so they are complete before Serve
 // returns.
 func (c *coordinator) handle(conn net.Conn) {
-	w := &wire{conn: conn}
-	defer w.close()
-	hello, err := w.recv()
+	w := wire.New[message](conn)
+	defer w.Close()
+	hello, err := w.Recv()
 	if err != nil {
 		return
 	}
 	if reason := c.vetHello(hello); reason != "" {
-		w.send(message{Type: msgReject, Reason: reason})
+		w.Send(message{Type: msgReject, Reason: reason})
 		return
 	}
 	wc := c.newWorkerConn(hello, w, conn)
 	c.os.WorkerConnected(wc.name, wc.remote, wc.capacity)
 	// Welcome before joining, so Serve's shutdown never overtakes it.
-	if err := w.send(message{Type: msgWelcome, Worker: wc.name}); err != nil {
+	if err := w.Send(message{Type: msgWelcome, Worker: wc.name}); err != nil {
 		c.unregister(wc, err)
 		return
 	}
@@ -202,14 +204,14 @@ func (c *coordinator) handle(conn net.Conn) {
 		// The sweep finished while this worker connected, after Serve
 		// took its list of live workers: wind it down the same way here.
 		if clean {
-			w.send(message{Type: msgShutdown})
+			w.Send(message{Type: msgShutdown})
 		}
 		c.unregister(wc, nil)
 		return
 	}
 	c.dispatch()
 	for {
-		m, err := w.recv()
+		m, err := w.Recv()
 		if err != nil {
 			c.unregister(wc, err)
 			c.dispatch()
@@ -222,26 +224,17 @@ func (c *coordinator) handle(conn net.Conn) {
 	}
 }
 
-// vetHello mirrors the validation -merge enforces on shard documents:
-// protocol, schema version, and config fingerprint must all match, or the
-// worker is computing a different sweep.
+// vetHello refuses a worker whose protocol, run schema or config
+// fingerprint differs from the coordinator's: it is computing a different
+// sweep.
 func (c *coordinator) vetHello(m message) string {
 	if m.Type != msgHello {
 		return fmt.Sprintf("expected hello, got %q", m.Type)
 	}
-	if m.Proto != protocolVersion {
-		return fmt.Sprintf("protocol v%d, want v%d", m.Proto, protocolVersion)
-	}
-	if m.SchemaVersion != experiments.RunJSONSchemaVersion {
-		return fmt.Sprintf("run schema v%d, want v%d", m.SchemaVersion, experiments.RunJSONSchemaVersion)
-	}
-	if m.Fingerprint != c.fp {
-		return fmt.Sprintf("config fingerprint %.12s does not match coordinator (%.12s) — worker running a different sweep config", m.Fingerprint, c.fp)
-	}
-	return ""
+	return m.Vet(wire.Hello{Proto: protocolVersion, SchemaVersion: experiments.RunJSONSchemaVersion, Fingerprint: c.fp})
 }
 
-func (c *coordinator) newWorkerConn(m message, w *wire, conn net.Conn) *workerConn {
+func (c *coordinator) newWorkerConn(m message, w *wire.Conn[message], conn net.Conn) *workerConn {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.nextName++
@@ -339,7 +332,7 @@ func (c *coordinator) dispatch() {
 	for _, s := range sends {
 		c.os.RunAssigned(s.key, s.wc.name, s.steal)
 		key := s.key
-		s.wc.w.send(message{Type: msgAssign, Key: &key})
+		s.wc.w.Send(message{Type: msgAssign, Key: &key})
 	}
 }
 

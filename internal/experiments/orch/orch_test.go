@@ -12,6 +12,7 @@ import (
 	"lvm/internal/metrics"
 	"lvm/internal/oskernel"
 	"lvm/internal/sim"
+	"lvm/internal/wire"
 )
 
 // testConfig is a tiny sweep config: the orchestrator tests never simulate
@@ -293,21 +294,18 @@ func TestServeWorkerCrashMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := &wire{conn: conn}
-	if err := w.send(message{
-		Type: msgHello, Proto: protocolVersion,
-		SchemaVersion: experiments.RunJSONSchemaVersion,
-		Fingerprint:   fp, Worker: "crasher", Capacity: 1,
-	}); err != nil {
+	w := wire.New[message](conn)
+	crasher := Worker{Fingerprint: fp, Name: "crasher", Capacity: 1}
+	if err := w.Send(crasher.hello()); err != nil {
 		t.Fatal(err)
 	}
-	if m, err := w.recv(); err != nil || m.Type != msgWelcome {
+	if m, err := w.Recv(); err != nil || m.Type != msgWelcome {
 		t.Fatalf("handshake: %v %v", m.Type, err)
 	}
-	if m, err := w.recv(); err != nil || m.Type != msgAssign {
+	if m, err := w.Recv(); err != nil || m.Type != msgAssign {
 		t.Fatalf("assignment: %v %v", m.Type, err)
 	}
-	w.close()
+	w.Close()
 	sink.waitFor(t, "crash detection", func() bool { return len(sink.gone) == 1 })
 
 	survivor := newWorker(t, cfg, "survivor", 2,

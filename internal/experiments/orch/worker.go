@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"lvm/internal/experiments"
+	"lvm/internal/wire"
 )
 
 // A Worker connects to a coordinator, executes the runs it is assigned,
@@ -57,21 +58,13 @@ func (wk *Worker) Run(addr string) error {
 	if err != nil {
 		return fmt.Errorf("orch: worker: dialing %s: %w", addr, err)
 	}
-	w := &wire{conn: conn}
-	defer w.close()
+	w := wire.New[message](conn)
+	defer w.Close()
 
-	if err := w.send(message{
-		Type:          msgHello,
-		Proto:         protocolVersion,
-		SchemaVersion: experiments.RunJSONSchemaVersion,
-		Fingerprint:   wk.Fingerprint,
-		Worker:        wk.Name,
-		Capacity:      wk.Capacity,
-		BudgetBytes:   wk.BudgetBytes,
-	}); err != nil {
+	if err := w.Send(wk.hello()); err != nil {
 		return fmt.Errorf("orch: worker: hello: %w", err)
 	}
-	m, err := w.recv()
+	m, err := w.Recv()
 	if err != nil {
 		return fmt.Errorf("orch: worker: handshake: %w", err)
 	}
@@ -85,7 +78,7 @@ func (wk *Worker) Run(addr string) error {
 
 	var wg sync.WaitGroup
 	for {
-		m, err := w.recv()
+		m, err := w.Recv()
 		if err != nil {
 			wg.Wait()
 			return fmt.Errorf("orch: worker: connection lost: %w", err)
@@ -101,12 +94,23 @@ func (wk *Worker) Run(addr string) error {
 				defer wg.Done()
 				// A failed send is not handled here: the read loop sees
 				// the dead connection and the coordinator requeues.
-				w.send(wk.run(key))
+				w.Send(wk.run(key))
 			}()
 		case msgShutdown:
 			wg.Wait()
 			return nil
 		}
+	}
+}
+
+// hello is the worker's handshake frame.
+func (wk *Worker) hello() message {
+	return message{
+		Type:        msgHello,
+		Hello:       wire.Hello{Proto: protocolVersion, SchemaVersion: experiments.RunJSONSchemaVersion, Fingerprint: wk.Fingerprint},
+		Worker:      wk.Name,
+		Capacity:    wk.Capacity,
+		BudgetBytes: wk.BudgetBytes,
 	}
 }
 

@@ -53,9 +53,9 @@ type ExecOptions struct {
 	// runs (0 means DefaultMemBudgetBytes; see sched.Options).
 	MemBudgetBytes uint64
 	// Shard, when Count > 1, restricts execution to the runs AssignShards
-	// gives shard Index. The compute phase needs the full matrix, so
-	// sharded execution goes through ExecuteRuns + ShardJSON and the
-	// partial documents are recombined with MergeShards.
+	// gives shard Index. The compute phase needs the full matrix, so a
+	// shard only fills Cache through ExecuteRuns; copying the shards'
+	// caches together and running a warm sweep recombines them.
 	Shard ShardSpec
 	// Cache, when non-nil, is consulted before simulating (hits skip the
 	// simulation entirely) and updated with every newly computed run.
@@ -95,7 +95,7 @@ func (r *Runner) ExecuteRuns(p Plan, opt ExecOptions) error {
 	}
 
 	// Drop runs already in memory (a warm runner, or outputs installed by
-	// MergeShards), then runs restorable from the persistent cache. What
+	// the orchestrator), then runs restorable from the persistent cache. What
 	// remains is the pending set that actually simulates.
 	var pending []int
 	for _, i := range selected {
@@ -179,10 +179,11 @@ func (r *Runner) ExecuteRuns(p Plan, opt ExecOptions) error {
 // matrix (ExecuteRuns), then each experiment's compute phase sequentially.
 // The returned results — tables, summaries, and raw structs — are
 // bit-for-bit identical at any worker count and whether the runs were
-// simulated here, restored from a run cache, or installed by MergeShards.
+// simulated here, restored from a run cache, or installed by the
+// orchestrator.
 func (r *Runner) ExecutePlan(p Plan, opt ExecOptions) ([]Result, error) {
 	if opt.Shard.enabled() {
-		return nil, fmt.Errorf("experiments: ExecutePlan cannot compute tables from shard %s alone; use ExecuteRuns and merge the shards", opt.Shard)
+		return nil, fmt.Errorf("experiments: ExecutePlan cannot compute tables from shard %s alone; fill a run cache per shard with ExecuteRuns, copy the caches together and run a warm sweep", opt.Shard)
 	}
 	if opt.Cache != nil {
 		// Let the compute phase's bespoke measurements persist their

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -29,6 +30,12 @@ type cacheEntry struct {
 // fresh namespace, so stale entries can never be replayed into a different
 // sweep. A present-but-unreadable entry is an error naming the key and
 // file — never a silent re-simulation and never a wrong table.
+//
+// Copying cache directories together is also how a sharded sweep is
+// merged: each host fills its own cache with -shard i/n, the directories
+// are copied into one, and a warm sweep renders the tables. A namespace
+// may therefore hold entries written on other hosts; Load vets each one
+// the same way whoever wrote it.
 type RunCache struct {
 	dir         string
 	fingerprint string
@@ -75,7 +82,10 @@ func (c *RunCache) entryPath(key RunKey) string {
 
 // Load returns the cached output for key. A missing entry is (nil, false,
 // nil); a present but corrupt or mismatched entry is an error naming the
-// key and file.
+// key and file. An entry must hold exactly the bytes Store would write
+// for the output it decodes to, so an accepted entry is lossless and a
+// hand-edited one (reordered or duplicate metrics, stray or missing
+// fields) is refused.
 func (c *RunCache) Load(key RunKey) (*RunOutput, bool, error) {
 	path := c.entryPath(key)
 	b, err := os.ReadFile(path)
@@ -103,21 +113,29 @@ func (c *RunCache) Load(key RunKey) (*RunOutput, bool, error) {
 		return nil, false, fmt.Errorf("run cache: %s: corrupt entry %s: %w", key, path, err)
 	}
 	out.HostSeconds = e.HostSeconds
+	if canon, err := c.entryBytes(key, out); err != nil || !bytes.Equal(b, canon) {
+		return nil, false, fmt.Errorf("run cache: %s: entry %s is not in the form Store writes", key, path)
+	}
 	return out, true, nil
+}
+
+// entryBytes is the file content Store writes for key's output.
+func (c *RunCache) entryBytes(key RunKey, out *RunOutput) ([]byte, error) {
+	b, err := json.MarshalIndent(cacheEntry{
+		SchemaVersion: RunJSONSchemaVersion,
+		Fingerprint:   c.fingerprint,
+		Key:           keyToDoc(key),
+		Output:        encodeRunOutput(out),
+		HostSeconds:   out.HostSeconds,
+	}, "", "  ")
+	return append(b, '\n'), err
 }
 
 // Store persists a completed run atomically (write to a temp file in the
 // same directory, then rename), so a crashed or concurrent sweep can never
 // leave a truncated entry behind.
 func (c *RunCache) Store(key RunKey, out *RunOutput) error {
-	e := cacheEntry{
-		SchemaVersion: RunJSONSchemaVersion,
-		Fingerprint:   c.fingerprint,
-		Key:           keyToDoc(key),
-		Output:        encodeRunOutput(out),
-		HostSeconds:   out.HostSeconds,
-	}
-	b, err := json.MarshalIndent(e, "", "  ")
+	b, err := c.entryBytes(key, out)
 	if err != nil {
 		return fmt.Errorf("run cache: %s: %w", key, err)
 	}
@@ -133,7 +151,7 @@ func (c *RunCache) writeAtomic(path string, b []byte) error {
 	if err != nil {
 		return err
 	}
-	if _, err := tmp.Write(append(b, '\n')); err != nil {
+	if _, err := tmp.Write(b); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
 		return fmt.Errorf("writing %s: %w", tmp.Name(), err)
@@ -214,7 +232,7 @@ func (c *RunCache) StoreArtifact(name string, v any) error {
 	if err != nil {
 		return fmt.Errorf("run cache: artifact %s: %w", name, err)
 	}
-	if err := c.writeAtomic(c.artifactPath(name), b); err != nil {
+	if err := c.writeAtomic(c.artifactPath(name), append(b, '\n')); err != nil {
 		return fmt.Errorf("run cache: artifact %s: %w", name, err)
 	}
 	return nil

@@ -124,38 +124,150 @@ func TestRunCacheStaleEntryRejected(t *testing.T) {
 	if err := c.Store(key, fakeOutput(key, 1)); err != nil {
 		t.Fatal(err)
 	}
-	rewrite := func(f func(*cacheEntry)) {
-		t.Helper()
+	for _, tc := range []struct {
+		edit func(*cacheEntry)
+		want string
+	}{
+		{func(e *cacheEntry) { e.SchemaVersion = RunJSONSchemaVersion - 1 }, "schema"},
+		{func(e *cacheEntry) { e.Fingerprint = "beefbeefbeefbeef" }, "fingerprint"},
+		{func(e *cacheEntry) { e.Output.Sim.Metrics[0].Kind = "histogram" }, "unknown kind"},
+	} {
+		if err := c.Store(key, fakeOutput(key, 1)); err != nil {
+			t.Fatal(err)
+		}
+		rewriteEntry(t, c.entryPath(key), tc.edit)
+		_, _, err := c.Load(key)
+		if err == nil {
+			t.Errorf("entry with a bad %s accepted", tc.want)
+			continue
+		}
+		for _, want := range []string{key.String(), c.entryPath(key), tc.want} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not mention %q", err, want)
+			}
+		}
+	}
+}
+
+// TestRunCacheNonCanonicalEntry refuses an entry that decodes cleanly but
+// is not what Store writes: the same entry re-indented, or with its output
+// payload missing.
+func TestRunCacheNonCanonicalEntry(t *testing.T) {
+	c, err := NewRunCache(t.TempDir(), jsonSweepConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := testKey()
+	for name, edit := range map[string]func(map[string]json.RawMessage){
+		"compact":        func(map[string]json.RawMessage) {},
+		"missing output": func(e map[string]json.RawMessage) { delete(e, "output") },
+	} {
+		if err := c.Store(key, fakeOutput(key, 1)); err != nil {
+			t.Fatal(err)
+		}
 		b, err := os.ReadFile(c.entryPath(key))
 		if err != nil {
 			t.Fatal(err)
 		}
-		var e cacheEntry
+		var e map[string]json.RawMessage
 		if err := json.Unmarshal(b, &e); err != nil {
 			t.Fatal(err)
 		}
-		f(&e)
-		out, err := json.Marshal(e)
+		edit(e)
+		if b, err = json.Marshal(e); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(c.entryPath(key), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := c.Load(key); err == nil || !strings.Contains(err.Error(), "not in the form Store writes") {
+			t.Errorf("%s entry: Load returned %v", name, err)
+		}
+	}
+}
+
+// rewriteEntry decodes the cache entry at path, applies edit, and writes
+// it back (compactly, so only Load's earlier checks can accept it).
+func rewriteEntry(t *testing.T, path string, edit func(*cacheEntry)) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e cacheEntry
+	if err := json.Unmarshal(b, &e); err != nil {
+		t.Fatal(err)
+	}
+	edit(&e)
+	if b, err = json.Marshal(e); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestConfigFingerprintSensitivity(t *testing.T) {
+	a := jsonSweepConfig()
+	b := jsonSweepConfig()
+	fa, err := a.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fa2, err := b.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fa != fa2 {
+		t.Error("identical configs fingerprint differently")
+	}
+	b.Params.Seed++
+	fb, err := b.Fingerprint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fa == fb {
+		t.Error("different configs share a fingerprint")
+	}
+}
+
+// FuzzRunCacheEntry writes arbitrary bytes as a cache entry, as a cache
+// directory copied from another host may hold. Load must either refuse
+// the entry with an error naming the run and the file, or return an
+// output that Store writes back as exactly the same bytes. Seeds live in
+// testdata/fuzz/FuzzRunCacheEntry.
+func FuzzRunCacheEntry(f *testing.F) {
+	c, err := NewRunCache(f.TempDir(), jsonSweepConfig())
+	if err != nil {
+		f.Fatal(err)
+	}
+	key := testKey()
+	path := c.entryPath(key)
+	f.Fuzz(func(t *testing.T, entry []byte) {
+		if err := os.WriteFile(path, entry, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out, hit, err := c.Load(key)
+		if err != nil {
+			if !strings.Contains(err.Error(), key.String()) || !strings.Contains(err.Error(), path) {
+				t.Fatalf("error %q does not name run %s and file %s", err, key, path)
+			}
+			return
+		}
+		if !hit {
+			t.Fatal("a present entry loaded as a miss")
+		}
+		if err := c.Store(key, out); err != nil {
+			t.Fatal(err)
+		}
+		again, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(c.entryPath(key), out, 0o644); err != nil {
-			t.Fatal(err)
+		if !bytes.Equal(again, entry) {
+			t.Fatalf("accepted entry re-stores as different bytes:\n got %q\nwant %q", again, entry)
 		}
-	}
-
-	rewrite(func(e *cacheEntry) { e.SchemaVersion = RunJSONSchemaVersion - 1 })
-	if _, _, err := c.Load(key); err == nil || !strings.Contains(err.Error(), "schema") {
-		t.Errorf("stale schema accepted: %v", err)
-	}
-
-	if err := c.Store(key, fakeOutput(key, 1)); err != nil {
-		t.Fatal(err)
-	}
-	rewrite(func(e *cacheEntry) { e.Fingerprint = "beefbeefbeefbeef" })
-	if _, _, err := c.Load(key); err == nil || !strings.Contains(err.Error(), "fingerprint") {
-		t.Errorf("foreign fingerprint accepted: %v", err)
-	}
+	})
 }
 
 // countingSink records which pipeline events fired, for the warm-cache

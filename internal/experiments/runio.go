@@ -11,16 +11,16 @@ import (
 	"lvm/internal/sim"
 )
 
-// This file is the serialization seam shared by the shard/merge path and
-// the persistent run cache: a RunOutput round-trips losslessly through
-// runOutputDoc, so a merged or cache-restored runner computes every
-// experiment table byte-identically to one that simulated locally.
+// This file is the serialization seam shared by the persistent run cache
+// and the orchestrator's result frames: a RunOutput round-trips losslessly
+// through runOutputDoc, so a cache-restored or orchestrated runner computes
+// every experiment table byte-identically to one that simulated locally.
 //
 // HostSeconds deliberately never appears in runOutputDoc — host wall-clock
 // is observational and machine-dependent, and keeping it out of the
-// round-tripped output is what keeps merge identity independent of which
-// host executed a run. Shard documents carry it in a separate, clearly
-// labeled timing field instead.
+// round-tripped output is what keeps result identity independent of which
+// host executed a run. Cache entries and result frames carry it in a
+// separate, clearly labeled timing field instead.
 
 // typedMetric is one metrics.Value with its kind preserved — the flat
 // metrics.Set JSON form loses the counter/gauge distinction for integral

@@ -15,10 +15,11 @@ import (
 // RunJSONSchemaVersion identifies the lvmbench -json layout. Bump it when
 // renaming fields or metric names — the regression gate refuses to compare
 // documents of different versions rather than reporting spurious diffs,
-// and the shard/cache machinery refuses to reuse stale documents.
+// and the run cache namespaces its entries by it, so it never reuses stale
+// ones.
 //
-// v2: added the optional shard-document sections (fingerprint, shard,
-// config, experiments, plan) and the per-run lossless output payload.
+// v2: the version that introduced the lossless run-output payload, which
+// today travels in run-cache entries and orchestrator result frames.
 const RunJSONSchemaVersion = 2
 
 // RunJSONOptions selects what RunsJSON emits.
@@ -38,10 +39,6 @@ type runDoc struct {
 	Warmup      int         `json:"warmup,omitempty"`
 	Metrics     metrics.Set `json:"metrics"`
 	HostSeconds float64     `json:"host_seconds,omitempty"`
-	// Output is the lossless RunOutput payload. Only shard documents carry
-	// it (MergeShards needs to reconstruct the runner); the default -json
-	// document stays flat-metrics-only for the regression gate.
-	Output *runOutputDoc `json:"output,omitempty"`
 }
 
 // keyDoc is a RunKey on the wire.
@@ -58,24 +55,9 @@ func (d keyDoc) key() RunKey {
 	return RunKey{Workload: d.Workload, Scheme: oskernel.Scheme(d.Scheme), THP: d.THP, Warmup: d.Warmup}
 }
 
-// shardDoc identifies which partition of the plan a partial document holds.
-type shardDoc struct {
-	Index int `json:"index"`
-	Count int `json:"count"`
-}
-
 type runsDoc struct {
-	SchemaVersion int `json:"schema_version"`
-	// The remaining header fields appear only in shard documents, which
-	// must be self-describing: MergeShards revalidates that every shard
-	// was cut from the same sweep (fingerprint, config, experiments) and
-	// the same plan before it recombines outputs.
-	Fingerprint string    `json:"fingerprint,omitempty"`
-	Shard       *shardDoc `json:"shard,omitempty"`
-	Config      *Config   `json:"config,omitempty"`
-	Experiments []string  `json:"experiments,omitempty"`
-	Plan        []keyDoc  `json:"plan,omitempty"`
-	Runs        []runDoc  `json:"runs"`
+	SchemaVersion int      `json:"schema_version"`
+	Runs          []runDoc `json:"runs"`
 }
 
 // schemeMetrics folds a run's scheme-side statistics into the metric
@@ -99,25 +81,6 @@ func schemeMetrics(out *RunOutput) metrics.Set {
 	return s
 }
 
-// flatRunDoc renders one executed run in the flat-metrics form shared by
-// the default -json document and the shard partials.
-func flatRunDoc(k RunKey, out *RunOutput, timings bool) runDoc {
-	var m metrics.Set
-	m.Merge("", out.Sim.Metrics)
-	m.Merge("", schemeMetrics(out))
-	d := runDoc{
-		Workload: k.Workload,
-		Scheme:   string(k.Scheme),
-		THP:      k.THP,
-		Warmup:   k.Warmup,
-		Metrics:  m,
-	}
-	if timings {
-		d.HostSeconds = out.HostSeconds
-	}
-	return d
-}
-
 // RunsJSON serializes the plan's run matrix — every simulation ExecutePlan
 // produced, in plan order — as an indented JSON document. All metric maps
 // are emitted in sorted key order, so the bytes are fully deterministic;
@@ -130,7 +93,14 @@ func (r *Runner) RunsJSON(p Plan, opt RunJSONOptions) ([]byte, error) {
 		if !ok {
 			return nil, fmt.Errorf("experiments: RunsJSON: run %s not executed", k)
 		}
-		doc.Runs = append(doc.Runs, flatRunDoc(k, out, opt.Timings))
+		var m metrics.Set
+		m.Merge("", out.Sim.Metrics)
+		m.Merge("", schemeMetrics(out))
+		d := runDoc{Workload: k.Workload, Scheme: string(k.Scheme), THP: k.THP, Warmup: k.Warmup, Metrics: m}
+		if opt.Timings {
+			d.HostSeconds = out.HostSeconds
+		}
+		doc.Runs = append(doc.Runs, d)
 	}
 	b, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {

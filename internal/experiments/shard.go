@@ -11,8 +11,9 @@ import (
 
 // A ShardSpec selects one deterministic partition of a plan's run matrix
 // for scale-out execution: shard Index of Count executes only the runs
-// AssignShards gives it, and the partial documents are recombined with
-// MergeShards. The zero value (Count 0) means unsharded execution.
+// AssignShards gives it into its run cache, and the shards' caches are
+// recombined by copying them together before a warm sweep. The zero value
+// (Count 0) means unsharded execution.
 type ShardSpec struct {
 	Index, Count int
 }

@@ -28,6 +28,9 @@ var simPkgs = map[string]bool{
 	// bit-identity contract (served == standalone, byte for byte); a map
 	// range there could reorder session teardown or frame emission.
 	ModulePath + "/internal/lvmd": true,
+	// internal/wire frames every lvmd and orchestrator message; it is held
+	// to the same bar as the protocols that moved their framing into it.
+	ModulePath + "/internal/wire": true,
 }
 
 // inSimScope also matches internal/experiments and every subpackage by

@@ -29,6 +29,7 @@ func inSyncSafeScope(path string) bool {
 	for _, p := range []string{
 		ModulePath + "/internal/experiments",
 		ModulePath + "/internal/lvmd",
+		ModulePath + "/internal/wire",
 		ModulePath + "/cmd/lvmd",
 	} {
 		if path == p || strings.HasPrefix(path, p+"/") {

@@ -81,7 +81,7 @@ func TestBadTraceFrameReleasesAdmission(t *testing.T) {
 	waitFor("B queued", func(st ServerStats) bool { return st.Admission.QueueDepth == 1 })
 
 	// Three accesses claimed, one access's worth of bytes sent.
-	if err := a.w.send(message{Type: msgTrace, Count: 3, Trace: make([]byte, 9)}); err != nil {
+	if err := a.w.Send(message{Type: msgTrace, Count: 3, Trace: make([]byte, 9)}); err != nil {
 		t.Fatal(err)
 	}
 	_, _, err = a.Wait(nil)

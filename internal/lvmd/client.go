@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"lvm/internal/wire"
 	"lvm/internal/workload"
 )
 
@@ -15,7 +16,7 @@ import (
 // primitives they are built on). Kill may be called from any goroutine to
 // abort the in-flight session; everything else is caller-serialized.
 type Client struct {
-	w       *wire
+	w       *wire.Conn[message]
 	workers int
 	budget  uint64
 	st      SessionStats
@@ -62,31 +63,32 @@ func DialRetry(addr string, cfg Config, attempts int, backoff time.Duration) (*C
 	if err != nil {
 		return nil, fmt.Errorf("lvmd: dialing %s: %w", addr, err)
 	}
-	w := &wire{conn: conn}
-	if err := w.send(message{
-		Type:          msgHello,
-		Proto:         ProtocolVersion,
-		SchemaVersion: StreamSchemaVersion,
-		Fingerprint:   fp,
-	}); err != nil {
-		w.close()
+	w := wire.New[message](conn)
+	if err := w.Send(hello(fp)); err != nil {
+		w.Close()
 		return nil, fmt.Errorf("lvmd: hello: %w", err)
 	}
-	m, err := w.recv()
+	m, err := w.Recv()
 	if err != nil {
-		w.close()
+		w.Close()
 		return nil, fmt.Errorf("lvmd: handshake: %w", err)
 	}
 	switch m.Type {
 	case msgWelcome:
 	case msgReject:
-		w.close()
+		w.Close()
 		return nil, fmt.Errorf("lvmd: rejected by daemon: %s", m.Reason)
 	default:
-		w.close()
+		w.Close()
 		return nil, fmt.Errorf("lvmd: unexpected handshake reply %q", m.Type)
 	}
 	return &Client{w: w, workers: m.Workers, budget: m.BudgetBytes}, nil
+}
+
+// hello is the handshake frame of a client configured with fingerprint fp;
+// the daemon vets a client's against its own.
+func hello(fp string) message {
+	return message{Type: msgHello, Hello: wire.Hello{Proto: ProtocolVersion, SchemaVersion: StreamSchemaVersion, Fingerprint: fp}}
 }
 
 // Workers reports the daemon's advertised worker-slot count.
@@ -97,18 +99,18 @@ func (c *Client) BudgetBytes() uint64 { return c.budget }
 
 // Close releases the connection. Closing mid-session aborts it daemon-side
 // exactly like a client crash.
-func (c *Client) Close() error { return c.w.close() }
+func (c *Client) Close() error { return c.w.Close() }
 
 // Kill asks the daemon to abort the in-flight session. Safe from any
 // goroutine; the session's Wait returns ErrKilled.
 func (c *Client) Kill() error {
-	return c.w.send(message{Type: msgKill})
+	return c.w.Send(message{Type: msgKill})
 }
 
 // Open starts a session. The caller then drives it with Send (stream
 // sessions) and collects it with WaitAdmitted/Wait.
 func (c *Client) Open(open OpenRequest) error {
-	if err := c.w.send(message{Type: msgOpen, Open: &open}); err != nil {
+	if err := c.w.Send(message{Type: msgOpen, Open: &open}); err != nil {
 		return fmt.Errorf("lvmd: open: %w", err)
 	}
 	return nil
@@ -116,7 +118,7 @@ func (c *Client) Open(open OpenRequest) error {
 
 // Send delivers one streamed trace chunk; done marks the end of the trace.
 func (c *Client) Send(accesses []workload.Access, done bool) error {
-	return c.w.send(message{Type: msgTrace, Count: len(accesses), Trace: packTrace(accesses), Done: done})
+	return c.w.Send(message{Type: msgTrace, Count: len(accesses), Trace: packTrace(accesses), Done: done})
 }
 
 // WaitAdmitted blocks until the daemon admits the session past the memory
@@ -124,7 +126,7 @@ func (c *Client) Send(accesses []workload.Access, done bool) error {
 // that session's error.
 func (c *Client) WaitAdmitted() (SessionStats, error) {
 	for {
-		m, err := c.w.recv()
+		m, err := c.w.Recv()
 		if err != nil {
 			return c.st, fmt.Errorf("lvmd: connection lost: %w", err)
 		}
@@ -146,7 +148,7 @@ func (c *Client) WaitAdmitted() (SessionStats, error) {
 // stream order.
 func (c *Client) Wait(onInterval func(IntervalDoc)) (*ResultDoc, SessionStats, error) {
 	for {
-		m, err := c.w.recv()
+		m, err := c.w.Recv()
 		if err != nil {
 			return nil, c.st, fmt.Errorf("lvmd: connection lost: %w", err)
 		}
@@ -230,7 +232,7 @@ func (c *Client) RunStream(open OpenRequest, accesses []workload.Access, chunk i
 	res, st, err := c.Wait(onInterval)
 	// Unblock a sender stuck on a dead session before waiting it out.
 	if err != nil {
-		c.w.close()
+		c.w.Close()
 	}
 	wg.Wait()
 	return res, st, err

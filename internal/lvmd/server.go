@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"lvm/internal/experiments/sched"
+	"lvm/internal/wire"
 	"lvm/internal/workload"
 )
 
@@ -57,7 +58,7 @@ type ServerStats struct {
 // owns the simulation; the read-loop goroutine only feeds trace chunks and
 // turns client drops or kill frames into cancellation.
 type session struct {
-	w *wire
+	w *wire.Conn[message]
 
 	// traceCh delivers streamed trace chunks to the simulating goroutine.
 	traceCh chan traceChunk
@@ -169,7 +170,7 @@ func (srv *Server) Close() {
 	close(srv.quit)
 	for _, s := range live {
 		s.abort("")
-		s.w.close()
+		s.w.Close()
 	}
 	srv.wg.Wait()
 }
@@ -212,7 +213,7 @@ func (srv *Server) workload(name string) (*workload.Workload, error) {
 }
 
 // register allocates a session identity; unregister retires it.
-func (srv *Server) register(w *wire) (uint64, *session) {
+func (srv *Server) register(w *wire.Conn[message]) (uint64, *session) {
 	srv.mu.Lock()
 	srv.nextID++
 	id := srv.nextID
@@ -232,59 +233,50 @@ func (srv *Server) unregister(id uint64) {
 	srv.mu.Unlock()
 }
 
-// vetHello mirrors the sweep orchestrator's handshake validation:
-// protocol, stream schema, and config fingerprint must all match, or the
-// client is speaking about a different machine.
+// vetHello refuses a client whose protocol, stream schema or config
+// fingerprint differs from the daemon's: it is speaking about a different
+// machine.
 func (srv *Server) vetHello(m message) string {
 	if m.Type != msgHello {
 		return fmt.Sprintf("expected hello, got %q", m.Type)
 	}
-	if m.Proto != ProtocolVersion {
-		return fmt.Sprintf("protocol v%d, want v%d", m.Proto, ProtocolVersion)
-	}
-	if m.SchemaVersion != StreamSchemaVersion {
-		return fmt.Sprintf("stream schema v%d, want v%d", m.SchemaVersion, StreamSchemaVersion)
-	}
-	if m.Fingerprint != srv.fp {
-		return fmt.Sprintf("config fingerprint %.12s does not match daemon (%.12s) — client configured for a different machine", m.Fingerprint, srv.fp)
-	}
-	return ""
+	return m.Vet(hello(srv.fp).Hello)
 }
 
 // handle runs one connection's lifecycle end to end: handshake, open,
 // admission, simulation, teardown. It owns the connection; the read loop
 // it spawns only feeds it.
 func (srv *Server) handle(conn net.Conn) {
-	w := &wire{conn: conn}
-	defer w.close()
-	hello, err := w.recv()
+	w := wire.New[message](conn)
+	defer w.Close()
+	h, err := w.Recv()
 	if err != nil {
 		return
 	}
-	if reason := srv.vetHello(hello); reason != "" {
-		w.send(message{Type: msgReject, Reason: reason})
+	if reason := srv.vetHello(h); reason != "" {
+		w.Send(message{Type: msgReject, Reason: reason})
 		return
 	}
-	if err := w.send(message{Type: msgWelcome, Workers: srv.cfg.Workers, BudgetBytes: srv.cfg.MemBudgetBytes}); err != nil {
+	if err := w.Send(message{Type: msgWelcome, Workers: srv.cfg.Workers, BudgetBytes: srv.cfg.MemBudgetBytes}); err != nil {
 		return
 	}
-	m, err := w.recv()
+	m, err := w.Recv()
 	if err != nil {
 		return
 	}
 	if m.Type != msgOpen || m.Open == nil {
-		w.send(message{Type: msgError, Reason: fmt.Sprintf("expected open, got %q", m.Type)})
+		w.Send(message{Type: msgError, Reason: fmt.Sprintf("expected open, got %q", m.Type)})
 		return
 	}
 	open := *m.Open
 	if open.Stream && open.Warmup > 0 {
-		w.send(message{Type: msgError, Reason: "warmup is not supported for stream sessions"})
+		w.Send(message{Type: msgError, Reason: "warmup is not supported for stream sessions"})
 		return
 	}
 
 	wl, err := srv.workload(open.Workload)
 	if err != nil {
-		w.send(message{Type: msgError, Reason: err.Error()})
+		w.Send(message{Type: msgError, Reason: err.Error()})
 		return
 	}
 
@@ -329,7 +321,7 @@ func (srv *Server) handle(conn net.Conn) {
 	}
 	defer func() { <-srv.slots }()
 
-	if err := w.send(message{Type: msgAdmitted, ChargeBytes: charge, QueueDepth: srv.adm.Stats().QueueDepth}); err != nil {
+	if err := w.Send(message{Type: msgAdmitted, ChargeBytes: charge, QueueDepth: srv.adm.Stats().QueueDepth}); err != nil {
 		return
 	}
 
@@ -342,7 +334,7 @@ func (srv *Server) handle(conn net.Conn) {
 		HeapInuseBytes: after.HeapInuse,
 	})
 	if runErr != nil && !errors.Is(runErr, errAborted) {
-		w.send(message{Type: msgError, Reason: runErr.Error()})
+		w.Send(message{Type: msgError, Reason: runErr.Error()})
 	}
 }
 
@@ -352,7 +344,7 @@ func (srv *Server) handle(conn net.Conn) {
 // deferred close guarantees that.
 func (srv *Server) readLoop(s *session) {
 	for {
-		m, err := s.w.recv()
+		m, err := s.w.Recv()
 		if err != nil {
 			s.abort("")
 			return
@@ -383,7 +375,7 @@ func (srv *Server) readLoop(s *session) {
 // frame it is owed; dropped clients get nothing (the connection is gone).
 func (srv *Server) sendAborted(s *session) {
 	if r := s.owed.Load(); r != nil {
-		s.w.send(message{Type: msgError, Reason: *r})
+		s.w.Send(message{Type: msgError, Reason: *r})
 	}
 }
 

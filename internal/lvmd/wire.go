@@ -1,8 +1,9 @@
 // Package lvmd is the simulation-as-a-service daemon: clients open
-// access-trace sessions over a length-prefixed JSON wire protocol, each
-// session simulates on its own per-tenant machine (physical memory, OS
-// kernel, CPU) driven through sim.Session's translation loop, and live
-// per-tenant metric windows stream back as the trace advances.
+// access-trace sessions over a length-prefixed JSON wire protocol
+// (internal/wire), each session simulates on its own per-tenant machine
+// (physical memory, OS kernel, CPU) driven through sim.Session's
+// translation loop, and live per-tenant metric windows stream back as the
+// trace advances.
 //
 // The serving contract is the same determinism bar the experiment stack
 // upholds: a served session's interval deltas and final result are
@@ -19,12 +20,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"net"
-	"sync"
 
 	"lvm/internal/addr"
 	"lvm/internal/oskernel"
+	"lvm/internal/wire"
 	"lvm/internal/workload"
 )
 
@@ -37,11 +36,6 @@ const ProtocolVersion = 2
 // vetted in the handshake alongside the config fingerprint so a client
 // never misreads windows produced under a different schema.
 const StreamSchemaVersion = 1
-
-// maxMsgBytes bounds one frame. Interval and result documents are a few KB
-// of JSON and trace chunks are client-bounded; anything near this limit is
-// a corrupt or hostile peer.
-const maxMsgBytes = 64 << 20
 
 type msgType string
 
@@ -107,9 +101,7 @@ type ResultDoc struct {
 type message struct {
 	Type msgType `json:"type"`
 	// hello fields, vetted exactly like the sweep orchestrator's handshake.
-	Proto         int    `json:"proto,omitempty"`
-	SchemaVersion int    `json:"schema_version,omitempty"`
-	Fingerprint   string `json:"fingerprint,omitempty"`
+	wire.Hello
 	// welcome fields: the daemon's capacity advertisement.
 	Workers     int    `json:"workers,omitempty"`
 	BudgetBytes uint64 `json:"budget_bytes,omitempty"`
@@ -169,52 +161,3 @@ func unpackTrace(count int, b []byte) ([]workload.Access, error) {
 	}
 	return accesses, nil
 }
-
-// wire frames length-prefixed (4-byte big-endian) JSON messages over one
-// connection. Each side runs a single reader loop; sends may come from any
-// goroutine.
-type wire struct {
-	conn net.Conn
-	mu   sync.Mutex // guards writes to conn
-}
-
-func (w *wire) send(m message) error {
-	b, err := json.Marshal(m)
-	if err != nil {
-		return fmt.Errorf("lvmd: encoding %s: %w", m.Type, err)
-	}
-	frame := make([]byte, 4+len(b))
-	binary.BigEndian.PutUint32(frame, uint32(len(b)))
-	copy(frame[4:], b)
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	_, err = w.conn.Write(frame)
-	return err
-}
-
-func (w *wire) recv() (message, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(w.conn, hdr[:]); err != nil {
-		return message{}, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxMsgBytes {
-		return message{}, fmt.Errorf("lvmd: frame of %d bytes exceeds limit %d", n, maxMsgBytes)
-	}
-	// Read the payload as it arrives rather than allocating the claimed
-	// length up front: a bare header must not pin a frame-sized buffer.
-	b, err := io.ReadAll(io.LimitReader(w.conn, int64(n)))
-	if err != nil {
-		return message{}, err
-	}
-	if len(b) != int(n) {
-		return message{}, fmt.Errorf("lvmd: frame truncated at %d of %d bytes: %w", len(b), n, io.ErrUnexpectedEOF)
-	}
-	var m message
-	if err := json.Unmarshal(b, &m); err != nil {
-		return message{}, fmt.Errorf("lvmd: decoding frame: %w", err)
-	}
-	return m, nil
-}
-
-func (w *wire) close() error { return w.conn.Close() }

@@ -9,31 +9,53 @@ import (
 	"testing"
 
 	"lvm/internal/addr"
+	"lvm/internal/wire"
 	"lvm/internal/workload"
 )
 
+// frameBuffer collects the frames a Conn sends.
+type frameBuffer struct{ bytes.Buffer }
+
+func (*frameBuffer) Close() error { return nil }
+
 // TestRecvBareHeaderDoesNotPinFrame sends a header claiming a maximal frame
-// and then hangs up: recv must fail, and must not have allocated the
-// claimed length while waiting for a payload that never comes.
+// to this package's message connection and then hangs up: Recv must fail,
+// and must not have allocated the claimed length while waiting for a
+// payload that never comes.
 func TestRecvBareHeaderDoesNotPinFrame(t *testing.T) {
 	client, server := net.Pipe()
 	defer server.Close()
 	go func() {
 		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], maxMsgBytes)
+		binary.BigEndian.PutUint32(hdr[:], wire.MaxFrameBytes)
 		client.Write(hdr[:])
 		client.Close()
 	}()
-	w := &wire{conn: server}
+	w := wire.New[message](server)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, err := w.recv()
+	_, err := w.Recv()
 	runtime.ReadMemStats(&after)
 	if err == nil {
-		t.Fatal("recv of a header with no payload succeeded")
+		t.Fatal("Recv of a header with no payload succeeded")
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
-		t.Errorf("recv allocated %d bytes for a bare header, want < 1 MiB", grew)
+		t.Errorf("Recv allocated %d bytes for a bare header, want < 1 MiB", grew)
+	}
+}
+
+// TestHelloFrameGolden pins the bytes of a client's hello frame: length
+// prefix, field names, field order and protocol version. A daemon and a
+// client built from different revisions can only meet if these stay put.
+func TestHelloFrameGolden(t *testing.T) {
+	const golden = "\x00\x00\x00^" + `{"type":"hello","proto":2,"schema_version":1,` +
+		`"fingerprint":"0123456789abcdef0123456789abcdef"}`
+	var buf frameBuffer
+	if err := wire.New[message](&buf).Send(hello("0123456789abcdef0123456789abcdef")); err != nil {
+		t.Fatal(err)
+	}
+	if got := buf.String(); got != golden {
+		t.Errorf("hello frame\n got %q\nwant %q", got, golden)
 	}
 }
 
