@@ -40,7 +40,7 @@ func main() {
 			fmt.Println("launch failed:", err)
 			continue
 		}
-		ix := p.LvmIx
+		ix := p.LVMIndex()
 		fmt.Printf("index: %d bytes, %d leaf tables (more, smaller tables under fragmentation)\n",
 			ix.SizeBytes(), ix.LeafCount())
 

@@ -49,8 +49,8 @@ func main() {
 		if err != nil {
 			panic(err)
 		}
-		fmt.Printf("%-12s %6d %14d %12d %7d\n",
-			l.name, asid, p.LvmIx.MappedPages(), p.LvmIx.SizeBytes(), p.LvmIx.Depth())
+		ix := p.LVMIndex()
+		fmt.Printf("%-12s %6d %14d %12d %7d\n", l.name, asid, ix.MappedPages(), ix.SizeBytes(), ix.Depth())
 	}
 
 	// Tenant 2 churns: unmap then remap a window of its heap. Count the
@@ -60,7 +60,7 @@ func main() {
 	p2 := sys.Process(2)
 	before := map[uint16]int{}
 	for asid := uint16(1); asid <= 4; asid++ {
-		before[asid] = sys.Process(asid).LvmIx.SizeBytes()
+		before[asid] = sys.Process(asid).LVMIndex().SizeBytes()
 	}
 	heap := p2.Space.Regions[0]
 	for i := range p2.Space.Regions {
@@ -80,14 +80,14 @@ func main() {
 			churned++
 		}
 	}
-	st := p2.LvmIx.Stats()
+	st := p2.LVMIndex().Stats()
 	fmt.Printf("churned %d pages: %d retrains, %d rebuilds in asid 2\n",
 		churned, st.Retrains, st.Rebuilds)
 	for asid := uint16(1); asid <= 4; asid++ {
 		if asid == 2 {
 			continue
 		}
-		if got := sys.Process(asid).LvmIx.SizeBytes(); got != before[asid] {
+		if got := sys.Process(asid).LVMIndex().SizeBytes(); got != before[asid] {
 			panic(fmt.Sprintf("asid %d index changed: %d -> %d", asid, before[asid], got))
 		}
 	}

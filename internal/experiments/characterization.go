@@ -232,7 +232,8 @@ func (r *Runner) measureRetrainGrowth() (retrainGrowth, error) {
 				break
 			}
 		}
-		res.Events[name] = p.LvmIx.Stats().Retrains + p.LvmIx.Stats().Rebuilds
+		st := p.LVMIndex().Stats()
+		res.Events[name] = st.Retrains + st.Rebuilds
 		res.Mgmt4K[name] = p.MgmtCycles
 		// THP: far fewer translations to manage (paper: < 0.01%).
 		_, tp, err := launchScaled(r.physFor(w), oskernel.SchemeLVM, w.Space, true)

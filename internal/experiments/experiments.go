@@ -386,14 +386,15 @@ func (r *Runner) execute(key RunKey) (*RunOutput, error) {
 	if p != nil {
 		out.OverheadBytes = sys.TableOverheadBytes(1)
 		out.MgmtCycles = p.MgmtCycles
-		if p.LvmIx != nil {
-			out.IndexBytes = p.LvmIx.SizeBytes()
-			out.IndexPeakBytes = p.LvmIx.Stats().PeakIndexBytes
-			out.IndexDepth = p.LvmIx.Depth()
-			out.IndexLeaves = p.LvmIx.LeafCount()
-			out.Retrains = p.LvmIx.Stats().Retrains
-			out.Rebuilds = p.LvmIx.Stats().Rebuilds
-			out.Overflows = p.LvmIx.Stats().SearchOverflows
+		if ix := p.LVMIndex(); ix != nil {
+			st := ix.Stats()
+			out.IndexBytes = ix.SizeBytes()
+			out.IndexPeakBytes = st.PeakIndexBytes
+			out.IndexDepth = ix.Depth()
+			out.IndexLeaves = ix.LeafCount()
+			out.Retrains = st.Retrains
+			out.Rebuilds = st.Rebuilds
+			out.Overflows = st.SearchOverflows
 			out.LWCHitRate = sys.LVMWalker().LWC().HitRate()
 			out.CollisionRate, out.ExtraPerColl = lvmCollisions(p)
 		}
@@ -413,9 +414,10 @@ func (r *Runner) execute(key RunKey) (*RunOutput, error) {
 // mapped key once.
 func lvmCollisions(p *oskernel.Process) (rate, extra float64) {
 	var collided, total, extraRefs int
+	ix := p.LVMIndex()
 	for _, reg := range p.Space.Regions {
 		for _, v := range reg.Mapped {
-			res := p.LvmIx.Walk(p.Norm.Normalize(v))
+			res := ix.Walk(p.Norm.Normalize(v))
 			if !res.Found {
 				continue
 			}

@@ -422,7 +422,7 @@ func (r *Runner) measureTable2Scaling() (map[uint64]int, error) {
 		if err != nil {
 			return nil, fmt.Errorf("table2 scaling @%s: launch: %w", byteLabel(p.MemcachedBytes), err)
 		}
-		sizes[p.MemcachedBytes] = proc.LvmIx.SizeBytes()
+		sizes[p.MemcachedBytes] = proc.LVMIndex().SizeBytes()
 	}
 	return sizes, nil
 }

@@ -38,8 +38,9 @@ func TestGrowthBreakdown(t *testing.T) {
 		}
 		inserted++
 	}
-	st := p.LvmIx.Stats()
+	ix := p.LVMIndex()
+	st := ix.Stats()
 	fmt.Printf("%s: inserted=%d steady=%d insertPart=%d retrains=%d rebuilds=%d lazy=%d leaves=%d mapped=%d\n",
 		name, inserted, p.MgmtCycles-base, uint64(inserted)*150,
-		st.Retrains, st.Rebuilds, st.LazyTrains, p.LvmIx.LeafCount(), p.LvmIx.MappedPages())
+		st.Retrains, st.Rebuilds, st.LazyTrains, ix.LeafCount(), ix.MappedPages())
 }

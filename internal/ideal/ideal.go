@@ -46,15 +46,19 @@ func New(mem *phys.Memory, expected int) (*Table, error) {
 	}, nil
 }
 
-// Map installs a translation.
-func (t *Table) Map(v addr.VPN, e pte.Entry) {
+// Map installs a translation. It never fails; the error return matches the
+// other schemes' tables.
+func (t *Table) Map(v addr.VPN, e pte.Entry) error {
 	t.entries[addr.AlignDown(v, e.Size())] = e
+	return nil
 }
 
-// Unmap removes a translation.
+// Unmap removes the translation that covers v. As in Lookup, an entry at
+// an aligned base covers v only if it is a page of that size: a 4 KB page
+// at a 2 MB boundary does not cover the rest of the 2 MB.
 func (t *Table) Unmap(v addr.VPN) bool {
 	for _, s := range [...]addr.PageSize{addr.Page4K, addr.Page2M, addr.Page1G} {
-		if _, ok := t.entries[addr.AlignDown(v, s)]; ok {
+		if e, ok := t.entries[addr.AlignDown(v, s)]; ok && e.Size() == s {
 			delete(t.entries, addr.AlignDown(v, s))
 			return true
 		}

@@ -54,6 +54,20 @@ func TestUnmap(t *testing.T) {
 	}
 }
 
+// TestUnmapHonoursPageSize: a 4 KB page at a 2 MB boundary covers only
+// itself, so unmapping another VPN of that 2 MB must leave it mapped.
+func TestUnmapHonoursPageSize(t *testing.T) {
+	mem := phys.New(64 << 20)
+	tb, _ := New(mem, 10)
+	tb.Map(1024, pte.New(1, addr.Page4K))
+	if tb.Unmap(1024 + 5) {
+		t.Error("unmap of an unmapped VPN succeeded")
+	}
+	if _, ok := tb.Lookup(1024); !ok {
+		t.Error("unmap of another VPN removed the 4 KB page at the 2 MB boundary")
+	}
+}
+
 func TestSequentialVPNsShareLines(t *testing.T) {
 	mem := phys.New(64 << 20)
 	tb, _ := New(mem, 1000)

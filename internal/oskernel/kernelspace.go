@@ -73,20 +73,18 @@ func (s *System) InstallKernel(l KernelLayout) error {
 
 	switch s.Scheme {
 	case SchemeLVM:
-		ix, err := core.Build(s.Mem, ms, s.LVMParams)
+		ix, err := core.Build(s.Mem, ms, core.DefaultParams())
 		if err != nil {
 			return err
 		}
 		s.kernelIx = ix
 		// One index, one attachment: every process's kernel accesses
 		// resolve through the same structure under the global ASID.
-		s.lvmWalker.Attach(KernelASID, ix)
+		s.LVMWalker().Attach(KernelASID, ix)
 	case SchemeRadix, SchemeMidgard:
-		t, err := newRadixFrom(s, ms)
-		if err != nil {
+		if _, err := schemes[s.Scheme].attach(s, &Process{ASID: KernelASID}, ms); err != nil {
 			return err
 		}
-		s.radWalker.Attach(KernelASID, t)
 	default:
 		return fmt.Errorf("oskernel: kernel space modeled for radix and lvm schemes only")
 	}

@@ -158,3 +158,68 @@ func TestMapPage1GTakesWholeFrame(t *testing.T) {
 		t.Errorf("leaked %d pages (free %d -> %d)", before-got, before, got)
 	}
 }
+
+// TestUnmapInteriorFreesHugeFrame unmaps a 2 MB page through a VPN inside
+// it, on every scheme under THP: the page's whole order-9 frame must come
+// back, MapPage must refuse an unaligned or already-covered VPN without
+// allocating, and after a remap and Kill no page may be missing.
+func TestUnmapInteriorFreesHugeFrame(t *testing.T) {
+	cfg := vas.DefaultConfig()
+	cfg.HeapPages = 4096
+	cfg.MmapRegions = 1
+	cfg.MmapPages = 1024
+	cfg.HoleFraction = 0
+	for _, scheme := range AllSchemes() {
+		mem := phys.New(256 << 20)
+		before := mem.FreePages()
+		sys := NewSystem(mem, scheme)
+		p, err := sys.Launch(1, vas.Generate(cfg, 7), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var base addr.VPN
+		for _, v := range heapOf(p.Space).Mapped {
+			if e, ok := sys.SoftwareLookup(1, v); ok && e.Size() == addr.Page2M {
+				base = addr.AlignDown(v, addr.Page2M)
+				break
+			}
+		}
+		if base == 0 {
+			t.Fatalf("%s: no 2 MB page under THP", scheme)
+		}
+		free := mem.FreePages()
+		if !sys.UnmapPage(1, base+100) {
+			t.Fatalf("%s: interior unmap failed", scheme)
+		}
+		if got := mem.FreePages() - free; got != 512 {
+			t.Errorf("%s: interior unmap returned %d pages, want 512", scheme, got)
+		}
+		if _, ok := sys.SoftwareLookup(1, base); ok || sys.UnmapPage(1, base) {
+			t.Errorf("%s: unmapped 2 MB page still mapped", scheme)
+		}
+		if err := sys.MapPage(1, base+1, addr.Page2M); err == nil {
+			t.Errorf("%s: unaligned 2 MB map accepted", scheme)
+		}
+		if err := sys.MapPage(1, base, addr.Page2M); err != nil {
+			t.Fatalf("%s: remap: %v", scheme, err)
+		}
+		free = mem.FreePages()
+		for _, v := range []addr.VPN{base, base + 7} {
+			if err := sys.MapPage(1, v, addr.Page4K); err == nil {
+				t.Errorf("%s: map of %#x inside a mapped 2 MB page accepted", scheme, uint64(v))
+			}
+		}
+		if err := sys.MapPage(1, base, addr.Page2M); err == nil {
+			t.Errorf("%s: double 2 MB map accepted", scheme)
+		}
+		if got := mem.FreePages(); got != free {
+			t.Errorf("%s: refused maps took %d pages", scheme, free-got)
+		}
+		if err := sys.Kill(1); err != nil {
+			t.Fatal(err)
+		}
+		if got := mem.FreePages(); got != before {
+			t.Errorf("%s: leaked %d pages (free %d -> %d)", scheme, before-got, before, got)
+		}
+	}
+}

@@ -13,18 +13,12 @@ import (
 	"sort"
 
 	"lvm/internal/addr"
-	"lvm/internal/asap"
 	"lvm/internal/core"
-	"lvm/internal/ecpt"
-	"lvm/internal/fpt"
-	"lvm/internal/ideal"
 	"lvm/internal/mmu"
 	"lvm/internal/phys"
 	"lvm/internal/pte"
 	"lvm/internal/radix"
-	"lvm/internal/revelator"
 	"lvm/internal/vas"
-	"lvm/internal/victima"
 )
 
 // Scheme selects the page-table structure.
@@ -52,44 +46,13 @@ func AllSchemes() []Scheme {
 		SchemeVictima, SchemeRevelator}
 }
 
-// MgmtCosts model the software cost, in cycles, of LVM maintenance
-// operations (§7.3 reports retrains < 1.9 ms and total management ~1.17%
-// of runtime; these constants land in that regime at 2 GHz).
-type MgmtCosts struct {
-	InsertCycles       uint64
-	PerKeyRetrain      uint64
-	PerKeyRebuild      uint64
-	EdgeExpansionFixed uint64
-}
-
-// DefaultMgmtCosts is the standard cost model.
-func DefaultMgmtCosts() MgmtCosts {
-	return MgmtCosts{
-		InsertCycles:       150,
-		PerKeyRetrain:      40,
-		PerKeyRebuild:      60,
-		EdgeExpansionFixed: 2000,
-	}
-}
-
 // System is one simulated machine's OS state for a single scheme.
 type System struct {
 	Mem    *phys.Memory
 	Scheme Scheme
 
-	LVMParams core.Params
-	Costs     MgmtCosts
-
-	radWalker     *radix.Walker
-	ecptWalker    *ecpt.Walker
-	lvmWalker     *core.HWWalker
-	idealWalker   *ideal.Walker
-	fptWalker     *fpt.Walker
-	asapWalker    *asap.Walker
-	victimaWalker *victima.Walker
-	revWalker     *revelator.Walker
-
-	procs map[uint16]*Process
+	walker walker
+	procs  map[uint16]*Process
 
 	// Shared kernel address space (§5.2): one structure for all processes.
 	kernelInstalled bool
@@ -97,35 +60,16 @@ type System struct {
 	kernelMappings  int
 }
 
-// newRadixFrom builds a radix table from core mappings (kernel install).
-func newRadixFrom(s *System, ms []core.Mapping) (*radix.Table, error) {
-	t, err := radix.New(s.Mem)
-	if err != nil {
-		return nil, err
-	}
-	for _, m := range ms {
-		if err := t.Map(m.VPN, m.Entry); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
-}
-
 // Process is one launched address space.
 type Process struct {
 	ASID  uint16
 	Space *vas.AddressSpace
 	THP   bool
-	Norm  *vas.Normalizer
+	// Norm maps VPNs onto LVM's normalized space (§5.2); nil for other
+	// schemes.
+	Norm *vas.Normalizer
 
-	RadixT   *radix.Table
-	EcptT    *ecpt.Table
-	LvmIx    *core.Index
-	IdealT   *ideal.Table
-	FptT     *fpt.Table
-	AsapT    *asap.Table
-	VictimaT *victima.Table
-	RevT     *revelator.Table
+	pt pageTable
 
 	// MgmtCycles accumulates the software cost of page-table management.
 	MgmtCycles uint64
@@ -134,10 +78,18 @@ type Process struct {
 	// translated ever needs, so dataPages is built from it the first time
 	// MapPage, UnmapPage or Kill needs frames by VPN, and then it is
 	// dropped: at most one of the two is non-empty.
-	launched []mapping
-	// dataPages maps VPN → allocation (for freeing); nil until pages()
-	// builds it.
+	launched []core.Mapping
+	// dataPages maps each page's base VPN → its frame (for freeing); nil
+	// until pages() builds it.
 	dataPages map[addr.VPN]dataPage
+}
+
+// LVMIndex returns the process's learned index (nil for other schemes).
+func (p *Process) LVMIndex() *core.Index {
+	if t, ok := p.pt.(*lvmTable); ok {
+		return t.ix
+	}
+	return nil
 }
 
 type dataPage struct {
@@ -163,7 +115,7 @@ func (p *Process) pages() map[addr.VPN]dataPage {
 	if p.dataPages == nil {
 		p.dataPages = make(map[addr.VPN]dataPage, len(p.launched))
 		for _, m := range p.launched {
-			p.dataPages[m.vpn] = dataPage{m.e.PPN(), frameOrder(m.e.Size())}
+			p.dataPages[m.VPN] = dataPage{m.Entry.PPN(), frameOrder(m.Entry.Size())}
 		}
 		p.launched = nil
 	}
@@ -201,67 +153,27 @@ func NewSystemHW(mem *phys.Memory, scheme Scheme, hw HWConfig) *System {
 	if hw.LWCEntries == 0 {
 		hw.LWCEntries = 16
 	}
-	s := &System{
-		Mem:       mem,
-		Scheme:    scheme,
-		LVMParams: core.DefaultParams(),
-		Costs:     DefaultMgmtCosts(),
-		procs:     make(map[uint16]*Process),
-	}
-	switch scheme {
-	case SchemeRadix, SchemeMidgard:
-		s.radWalker = radix.NewWalker(hw.PWCEntriesPerLevel)
-	case SchemeECPT:
-		s.ecptWalker = ecpt.NewWalker()
-	case SchemeLVM:
-		s.lvmWalker = core.NewHWWalker(hw.LWCEntries)
-	case SchemeIdeal:
-		s.idealWalker = ideal.NewWalker()
-	case SchemeFPT:
-		s.fptWalker = fpt.NewWalker()
-	case SchemeASAP:
-		s.asapWalker = asap.NewWalker()
-	case SchemeVictima:
-		s.victimaWalker = victima.NewWalker()
-	case SchemeRevelator:
-		s.revWalker = revelator.NewWalker()
-	default:
+	ops, ok := schemes[scheme]
+	if !ok {
 		panic(fmt.Sprintf("oskernel: unknown scheme %q", scheme))
 	}
-	return s
+	return &System{Mem: mem, Scheme: scheme, walker: ops.walker(hw), procs: make(map[uint16]*Process)}
 }
 
 // Walker returns the scheme's hardware walker.
-func (s *System) Walker() mmu.Walker {
-	switch s.Scheme {
-	case SchemeRadix, SchemeMidgard:
-		return s.radWalker
-	case SchemeECPT:
-		return s.ecptWalker
-	case SchemeLVM:
-		return s.lvmWalker
-	case SchemeIdeal:
-		return s.idealWalker
-	case SchemeFPT:
-		return s.fptWalker
-	case SchemeASAP:
-		return s.asapWalker
-	case SchemeVictima:
-		return s.victimaWalker
-	case SchemeRevelator:
-		return s.revWalker
-	}
-	return nil
-}
+func (s *System) Walker() mmu.Walker { return s.walker }
 
 // LVMWalker returns the LVM walker (nil for other schemes), for LWC stats.
-func (s *System) LVMWalker() *core.HWWalker { return s.lvmWalker }
+func (s *System) LVMWalker() *core.HWWalker {
+	w, _ := s.walker.(*core.HWWalker)
+	return w
+}
 
 // RadixWalker returns the radix walker (nil for other schemes).
-func (s *System) RadixWalker() *radix.Walker { return s.radWalker }
-
-// ECPTWalker returns the ECPT walker (nil for other schemes).
-func (s *System) ECPTWalker() *ecpt.Walker { return s.ecptWalker }
+func (s *System) RadixWalker() *radix.Walker {
+	w, _ := s.walker.(*radix.Walker)
+	return w
+}
 
 // Process returns a launched process by ASID.
 func (s *System) Process(asid uint16) *Process { return s.procs[asid] }
@@ -286,11 +198,11 @@ func (s *System) launch(asid uint16, space *vas.AddressSpace, thp bool) (*Proces
 	// Allocate physical frames. 2 MB translations need an order-9 block;
 	// if fragmentation denies it, the OS falls back to 4 KB pages exactly
 	// as Linux THP does.
-	mappings := make([]mapping, 0, len(trs))
+	mappings := make([]core.Mapping, 0, len(trs))
 	for _, tr := range trs {
 		if tr.Size == addr.Page2M {
 			if base, err := s.Mem.Alloc(9); err == nil {
-				mappings = append(mappings, mapping{tr.VPN, pte.New(base, addr.Page2M)})
+				mappings = append(mappings, core.Mapping{VPN: tr.VPN, Entry: pte.New(base, addr.Page2M)})
 				continue
 			}
 			for i := addr.VPN(0); i < 512; i++ {
@@ -298,7 +210,7 @@ func (s *System) launch(asid uint16, space *vas.AddressSpace, thp bool) (*Proces
 				if err != nil {
 					return nil, fmt.Errorf("out of memory mapping %#x: %w", uint64(tr.VPN+i), err)
 				}
-				mappings = append(mappings, mapping{tr.VPN + i, pte.New(base, addr.Page4K)})
+				mappings = append(mappings, core.Mapping{VPN: tr.VPN + i, Entry: pte.New(base, addr.Page4K)})
 			}
 			continue
 		}
@@ -306,140 +218,32 @@ func (s *System) launch(asid uint16, space *vas.AddressSpace, thp bool) (*Proces
 		if err != nil {
 			return nil, fmt.Errorf("out of memory mapping %#x: %w", uint64(tr.VPN), err)
 		}
-		mappings = append(mappings, mapping{tr.VPN, pte.New(base, tr.Size)})
+		mappings = append(mappings, core.Mapping{VPN: tr.VPN, Entry: pte.New(base, tr.Size)})
 	}
 
-	if err := s.buildTables(p, mappings); err != nil {
+	pt, err := schemes[s.Scheme].attach(s, p, mappings)
+	if err != nil {
 		return nil, err
 	}
+	p.pt = pt
 	p.launched = mappings
 	s.procs[asid] = p
 	return p, nil
 }
 
-type mapping struct {
-	vpn addr.VPN
-	e   pte.Entry
-}
-
-func (s *System) buildTables(p *Process, mappings []mapping) error {
-	switch s.Scheme {
-	case SchemeRadix, SchemeMidgard:
-		t, err := radix.New(s.Mem)
-		if err != nil {
-			return err
-		}
-		for _, m := range mappings {
-			if err := t.Map(m.vpn, m.e); err != nil {
-				return err
-			}
-		}
-		p.RadixT = t
-		s.radWalker.Attach(p.ASID, t)
-
-	case SchemeECPT:
-		t, err := ecpt.New(s.Mem, 0)
-		if err != nil {
-			return err
-		}
-		for _, m := range mappings {
-			if err := t.Map(m.vpn, m.e); err != nil {
-				return err
-			}
-		}
-		p.EcptT = t
-		s.ecptWalker.Attach(p.ASID, t)
-
-	case SchemeLVM:
-		p.Norm = vas.NewNormalizer(p.Space)
-		ms := make([]core.Mapping, len(mappings))
-		for i, m := range mappings {
-			ms[i] = core.Mapping{VPN: p.Norm.Normalize(m.vpn), Entry: m.e}
-		}
-		ix, err := core.Build(s.Mem, ms, s.LVMParams)
-		if err != nil {
-			return err
-		}
-		p.LvmIx = ix
-		p.MgmtCycles += uint64(len(ms)) * s.Costs.PerKeyRebuild // initial training
-		s.lvmWalker.AttachNormalized(p.ASID, ix, p.Norm.Normalize)
-
-	case SchemeIdeal:
-		t, err := ideal.New(s.Mem, len(mappings))
-		if err != nil {
-			return err
-		}
-		for _, m := range mappings {
-			t.Map(m.vpn, m.e)
-		}
-		p.IdealT = t
-		s.idealWalker.Attach(p.ASID, t)
-
-	case SchemeFPT:
-		t, err := fpt.New(s.Mem)
-		if err != nil {
-			return err
-		}
-		for _, m := range mappings {
-			if err := t.Map(m.vpn, m.e); err != nil {
-				return err
-			}
-		}
-		p.FptT = t
-		s.fptWalker.Attach(p.ASID, t)
-
-	case SchemeASAP:
-		t, err := asap.New(s.Mem)
-		if err != nil {
-			return err
-		}
-		for _, r := range p.Space.Regions {
-			// Best-effort: unprefetchable VMAs degrade to radix walks.
-			_ = t.AddVMA(r.Base, r.Base+addr.VPN(r.Span)-1)
-		}
-		for _, m := range mappings {
-			if err := t.Map(m.vpn, m.e); err != nil {
-				return err
-			}
-		}
-		p.AsapT = t
-		s.asapWalker.Attach(p.ASID, t)
-
-	case SchemeVictima:
-		t, err := victima.New(s.Mem)
-		if err != nil {
-			return err
-		}
-		for _, m := range mappings {
-			if err := t.Map(m.vpn, m.e); err != nil {
-				return err
-			}
-		}
-		p.VictimaT = t
-		s.victimaWalker.Attach(p.ASID, t)
-
-	case SchemeRevelator:
-		t, err := revelator.New(s.Mem, len(mappings))
-		if err != nil {
-			return err
-		}
-		for _, m := range mappings {
-			if err := t.Map(m.vpn, m.e); err != nil {
-				return err
-			}
-		}
-		p.RevT = t
-		s.revWalker.Attach(p.ASID, t)
-	}
-	return nil
-}
-
 // MapPage is the page-fault path for dynamic growth: allocate a frame and
-// insert the translation.
+// insert the translation. v must be aligned to size and must not fall
+// inside a page that is already mapped.
 func (s *System) MapPage(asid uint16, v addr.VPN, size addr.PageSize) error {
 	p := s.procs[asid]
 	if p == nil {
 		return fmt.Errorf("oskernel: no process %d", asid)
+	}
+	if !addr.Aligned(v, size) {
+		return fmt.Errorf("oskernel: map of %#x is not %s-aligned", uint64(v), size)
+	}
+	if base, _, mapped := p.frameAt(v); mapped {
+		return fmt.Errorf("oskernel: map of %#x: frame at %#x already mapped", uint64(v), uint64(base))
 	}
 	order := frameOrder(size)
 	base, err := s.Mem.Alloc(order)
@@ -447,76 +251,35 @@ func (s *System) MapPage(asid uint16, v addr.VPN, size addr.PageSize) error {
 		return err
 	}
 	p.pages()[v] = dataPage{base, order}
-	e := pte.New(base, size)
-
-	switch s.Scheme {
-	case SchemeRadix, SchemeMidgard:
-		return p.RadixT.Map(v, e)
-	case SchemeECPT:
-		return p.EcptT.Map(v, e)
-	case SchemeIdeal:
-		p.IdealT.Map(v, e)
-		return nil
-	case SchemeFPT:
-		return p.FptT.Map(v, e)
-	case SchemeASAP:
-		return p.AsapT.Map(v, e)
-	case SchemeVictima:
-		return p.VictimaT.Map(v, e)
-	case SchemeRevelator:
-		return p.RevT.Map(v, e)
-	case SchemeLVM:
-		before := p.LvmIx.Stats()
-		err := p.LvmIx.Insert(core.Mapping{VPN: p.Norm.Normalize(v), Entry: e})
-		after := p.LvmIx.Stats()
-		p.MgmtCycles += s.Costs.InsertCycles
-		if after.Retrains > before.Retrains {
-			p.MgmtCycles += uint64(p.LvmIx.MappedPages()) * s.Costs.PerKeyRetrain / uint64(p.LvmIx.LeafCount())
-		}
-		if after.Rebuilds > before.Rebuilds {
-			p.MgmtCycles += uint64(p.LvmIx.MappedPages()) * s.Costs.PerKeyRebuild
-		}
-		if after.EdgeExpansions > before.EdgeExpansions {
-			p.MgmtCycles += s.Costs.EdgeExpansionFixed
-		}
-		return err
-	}
-	return fmt.Errorf("oskernel: unsupported scheme")
+	return p.pt.Map(v, pte.New(base, size))
 }
 
-// UnmapPage frees a page. For LVM the index keeps the gap (§5.2 "Free").
+// UnmapPage frees the page that covers v, which may be a huge page's
+// interior. For LVM the index keeps the gap (§5.2 "Free").
 func (s *System) UnmapPage(asid uint16, v addr.VPN) bool {
 	p := s.procs[asid]
-	if p == nil {
+	if p == nil || !p.pt.Unmap(v) {
 		return false
 	}
-	ok := false
-	switch s.Scheme {
-	case SchemeRadix, SchemeMidgard:
-		ok = p.RadixT.Unmap(v)
-	case SchemeECPT:
-		ok = p.EcptT.Unmap(v)
-	case SchemeIdeal:
-		ok = p.IdealT.Unmap(v)
-	case SchemeFPT:
-		ok = p.FptT.Unmap(v)
-	case SchemeASAP:
-		ok = p.AsapT.Unmap(v)
-	case SchemeVictima:
-		ok = p.VictimaT.Unmap(v)
-	case SchemeRevelator:
-		ok = p.RevT.Unmap(v)
-	case SchemeLVM:
-		ok = p.LvmIx.Free(p.Norm.Normalize(v))
+	if base, dp, have := p.frameAt(v); have {
+		s.Mem.Free(dp.base, dp.order)
+		delete(p.dataPages, base)
 	}
-	if ok {
-		pages := p.pages()
-		if dp, have := pages[v]; have {
-			s.Mem.Free(dp.base, dp.order)
-			delete(pages, v)
+	return true
+}
+
+// frameAt finds the frame record of the page that covers v: v's own 4 KB
+// record, or the record at its 2 MB or 1 GB base if that record is a frame
+// of that size.
+func (p *Process) frameAt(v addr.VPN) (addr.VPN, dataPage, bool) {
+	pages := p.pages()
+	for _, size := range [...]addr.PageSize{addr.Page4K, addr.Page2M, addr.Page1G} {
+		base := addr.AlignDown(v, size)
+		if dp, ok := pages[base]; ok && dp.order == frameOrder(size) {
+			return base, dp, true
 		}
 	}
-	return ok
+	return 0, dataPage{}, false
 }
 
 // ProtectableFlags are the entry bits Protect may change: permission and
@@ -536,10 +299,10 @@ func (s *System) Protect(asid uint16, v addr.VPN, set, clear pte.Entry) bool {
 	}
 	set &= ProtectableFlags
 	clear &= ProtectableFlags
-	if s.Scheme == SchemeLVM {
-		return p.LvmIx.SetFlags(p.Norm.Normalize(v), set, clear)
+	if fs, ok := p.pt.(flagSetter); ok {
+		return fs.SetFlags(v, set, clear)
 	}
-	e, ok := s.SoftwareLookup(asid, v)
+	e, ok := p.pt.Lookup(v)
 	if !ok {
 		return false
 	}
@@ -547,25 +310,7 @@ func (s *System) Protect(asid uint16, v addr.VPN, set, clear pte.Entry) bool {
 	if ne == e {
 		return true
 	}
-	aligned := addr.AlignDown(v, e.Size())
-	var err error
-	switch s.Scheme {
-	case SchemeRadix, SchemeMidgard:
-		err = p.RadixT.Map(aligned, ne)
-	case SchemeECPT:
-		err = p.EcptT.Map(aligned, ne)
-	case SchemeIdeal:
-		p.IdealT.Map(aligned, ne)
-	case SchemeFPT:
-		err = p.FptT.Map(aligned, ne)
-	case SchemeASAP:
-		err = p.AsapT.Map(aligned, ne)
-	case SchemeVictima:
-		err = p.VictimaT.Map(aligned, ne)
-	case SchemeRevelator:
-		err = p.RevT.Map(aligned, ne)
-	}
-	return err == nil
+	return p.pt.Map(addr.AlignDown(v, e.Size()), ne) == nil
 }
 
 // Kill terminates a process: every translation structure is returned to
@@ -581,32 +326,8 @@ func (s *System) Kill(asid uint16) error {
 	if p == nil {
 		return fmt.Errorf("oskernel: kill of unknown ASID %d", asid)
 	}
-	switch s.Scheme {
-	case SchemeRadix, SchemeMidgard:
-		p.RadixT.Release()
-		s.radWalker.Detach(asid)
-	case SchemeECPT:
-		p.EcptT.Release()
-		s.ecptWalker.Detach(asid)
-	case SchemeIdeal:
-		p.IdealT.Release()
-		s.idealWalker.Detach(asid)
-	case SchemeFPT:
-		p.FptT.Release()
-		s.fptWalker.Detach(asid)
-	case SchemeASAP:
-		p.AsapT.Release()
-		s.asapWalker.Detach(asid)
-	case SchemeVictima:
-		p.VictimaT.Release()
-		s.victimaWalker.Detach(asid)
-	case SchemeRevelator:
-		p.RevT.Release()
-		s.revWalker.Detach(asid)
-	case SchemeLVM:
-		p.LvmIx.Release()
-		s.lvmWalker.Detach(asid)
-	}
+	p.pt.Release()
+	s.walker.Detach(asid)
 	// Free in VPN order: releasing in map-iteration order would scramble
 	// the buddy allocator's free lists run to run, making every later
 	// allocation — and therefore every later result — nondeterministic.
@@ -651,26 +372,7 @@ func (s *System) SoftwareLookup(asid uint16, v addr.VPN) (pte.Entry, bool) {
 	if p == nil {
 		return 0, false
 	}
-	switch s.Scheme {
-	case SchemeRadix, SchemeMidgard:
-		return p.RadixT.Lookup(v)
-	case SchemeECPT:
-		return p.EcptT.Lookup(v)
-	case SchemeIdeal:
-		return p.IdealT.Lookup(v)
-	case SchemeFPT:
-		return p.FptT.Lookup(v)
-	case SchemeASAP:
-		return p.AsapT.Lookup(v)
-	case SchemeVictima:
-		return p.VictimaT.Lookup(v)
-	case SchemeRevelator:
-		return p.RevT.Lookup(v)
-	case SchemeLVM:
-		r := p.LvmIx.Walk(p.Norm.Normalize(v))
-		return r.Entry, r.Found
-	}
-	return 0, false
+	return p.pt.Lookup(v)
 }
 
 // TableOverheadBytes returns the physical memory the scheme uses beyond
@@ -680,23 +382,13 @@ func (s *System) TableOverheadBytes(asid uint16) uint64 {
 	if p == nil {
 		return 0
 	}
-	// One data page per entry of whichever frame record is live.
-	minimum := uint64(len(p.launched)+len(p.dataPages)) * pte.Bytes
-	var used uint64
-	switch s.Scheme {
-	case SchemeRadix, SchemeMidgard:
-		used = p.RadixT.TableBytes()
-	case SchemeECPT:
-		used = p.EcptT.TableBytes()
-	case SchemeLVM:
-		used = p.LvmIx.TableFootprintBytes() + uint64(p.LvmIx.SizeBytes())
-	case SchemeVictima:
-		used = p.VictimaT.TableBytes()
-	case SchemeRevelator:
-		used = p.RevT.TableBytes()
-	default:
+	ts, ok := p.pt.(tableSizer)
+	if !ok {
 		return 0
 	}
+	used := ts.TableBytes()
+	// One data page per entry of whichever frame record is live.
+	minimum := uint64(len(p.launched)+len(p.dataPages)) * pte.Bytes
 	if used < minimum {
 		return 0
 	}

@@ -53,7 +53,7 @@ func TestSystemFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.LvmIx == nil {
+	if p.LVMIndex() == nil {
 		t.Fatal("no index")
 	}
 	w := sys.Walker()
