@@ -118,47 +118,23 @@ func (t *Table) Release() {
 
 // Walker is the ASAP hardware walker: a radix walker plus the prefetcher.
 type Walker struct {
-	tables map[uint16]*Table
-	// lastASID/lastTable memoize the most recent tables lookup so walks
-	// skip the map per access; Attach/Detach invalidate it.
-	lastASID  uint16
-	lastTable *Table
-	rad       *radix.Walker
-	// buf is the reusable walk-trace buffer for prefetchable walks; the
-	// embedded radix walker appends into it directly, so composing the
-	// prefetches with the validating walk never copies a trace.
+	mmu.Tables[*Table]
+	rad *radix.Walker
+	// buf is the reusable walk-trace buffer; the embedded radix walker
+	// appends into it directly, so composing the prefetches with the
+	// validating walk never copies a trace.
 	buf mmu.WalkBuf
 }
 
 // NewWalker creates the walker (radix PWC sizing from Table 1).
 func NewWalker() *Walker {
-	return &Walker{tables: make(map[uint16]*Table), rad: radix.NewWalker(32)}
+	return &Walker{rad: radix.NewWalker(32)}
 }
 
-// Attach registers a table under an ASID.
-func (w *Walker) Attach(asid uint16, t *Table) {
-	w.tables[asid] = t
-	w.lastTable = nil
-	w.rad.Attach(asid, t.Radix)
-}
-
-// Detach removes a process's table (and its radix walker state).
+// Detach removes a process's table and flushes its radix walker's PWCs.
 func (w *Walker) Detach(asid uint16) {
-	delete(w.tables, asid)
-	w.lastTable = nil
+	w.Drop(asid)
 	w.rad.Detach(asid)
-}
-
-// table resolves an ASID's table through the one-entry memo.
-func (w *Walker) table(asid uint16) (*Table, bool) {
-	if w.lastTable != nil && w.lastASID == asid {
-		return w.lastTable, true
-	}
-	t, ok := w.tables[asid]
-	if ok {
-		w.lastASID, w.lastTable = asid, t
-	}
-	return t, ok
 }
 
 // Name implements mmu.Walker.
@@ -175,28 +151,27 @@ var _ metrics.Source = (*Walker)(nil)
 // group: latency collapses to the slowest single request, but the traffic
 // is the radix walk plus two.
 func (w *Walker) Walk(asid uint16, v addr.VPN) mmu.Outcome {
-	t, ok := w.table(asid)
+	t, ok := w.Table(asid)
 	if !ok {
 		return mmu.Outcome{}
 	}
-	vm := t.vmaFor(v)
-	if vm == nil || !vm.prefetchable {
-		return w.rad.Walk(asid, v) // plain radix behaviour
-	}
-	// Seed the collapsed buffer with the flat PTE/PMD prefetches, then let
-	// the validating radix walk append its requests into the same parallel
-	// group — no intermediate slice, no copy.
 	w.buf.Reset()
-	w.buf.Collapse()
-	w.buf.Add(addr.SlotPA(vm.ptBase, uint64(v-vm.lo), pte.Bytes))
-	w.buf.Add(addr.SlotPA(vm.pmdBase, uint64(v-vm.lo)/512, pte.Bytes))
-	return w.rad.WalkInto(&w.buf, asid, v)
+	if vm := t.vmaFor(v); vm != nil && vm.prefetchable {
+		// Seed the collapsed buffer with the flat PTE/PMD prefetches, then
+		// let the validating radix walk append its requests into the same
+		// parallel group — no intermediate slice, no copy.
+		w.buf.Collapse()
+		w.buf.Add(addr.SlotPA(vm.ptBase, uint64(v-vm.lo), pte.Bytes))
+		w.buf.Add(addr.SlotPA(vm.pmdBase, uint64(v-vm.lo)/512, pte.Bytes))
+	}
+	// Otherwise plain radix behaviour.
+	return w.rad.WalkInto(&w.buf, t.Radix, asid, v)
 }
 
 // Lookup implements mmu.Lookuper: the translation resolved through the
 // table alone, with no prefetch, PWC probe, fill or trace.
 func (w *Walker) Lookup(asid uint16, v addr.VPN) (pte.Entry, bool) {
-	t, ok := w.tables[asid]
+	t, ok := w.Table(asid)
 	if !ok {
 		return 0, false
 	}

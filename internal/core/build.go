@@ -518,6 +518,9 @@ func (b *builder) makeInternal(ms []Mapping, lo, hi uint64, n int, depth int) (*
 		}
 		child, err := b.buildNode(parts[i], cLo, cHi, depth+1)
 		if err != nil {
+			for _, c := range nd.children[:i] {
+				releaseSubtree(c)
+			}
 			return nil, err
 		}
 		nd.children[i] = child

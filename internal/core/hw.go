@@ -13,18 +13,13 @@ import (
 // the predicted PTE cluster. Each node step costs one fixed-point
 // multiply-add (2 cycles, §7.4).
 type HWWalker struct {
-	lwc     *mmu.LWC
-	indexes map[uint16]*attachment
+	mmu.Tables[*attachment]
+	lwc *mmu.LWC
 	// flushes counts LWC invalidations driven by OS retrains (§5.2).
 	flushes uint64
 	// buf is the reusable walk-trace buffer; Walk outcomes view it and
 	// stay valid until the next Walk.
 	buf mmu.WalkBuf
-
-	// lastASID/lastAt memoize the most recent indexes lookup so walks skip
-	// the map per access; Attach/Detach invalidate it.
-	lastASID uint16
-	lastAt   *attachment
 }
 
 // attachment is one address space's index plus the OS maintenance counts
@@ -41,10 +36,7 @@ type attachment struct {
 
 // NewHWWalker creates a walker with the Table-1 LWC size (16 entries).
 func NewHWWalker(lwcEntries int) *HWWalker {
-	return &HWWalker{
-		lwc:     mmu.NewLWC(lwcEntries),
-		indexes: make(map[uint16]*attachment),
-	}
+	return &HWWalker{lwc: mmu.NewLWC(lwcEntries)}
 }
 
 // Attach registers a process's learned index under an ASID.
@@ -55,29 +47,15 @@ func (w *HWWalker) Attach(asid uint16, ix *Index) {
 // AttachNormalized registers an index together with the ASLR normalization
 // the OS exposed through base registers (§5.2).
 func (w *HWWalker) AttachNormalized(asid uint16, ix *Index, norm func(addr.VPN) addr.VPN) {
-	w.indexes[asid] = &attachment{ix: ix, norm: norm}
-	w.lastAt = nil
+	w.Tables.Attach(asid, &attachment{ix: ix, norm: norm})
 }
 
 // Detach removes a process's index and flushes its LWC entries (process
 // exit; §4.6.2's ASID tagging makes this the only flush needed).
 func (w *HWWalker) Detach(asid uint16) {
-	delete(w.indexes, asid)
-	w.lastAt = nil
+	w.Drop(asid)
 	w.lwc.FlushASID(asid)
 	w.flushes++
-}
-
-// attachmentFor resolves an ASID's attachment through the one-entry memo.
-func (w *HWWalker) attachmentFor(asid uint16) (*attachment, bool) {
-	if w.lastAt != nil && w.lastASID == asid {
-		return w.lastAt, true
-	}
-	at, ok := w.indexes[asid]
-	if ok {
-		w.lastASID, w.lastAt = asid, at
-	}
-	return at, ok
 }
 
 // Name implements mmu.Walker.
@@ -102,7 +80,7 @@ var _ metrics.Source = (*HWWalker)(nil)
 
 // Walk implements mmu.Walker.
 func (w *HWWalker) Walk(asid uint16, v addr.VPN) mmu.Outcome {
-	at, ok := w.attachmentFor(asid)
+	at, ok := w.Table(asid)
 	if !ok {
 		return mmu.Outcome{}
 	}
@@ -130,7 +108,7 @@ func (w *HWWalker) Walk(asid uint16, v addr.VPN) mmu.Outcome {
 // Lookup implements mmu.Lookuper: the translation resolved through the
 // learned index alone, with no OS reconcile, LWC probe, fill or trace.
 func (w *HWWalker) Lookup(asid uint16, v addr.VPN) (pte.Entry, bool) {
-	at, ok := w.indexes[asid]
+	at, ok := w.Table(asid)
 	if !ok {
 		return 0, false
 	}

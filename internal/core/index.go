@@ -114,6 +114,7 @@ type IndexStats struct {
 
 // Build trains a new index over the given mappings (paper §4.3.1). The
 // mappings need not be sorted; duplicates (same VPN) keep the last entry.
+// On error every page the build allocated is freed again.
 func Build(mem *phys.Memory, mappings []Mapping, p Params) (*Index, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
@@ -124,6 +125,7 @@ func Build(mem *phys.Memory, mappings []Mapping, p Params) (*Index, error) {
 	ms := normalize(mappings)
 	ix := &Index{mem: mem, params: p}
 	if err := ix.construct(ms); err != nil {
+		ix.Release()
 		return nil, err
 	}
 	return ix, nil

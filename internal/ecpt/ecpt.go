@@ -69,6 +69,9 @@ func newCuckoo(mem *phys.Memory, size addr.PageSize, perWay int) (*cuckoo, error
 	for i := range c.ways {
 		w, err := allocWay(mem, perWay, uint64(i)*0x9e3779b97f4a7c15+uint64(size))
 		if err != nil {
+			for _, w := range c.ways[:i] {
+				mem.Free(w.base, w.order)
+			}
 			return nil, err
 		}
 		c.ways[i] = w
@@ -169,12 +172,17 @@ func (c *cuckoo) tryPlace(item pte.Tagged, idx [Ways]int) (pte.Tagged, bool) {
 }
 
 // resize doubles every way and rehashes — the elastic growth operation.
+// If the new ways cannot all be allocated, the table keeps its old ways.
 func (c *cuckoo) resize() error {
 	c.rehashes.Inc()
 	old := c.ways
 	for i := range c.ways {
 		w, err := allocWay(c.mem, len(old[i].slots)*2, old[i].seed)
 		if err != nil {
+			for _, w := range c.ways[:i] {
+				c.mem.Free(w.base, w.order)
+			}
+			c.ways = old
 			return err
 		}
 		c.ways[i] = w
@@ -232,22 +240,28 @@ type Table struct {
 	cwtOrdr int
 }
 
-// New creates an empty ECPT.
+// New creates an empty ECPT. On error it has allocated nothing.
 func New(mem *phys.Memory, initialPerWay int) (*Table, error) {
 	if initialPerWay <= 0 {
 		initialPerWay = DefaultInitialEntries / Ways
 	}
 	t := &Table{mem: mem, tables: make(map[addr.PageSize]*cuckoo), cwt: make(map[uint64]uint8)}
+	fail := func(err error) (*Table, error) {
+		for _, c := range t.tables {
+			c.release()
+		}
+		return nil, err
+	}
 	for _, s := range []addr.PageSize{addr.Page4K, addr.Page2M} {
 		c, err := newCuckoo(mem, s, initialPerWay)
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
 		t.tables[s] = c
 	}
 	base, err := mem.Alloc(2) // 16 KB of CWT backing to give walks real PAs
 	if err != nil {
-		return nil, err
+		return fail(err)
 	}
 	t.cwtBase = base
 	t.cwtOrdr = 2
@@ -341,11 +355,7 @@ func (t *Table) Release() {
 
 // Walker is the hardware ECPT walker with a CWC.
 type Walker struct {
-	tables map[uint16]*Table
-	// lastASID/lastTable memoize the most recent tables lookup so walks
-	// skip the map per access; Attach/Detach invalidate it.
-	lastASID  uint16
-	lastTable *Table
+	mmu.Tables[*Table]
 	// cwcPMD caches CWT entries at 2MB-region granularity; cwcPUD at
 	// 1GB-region granularity (Table 1: 16 and 2 entries).
 	cwcPMD, cwcPUD *mmu.PWC
@@ -357,37 +367,17 @@ type Walker struct {
 // NewWalker creates the walker with Table-1 CWC sizing.
 func NewWalker() *Walker {
 	return &Walker{
-		tables: make(map[uint16]*Table),
 		cwcPMD: mmu.NewPWC("cwc-pmd", 16),
 		cwcPUD: mmu.NewPWC("cwc-pud", 2),
 	}
 }
 
-// Attach registers a process's ECPT under an ASID.
-func (w *Walker) Attach(asid uint16, t *Table) {
-	w.tables[asid] = t
-	w.lastTable = nil
-}
-
 // Detach removes a process's table and flushes its CWC entries (process
 // exit).
 func (w *Walker) Detach(asid uint16) {
-	delete(w.tables, asid)
-	w.lastTable = nil
+	w.Drop(asid)
 	w.cwcPMD.FlushASID(asid)
 	w.cwcPUD.FlushASID(asid)
-}
-
-// table resolves an ASID's table through the one-entry memo.
-func (w *Walker) table(asid uint16) (*Table, bool) {
-	if w.lastTable != nil && w.lastASID == asid {
-		return w.lastTable, true
-	}
-	t, ok := w.tables[asid]
-	if ok {
-		w.lastASID, w.lastTable = asid, t
-	}
-	return t, ok
 }
 
 // Name implements mmu.Walker.
@@ -412,7 +402,7 @@ var _ metrics.Source = (*Walker)(nil)
 // miss it first fetches the CWT entry, then probes the tables indicated —
 // without size information it must probe both sizes (2d requests).
 func (w *Walker) Walk(asid uint16, v addr.VPN) mmu.Outcome {
-	t, ok := w.table(asid)
+	t, ok := w.Table(asid)
 	if !ok {
 		return mmu.Outcome{}
 	}
@@ -457,7 +447,7 @@ func (w *Walker) Walk(asid uint16, v addr.VPN) mmu.Outcome {
 // Lookup implements mmu.Lookuper: the translation resolved through the
 // table alone, with no CWC probe, fill or trace.
 func (w *Walker) Lookup(asid uint16, v addr.VPN) (pte.Entry, bool) {
-	t, ok := w.tables[asid]
+	t, ok := w.Table(asid)
 	if !ok {
 		return 0, false
 	}

@@ -223,12 +223,8 @@ func (t *Table) Release() {
 
 // Walker is the FPT hardware walker with a PWC over folded upper entries.
 type Walker struct {
-	tables map[uint16]*Table
-	// lastASID/lastTable memoize the most recent tables lookup so walks
-	// skip the map per access; Attach/Detach invalidate it.
-	lastASID  uint16
-	lastTable *Table
-	upper     *mmu.PWC
+	mmu.Tables[*Table]
+	upper *mmu.PWC
 	// buf is the reusable walk-trace buffer; Walk outcomes view it and
 	// stay valid until the next Walk.
 	buf mmu.WalkBuf
@@ -237,32 +233,13 @@ type Walker struct {
 // NewWalker creates the walker (32-entry upper PWC, as radix's per-level
 // size in Table 1).
 func NewWalker() *Walker {
-	return &Walker{tables: make(map[uint16]*Table), upper: mmu.NewPWC("fpt-upper", 32)}
-}
-
-// Attach registers a table under an ASID.
-func (w *Walker) Attach(asid uint16, t *Table) {
-	w.tables[asid] = t
-	w.lastTable = nil
+	return &Walker{upper: mmu.NewPWC("fpt-upper", 32)}
 }
 
 // Detach removes a process's table and flushes its PWC entries.
 func (w *Walker) Detach(asid uint16) {
-	delete(w.tables, asid)
-	w.lastTable = nil
+	w.Drop(asid)
 	w.upper.FlushASID(asid)
-}
-
-// table resolves an ASID's table through the one-entry memo.
-func (w *Walker) table(asid uint16) (*Table, bool) {
-	if w.lastTable != nil && w.lastASID == asid {
-		return w.lastTable, true
-	}
-	t, ok := w.tables[asid]
-	if ok {
-		w.lastASID, w.lastTable = asid, t
-	}
-	return t, ok
 }
 
 // Name implements mmu.Walker.
@@ -281,7 +258,7 @@ var _ metrics.Source = (*Walker)(nil)
 // (one with a PWC hit); unfolded regions behave like radix (four cold,
 // PWC-trimmed warm).
 func (w *Walker) Walk(asid uint16, v addr.VPN) mmu.Outcome {
-	t, ok := w.table(asid)
+	t, ok := w.Table(asid)
 	if !ok {
 		return mmu.Outcome{}
 	}
@@ -309,7 +286,7 @@ func (w *Walker) Walk(asid uint16, v addr.VPN) mmu.Outcome {
 // Lookup implements mmu.Lookuper: the translation resolved through the
 // table alone, with no region install, PWC probe, fill or trace.
 func (w *Walker) Lookup(asid uint16, v addr.VPN) (pte.Entry, bool) {
-	t, ok := w.tables[asid]
+	t, ok := w.Table(asid)
 	if !ok {
 		return 0, false
 	}

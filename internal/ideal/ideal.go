@@ -95,41 +95,18 @@ func (t *Table) Release() {
 
 // Walker implements mmu.Walker with exactly one memory request per walk.
 type Walker struct {
-	tables map[uint16]*Table
-	// lastASID/lastTable memoize the most recent tables lookup so walks
-	// skip the map per access; Attach/Detach invalidate it.
-	lastASID  uint16
-	lastTable *Table
+	mmu.Tables[*Table]
 	// buf is the reusable walk-trace buffer; Walk outcomes view it and
 	// stay valid until the next Walk.
 	buf mmu.WalkBuf
 }
 
 // NewWalker creates the walker.
-func NewWalker() *Walker { return &Walker{tables: make(map[uint16]*Table)} }
-
-// Attach registers a table under an ASID.
-func (w *Walker) Attach(asid uint16, t *Table) {
-	w.tables[asid] = t
-	w.lastTable = nil
-}
+func NewWalker() *Walker { return &Walker{} }
 
 // Detach removes a process's table (process exit).
 func (w *Walker) Detach(asid uint16) {
-	delete(w.tables, asid)
-	w.lastTable = nil
-}
-
-// table resolves an ASID's table through the one-entry memo.
-func (w *Walker) table(asid uint16) (*Table, bool) {
-	if w.lastTable != nil && w.lastASID == asid {
-		return w.lastTable, true
-	}
-	t, ok := w.tables[asid]
-	if ok {
-		w.lastASID, w.lastTable = asid, t
-	}
-	return t, ok
+	w.Drop(asid)
 }
 
 // Name implements mmu.Walker.
@@ -146,7 +123,7 @@ var _ metrics.Source = (*Walker)(nil)
 
 // Walk implements mmu.Walker.
 func (w *Walker) Walk(asid uint16, v addr.VPN) mmu.Outcome {
-	t, ok := w.table(asid)
+	t, ok := w.Table(asid)
 	if !ok {
 		return mmu.Outcome{}
 	}
@@ -159,7 +136,7 @@ func (w *Walker) Walk(asid uint16, v addr.VPN) mmu.Outcome {
 // Lookup implements mmu.Lookuper: the translation resolved through the
 // table alone, with no trace.
 func (w *Walker) Lookup(asid uint16, v addr.VPN) (pte.Entry, bool) {
-	t, ok := w.tables[asid]
+	t, ok := w.Table(asid)
 	if !ok {
 		return 0, false
 	}

@@ -1,6 +1,7 @@
 // Package mmu defines the hardware page-walker interface shared by every
-// translation scheme, plus the walk-cache building blocks: the radix page
-// walk cache (PWC) and LVM's walk cache (LWC, paper §4.6.2 / Fig. 8).
+// translation scheme, the per-ASID table registry every walker embeds, and
+// the walk-cache building blocks: the radix page walk cache (PWC) and LVM's
+// walk cache (LWC, paper §4.6.2 / Fig. 8).
 //
 // A Walker turns an L2-TLB miss into a sequence of memory requests. The
 // simulator charges each request to the cache hierarchy; requests within a
@@ -199,6 +200,49 @@ type Walker interface {
 	// Walk translates v in address space asid. The returned Outcome's
 	// request trace is valid until the walker's next Walk.
 	Walk(asid uint16, v addr.VPN) Outcome
+}
+
+// Tables is a walker's per-ASID table registry: the ASID-tagged attachment
+// the hardware finds the current address space's table through (§4.6.2).
+// Walk caches are ASID-tagged too, so Drop plus the walker's own per-ASID
+// cache flushes is all a process exit needs. A one-entry memo of the last
+// resolved ASID lets the walk path skip the map while one address space
+// runs. The zero value is ready to use; walkers embed it, so Attach, Drop
+// and Table are theirs.
+type Tables[T any] struct {
+	m map[uint16]T
+	// last is the table of lastASID, valid while lastOK; Attach and Drop
+	// clear it.
+	lastASID uint16
+	last     T
+	lastOK   bool
+}
+
+// Attach registers t under asid, replacing any table already there.
+func (r *Tables[T]) Attach(asid uint16, t T) {
+	if r.m == nil {
+		r.m = make(map[uint16]T)
+	}
+	r.m[asid] = t
+	r.lastOK = false
+}
+
+// Drop removes asid's table.
+func (r *Tables[T]) Drop(asid uint16) {
+	delete(r.m, asid)
+	r.lastOK = false
+}
+
+// Table resolves asid's table through the memo.
+func (r *Tables[T]) Table(asid uint16) (T, bool) {
+	if r.lastOK && r.lastASID == asid {
+		return r.last, true
+	}
+	t, ok := r.m[asid]
+	if ok {
+		r.lastASID, r.last, r.lastOK = asid, t, true
+	}
+	return t, ok
 }
 
 // Lookuper is a pure functional resolve: Lookup translates v through the

@@ -192,12 +192,39 @@ func (s *System) Launch(asid uint16, space *vas.AddressSpace, thp bool) (*Proces
 }
 
 func (s *System) launch(asid uint16, space *vas.AddressSpace, thp bool) (*Process, error) {
-	trs := space.Translations(thp)
+	if asid == KernelASID {
+		return nil, fmt.Errorf("ASID %d is reserved for the kernel", asid)
+	}
+	if s.procs[asid] != nil {
+		return nil, fmt.Errorf("ASID %d is already live", asid)
+	}
 	p := &Process{ASID: asid, Space: space, THP: thp}
+	mappings, err := s.allocFrames(space.Translations(thp))
+	var pt pageTable
+	if err == nil {
+		pt, err = schemes[s.Scheme].attach(s, p, mappings)
+	}
+	if err != nil {
+		// Undo in Kill's order: the table, then the frames by VPN.
+		if pt != nil {
+			pt.Release()
+		}
+		for _, m := range mappings {
+			s.Mem.Free(m.Entry.PPN(), frameOrder(m.Entry.Size()))
+		}
+		return nil, err
+	}
+	p.pt = pt
+	p.launched = mappings
+	s.procs[asid] = p
+	return p, nil
+}
 
-	// Allocate physical frames. 2 MB translations need an order-9 block;
-	// if fragmentation denies it, the OS falls back to 4 KB pages exactly
-	// as Linux THP does.
+// allocFrames allocates a data frame for every translation, in VPN order.
+// 2 MB translations need an order-9 block; if fragmentation denies it, the
+// OS falls back to 4 KB pages exactly as Linux THP does. On failure it
+// returns the mappings allocated so far with the error.
+func (s *System) allocFrames(trs []vas.Translation) ([]core.Mapping, error) {
 	mappings := make([]core.Mapping, 0, len(trs))
 	for _, tr := range trs {
 		if tr.Size == addr.Page2M {
@@ -208,7 +235,7 @@ func (s *System) launch(asid uint16, space *vas.AddressSpace, thp bool) (*Proces
 			for i := addr.VPN(0); i < 512; i++ {
 				base, err := s.Mem.Alloc(0)
 				if err != nil {
-					return nil, fmt.Errorf("out of memory mapping %#x: %w", uint64(tr.VPN+i), err)
+					return mappings, fmt.Errorf("out of memory mapping %#x: %w", uint64(tr.VPN+i), err)
 				}
 				mappings = append(mappings, core.Mapping{VPN: tr.VPN + i, Entry: pte.New(base, addr.Page4K)})
 			}
@@ -216,19 +243,11 @@ func (s *System) launch(asid uint16, space *vas.AddressSpace, thp bool) (*Proces
 		}
 		base, err := s.Mem.Alloc(frameOrder(tr.Size))
 		if err != nil {
-			return nil, fmt.Errorf("out of memory mapping %#x: %w", uint64(tr.VPN), err)
+			return mappings, fmt.Errorf("out of memory mapping %#x: %w", uint64(tr.VPN), err)
 		}
 		mappings = append(mappings, core.Mapping{VPN: tr.VPN, Entry: pte.New(base, tr.Size)})
 	}
-
-	pt, err := schemes[s.Scheme].attach(s, p, mappings)
-	if err != nil {
-		return nil, err
-	}
-	p.pt = pt
-	p.launched = mappings
-	s.procs[asid] = p
-	return p, nil
+	return mappings, nil
 }
 
 // MapPage is the page-fault path for dynamic growth: allocate a frame and

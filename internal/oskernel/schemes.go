@@ -47,7 +47,8 @@ type walker interface {
 
 // schemeOps is everything the OS knows about one scheme: how to make its
 // walker, and how to build a process's table from the launch mappings and
-// attach it to that walker.
+// attach it to that walker. An attach that fails attaches nothing and
+// returns the partial table it built, if any, with the error.
 type schemeOps struct {
 	walker func(HWConfig) walker
 	attach func(s *System, p *Process, ms []core.Mapping) (pageTable, error)
@@ -121,14 +122,15 @@ var schemes = map[Scheme]schemeOps{
 }
 
 // fill maps every launch mapping into t, the new table that came with err,
-// and attaches it to the system's walker under asid.
+// and attaches it to the system's walker under asid. A table that fails to
+// fill comes back unattached with the error, for launch to release.
 func fill[W walker, T pageTable](s *System, asid uint16, ms []core.Mapping, t T, err error, attach func(W, uint16, T)) (pageTable, error) {
 	if err != nil {
 		return nil, err
 	}
 	for _, m := range ms {
 		if err := t.Map(m.VPN, m.Entry); err != nil {
-			return nil, err
+			return t, err
 		}
 	}
 	attach(s.walker.(W), asid, t)

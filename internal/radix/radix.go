@@ -160,11 +160,7 @@ func (t *Table) Release() {
 
 // Walker is the hardware radix page walker with a 3-level PWC.
 type Walker struct {
-	tables map[uint16]*Table
-	// lastASID/lastTable memoize the most recent tables lookup so walks
-	// skip the map on every access; Attach/Detach invalidate it.
-	lastASID  uint16
-	lastTable *Table
+	mmu.Tables[*Table]
 	// pml4e caches root entries (prefix v>>27), pdpte caches level-3
 	// entries (v>>18), pde caches level-2 entries (v>>9).
 	pml4e, pdpte, pde *mmu.PWC
@@ -177,39 +173,19 @@ type Walker struct {
 // (32 entries per level).
 func NewWalker(entriesPerLevel int) *Walker {
 	return &Walker{
-		tables: make(map[uint16]*Table),
-		pml4e:  mmu.NewPWC("pml4e", entriesPerLevel),
-		pdpte:  mmu.NewPWC("pdpte", entriesPerLevel),
-		pde:    mmu.NewPWC("pde", entriesPerLevel),
+		pml4e: mmu.NewPWC("pml4e", entriesPerLevel),
+		pdpte: mmu.NewPWC("pdpte", entriesPerLevel),
+		pde:   mmu.NewPWC("pde", entriesPerLevel),
 	}
-}
-
-// Attach registers a process's table under an ASID.
-func (w *Walker) Attach(asid uint16, t *Table) {
-	w.tables[asid] = t
-	w.lastTable = nil
 }
 
 // Detach removes a process's table and flushes its PWC entries (process
 // exit / context teardown).
 func (w *Walker) Detach(asid uint16) {
-	delete(w.tables, asid)
-	w.lastTable = nil
+	w.Drop(asid)
 	w.pml4e.FlushASID(asid)
 	w.pdpte.FlushASID(asid)
 	w.pde.FlushASID(asid)
-}
-
-// table resolves an ASID's table through the one-entry memo.
-func (w *Walker) table(asid uint16) (*Table, bool) {
-	if w.lastTable != nil && w.lastASID == asid {
-		return w.lastTable, true
-	}
-	t, ok := w.tables[asid]
-	if ok {
-		w.lastASID, w.lastTable = asid, t
-	}
-	return t, ok
 }
 
 // Name implements mmu.Walker.
@@ -235,21 +211,21 @@ var _ metrics.Source = (*Walker)(nil)
 // remaining pointers sequentially. The outcome views the walker's reusable
 // buffer and is valid until the next Walk.
 func (w *Walker) Walk(asid uint16, v addr.VPN) mmu.Outcome {
-	w.buf.Reset()
-	return w.WalkInto(&w.buf, asid, v)
-}
-
-// WalkInto runs the walk appending its request groups to b, which the
-// caller has prepared (ASAP seeds b with its prefetch requests and a
-// collapsed group so the validating radix walk lands in the same parallel
-// burst, composing the trace without an intermediate copy). The returned
-// Outcome views b.
-func (w *Walker) WalkInto(b *mmu.WalkBuf, asid uint16, v addr.VPN) mmu.Outcome {
-	t, ok := w.table(asid)
+	t, ok := w.Table(asid)
 	if !ok {
 		return mmu.Outcome{}
 	}
+	w.buf.Reset()
+	return w.WalkInto(&w.buf, t, asid, v)
+}
 
+// WalkInto walks t, asid's table, appending its request groups to b, which
+// the caller has prepared (ASAP seeds b with its prefetch requests and a
+// collapsed group so the validating radix walk lands in the same parallel
+// burst, composing the trace without an intermediate copy). Schemes that
+// wrap a radix table pass it here directly; the PWCs stay tagged by asid.
+// The returned Outcome views b.
+func (w *Walker) WalkInto(b *mmu.WalkBuf, t *Table, asid uint16, v addr.VPN) mmu.Outcome {
 	// Deepest-first PWC probe; each level probed costs StepCycles (2
 	// cycles, Table 1), symmetric with LVM's per-node model computation.
 	// A pde hit skips PGD/PUD/PMD fetches, a pdpte hit skips PGD/PUD, a
@@ -301,7 +277,7 @@ func (w *Walker) WalkInto(b *mmu.WalkBuf, asid uint16, v addr.VPN) mmu.Outcome {
 // Lookup implements mmu.Lookuper: the translation resolved through the
 // table alone, with no walk-cache probe, fill or trace.
 func (w *Walker) Lookup(asid uint16, v addr.VPN) (pte.Entry, bool) {
-	t, ok := w.tables[asid]
+	t, ok := w.Table(asid)
 	if !ok {
 		return 0, false
 	}

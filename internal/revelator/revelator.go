@@ -228,12 +228,8 @@ func (t *Table) Release() {
 // Walker is the Revelator hardware walker: the speculative hash probe is
 // the critical path; the radix verify walk rides the verify region.
 type Walker struct {
-	tables map[uint16]*Table
-	// lastASID/lastTable memoize the most recent tables lookup so walks
-	// skip the map per access; Attach/Detach invalidate it.
-	lastASID  uint16
-	lastTable *Table
-	rad       *radix.Walker
+	mmu.Tables[*Table]
+	rad *radix.Walker
 	// buf is the reusable walk-trace buffer; the verify walk appends into
 	// it after the BeginVerify mark, so composing the trace never copies.
 	buf mmu.WalkBuf
@@ -244,33 +240,13 @@ type Walker struct {
 // NewWalker creates the walker (radix PWC sizing from Table 1 for the
 // verify walk).
 func NewWalker() *Walker {
-	return &Walker{tables: make(map[uint16]*Table), rad: radix.NewWalker(32)}
+	return &Walker{rad: radix.NewWalker(32)}
 }
 
-// Attach registers a table under an ASID.
-func (w *Walker) Attach(asid uint16, t *Table) {
-	w.tables[asid] = t
-	w.lastTable = nil
-	w.rad.Attach(asid, t.Radix)
-}
-
-// Detach removes a process's table (and its radix walker state).
+// Detach removes a process's table and flushes its radix walker's PWCs.
 func (w *Walker) Detach(asid uint16) {
-	delete(w.tables, asid)
-	w.lastTable = nil
+	w.Drop(asid)
 	w.rad.Detach(asid)
-}
-
-// table resolves an ASID's table through the one-entry memo.
-func (w *Walker) table(asid uint16) (*Table, bool) {
-	if w.lastTable != nil && w.lastASID == asid {
-		return w.lastTable, true
-	}
-	t, ok := w.tables[asid]
-	if ok {
-		w.lastASID, w.lastTable = asid, t
-	}
-	return t, ok
 }
 
 // Name implements mmu.Walker.
@@ -289,7 +265,7 @@ var _ metrics.Source = (*Walker)(nil)
 
 // Walk implements mmu.Walker.
 func (w *Walker) Walk(asid uint16, v addr.VPN) mmu.Outcome {
-	t, ok := w.table(asid)
+	t, ok := w.Table(asid)
 	if !ok {
 		return mmu.Outcome{}
 	}
@@ -312,14 +288,14 @@ func (w *Walker) walkInto(b *mmu.WalkBuf, t *Table, asid uint16, v addr.VPN) mmu
 	}
 	w.specResolved.Inc()
 	b.BeginVerify()
-	radOut := w.rad.WalkInto(b, asid, v)
+	radOut := w.rad.WalkInto(b, t.Radix, asid, v)
 	return b.Outcome(e, true, mmu.StepCycles+radOut.WalkCacheCycles)
 }
 
 // Lookup implements mmu.Lookuper: the translation resolved through the
 // hash table alone, with no verify walk, walk-cache probe or trace.
 func (w *Walker) Lookup(asid uint16, v addr.VPN) (pte.Entry, bool) {
-	t, ok := w.tables[asid]
+	t, ok := w.Table(asid)
 	if !ok {
 		return 0, false
 	}

@@ -149,12 +149,8 @@ func (t *Table) Release() {
 // Walker is the Victima hardware walker: one store probe, then a radix
 // walk (with its PWC) on a store miss, then the off-critical-path fill.
 type Walker struct {
-	tables map[uint16]*Table
-	// lastASID/lastTable memoize the most recent tables lookup so walks
-	// skip the map per access; Attach/Detach invalidate it.
-	lastASID  uint16
-	lastTable *Table
-	rad       *radix.Walker
+	mmu.Tables[*Table]
+	rad *radix.Walker
 	// buf is the reusable walk-trace buffer; the embedded radix walker
 	// appends into it after the probe, so composing the trace never copies.
 	buf mmu.WalkBuf
@@ -165,33 +161,13 @@ type Walker struct {
 // NewWalker creates the walker (radix PWC sizing from Table 1 for the
 // fallback walk).
 func NewWalker() *Walker {
-	return &Walker{tables: make(map[uint16]*Table), rad: radix.NewWalker(32)}
+	return &Walker{rad: radix.NewWalker(32)}
 }
 
-// Attach registers a table under an ASID.
-func (w *Walker) Attach(asid uint16, t *Table) {
-	w.tables[asid] = t
-	w.lastTable = nil
-	w.rad.Attach(asid, t.Radix)
-}
-
-// Detach removes a process's table (and its radix walker state).
+// Detach removes a process's table and flushes its radix walker's PWCs.
 func (w *Walker) Detach(asid uint16) {
-	delete(w.tables, asid)
-	w.lastTable = nil
+	w.Drop(asid)
 	w.rad.Detach(asid)
-}
-
-// table resolves an ASID's table through the one-entry memo.
-func (w *Walker) table(asid uint16) (*Table, bool) {
-	if w.lastTable != nil && w.lastASID == asid {
-		return w.lastTable, true
-	}
-	t, ok := w.tables[asid]
-	if ok {
-		w.lastASID, w.lastTable = asid, t
-	}
-	return t, ok
 }
 
 // Name implements mmu.Walker.
@@ -211,7 +187,7 @@ var _ metrics.Source = (*Walker)(nil)
 
 // Walk implements mmu.Walker.
 func (w *Walker) Walk(asid uint16, v addr.VPN) mmu.Outcome {
-	t, ok := w.table(asid)
+	t, ok := w.Table(asid)
 	if !ok {
 		return mmu.Outcome{}
 	}
@@ -231,7 +207,7 @@ func (w *Walker) walkInto(b *mmu.WalkBuf, t *Table, asid uint16, v addr.VPN) mmu
 		return b.Outcome(e, true, mmu.StepCycles)
 	}
 	w.storeMisses.Inc()
-	radOut := w.rad.WalkInto(b, asid, v)
+	radOut := w.rad.WalkInto(b, t.Radix, asid, v)
 	wcc := radOut.WalkCacheCycles + mmu.StepCycles
 	if radOut.Found && radOut.Entry.Size() == addr.Page4K {
 		// Install the fetched entry off the critical path: the store write
@@ -248,7 +224,7 @@ func (w *Walker) walkInto(b *mmu.WalkBuf, t *Table, asid uint16, v addr.VPN) mmu
 // store and the radix table alone — the store is probed first, as Walk
 // does, but never filled, and no walk cache is probed or filled.
 func (w *Walker) Lookup(asid uint16, v addr.VPN) (pte.Entry, bool) {
-	t, ok := w.tables[asid]
+	t, ok := w.Table(asid)
 	if !ok {
 		return 0, false
 	}
