@@ -75,9 +75,10 @@ type Process struct {
 	MgmtCycles uint64
 	// launched is launch's VPN-sorted mapping record: each entry's PPN and
 	// size name the data frame behind it. It is all a process that is only
-	// translated ever needs, so dataPages is built from it the first time
-	// MapPage, UnmapPage or Kill needs frames by VPN, and then it is
-	// dropped: at most one of the two is non-empty.
+	// translated or looked up ever needs (frameAt searches it in place), so
+	// dataPages is built from it the first time MapPage, UnmapPage or Kill
+	// needs frames by VPN, and then it is dropped: at most one of the two
+	// is non-empty.
 	launched []core.Mapping
 	// dataPages maps each page's base VPN → its frame (for freeing); nil
 	// until pages() builds it.
@@ -258,6 +259,7 @@ func (s *System) MapPage(asid uint16, v addr.VPN, size addr.PageSize) error {
 	if p == nil {
 		return fmt.Errorf("oskernel: no process %d", asid)
 	}
+	pages := p.pages()
 	if !addr.Aligned(v, size) {
 		return fmt.Errorf("oskernel: map of %#x is not %s-aligned", uint64(v), size)
 	}
@@ -269,7 +271,7 @@ func (s *System) MapPage(asid uint16, v addr.VPN, size addr.PageSize) error {
 	if err != nil {
 		return err
 	}
-	p.pages()[v] = dataPage{base, order}
+	pages[v] = dataPage{base, order}
 	return p.pt.Map(v, pte.New(base, size))
 }
 
@@ -277,7 +279,13 @@ func (s *System) MapPage(asid uint16, v addr.VPN, size addr.PageSize) error {
 // interior. For LVM the index keeps the gap (§5.2 "Free").
 func (s *System) UnmapPage(asid uint16, v addr.VPN) bool {
 	p := s.procs[asid]
-	if p == nil || !p.pt.Unmap(v) {
+	if p == nil {
+		return false
+	}
+	// The record must be the map before the frame is freed: freeing from
+	// the launch record would leave it there for Kill to free again.
+	p.pages()
+	if !p.pt.Unmap(v) {
 		return false
 	}
 	if base, dp, have := p.frameAt(v); have {
@@ -287,14 +295,23 @@ func (s *System) UnmapPage(asid uint16, v addr.VPN) bool {
 	return true
 }
 
-// frameAt finds the frame record of the page that covers v: v's own 4 KB
-// record, or the record at its 2 MB or 1 GB base if that record is a frame
-// of that size.
+// frameAt finds the frame record of the page that covers v without
+// building the VPN → frame map: while only the launch record is live, the
+// last launched page at or below v, if it extends over v; once the map
+// exists, v's own 4 KB record, or the record at its 2 MB or 1 GB base if
+// that record is a frame of that size.
 func (p *Process) frameAt(v addr.VPN) (addr.VPN, dataPage, bool) {
-	pages := p.pages()
+	if p.dataPages == nil {
+		ms := p.launched
+		i := sort.Search(len(ms), func(i int) bool { return ms[i].VPN > v }) - 1
+		if i >= 0 && v-ms[i].VPN < addr.VPN(ms[i].Entry.Size().BaseVPNs()) {
+			return ms[i].VPN, dataPage{ms[i].Entry.PPN(), frameOrder(ms[i].Entry.Size())}, true
+		}
+		return 0, dataPage{}, false
+	}
 	for _, size := range [...]addr.PageSize{addr.Page4K, addr.Page2M, addr.Page1G} {
 		base := addr.AlignDown(v, size)
-		if dp, ok := pages[base]; ok && dp.order == frameOrder(size) {
+		if dp, ok := p.dataPages[base]; ok && dp.order == frameOrder(size) {
 			return base, dp, true
 		}
 	}
@@ -385,10 +402,17 @@ func (s *System) Close() {
 	}
 }
 
-// SoftwareLookup is the OS's own walk (e.g. for permission changes).
+// SoftwareLookup is the OS's own walk (e.g. for permission changes). Like
+// Linux's VMA check before a page-table walk (§5), it first asks the
+// process's frame record whether any page covers v, and walks the table
+// only if one does: an unmapped VPN never reaches LVM's exhaustive miss
+// path.
 func (s *System) SoftwareLookup(asid uint16, v addr.VPN) (pte.Entry, bool) {
 	p := s.procs[asid]
 	if p == nil {
+		return 0, false
+	}
+	if _, _, mapped := p.frameAt(v); !mapped {
 		return 0, false
 	}
 	return p.pt.Lookup(v)

@@ -213,37 +213,21 @@ type Translation struct {
 // fully-mapped 512-page runs become one 2 MB translation; everything else
 // stays 4 KB (Linux's khugepaged behaviour).
 func (s *AddressSpace) Translations(thp bool) []Translation {
-	var out []Translation
+	out := make([]Translation, 0, s.TotalMapped())
 	for _, r := range s.Regions {
-		if !thp || !r.THPEligible {
-			for _, v := range r.Mapped {
-				out = append(out, Translation{VPN: v, Size: addr.Page4K})
-			}
-			continue
-		}
-		mapped := make(map[addr.VPN]bool, len(r.Mapped))
-		for _, v := range r.Mapped {
-			mapped[v] = true
-		}
-		emitted := make(map[addr.VPN]bool)
-		for _, v := range r.Mapped {
-			base := addr.AlignDown(v, addr.Page2M)
-			if emitted[base] {
+		ms := r.Mapped
+		for i := 0; i < len(ms); {
+			// Mapped is sorted and unique, so the chunk at v is full exactly
+			// when v is its base and the 512th entry from here is its last
+			// page.
+			v := ms[i]
+			if thp && r.THPEligible && addr.Aligned(v, addr.Page2M) && i+511 < len(ms) && ms[i+511] == v+511 {
+				out = append(out, Translation{VPN: v, Size: addr.Page2M})
+				i += 512
 				continue
 			}
-			full := true
-			for i := addr.VPN(0); i < 512; i++ {
-				if !mapped[base+i] {
-					full = false
-					break
-				}
-			}
-			if full {
-				emitted[base] = true
-				out = append(out, Translation{VPN: base, Size: addr.Page2M})
-			} else if !emitted[v] {
-				out = append(out, Translation{VPN: v, Size: addr.Page4K})
-			}
+			out = append(out, Translation{VPN: v, Size: addr.Page4K})
+			i++
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].VPN < out[j].VPN })

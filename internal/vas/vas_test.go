@@ -1,6 +1,8 @@
 package vas
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"sort"
 	"testing"
 
@@ -237,6 +239,60 @@ func TestRegionSpansAre2MAligned(t *testing.T) {
 		for _, r := range s.Regions {
 			if uint64(r.Base)%512 != 0 {
 				t.Fatalf("seed %d: region %s base %#x not 2MB aligned", seed, r.Kind, uint64(r.Base))
+			}
+		}
+	}
+}
+
+// TestTranslationsGolden pins Translations bit for bit over several layouts,
+// with and without THP: each digest is FNV-64a over every translation's VPN
+// and size, in output order. The layouts mix full, partial and hole-split
+// 2 MB chunks; "offset" adds a THP-eligible region whose base is not 2 MB
+// aligned, with chunks that each miss one first, middle or last page.
+func TestTranslationsGolden(t *testing.T) {
+	gen := func(mod func(*LayoutConfig), seed int64) func() *AddressSpace {
+		return func() *AddressSpace {
+			cfg := smallCfg()
+			mod(&cfg)
+			return Generate(cfg, seed)
+		}
+	}
+	offset := func() *AddressSpace {
+		s := Generate(smallCfg(), 9)
+		r := Region{Kind: Mmap, Base: 0x1_0000_0100, Span: 5 * 512, THPEligible: true}
+		for i := 0; i < r.Span; i++ {
+			if v := r.Base + addr.VPN(i); v != 0x1_0000_0400 && v != 0x1_0000_07ff && v != 0x1_0000_0900+77 {
+				r.Mapped = append(r.Mapped, v)
+			}
+		}
+		s.Regions = append(s.Regions, r)
+		return s
+	}
+	cases := []struct {
+		name  string
+		space func() *AddressSpace
+		want  [2]uint64 // THP off, on
+	}{
+		{"default/1", gen(func(*LayoutConfig) {}, 1), [2]uint64{0x7e0c0a5f5b757595, 0x7e0c0a5f5b757595}},
+		{"full/2", gen(func(c *LayoutConfig) { c.HoleFraction = 0 }, 2), [2]uint64{0xf0cbd710a9b931a5, 0xb928c8f10eb202b5}},
+		{"sparse-holes/3", gen(func(c *LayoutConfig) { c.HoleFraction, c.MeanHoleRun = 0.002, 3 }, 3), [2]uint64{0xe3a50456d8c22210, 0x8556fab1c9ccae02}},
+		{"tcmalloc/4", gen(func(c *LayoutConfig) { c.HoleFraction, c.Allocator = 0.001, Tcmalloc }, 4), [2]uint64{0xd380579fd1de5147, 0x9d3fbc853bf45da4}},
+		{"heavy-holes/2", gen(func(c *LayoutConfig) { c.HoleFraction, c.MeanHoleRun = 0.3, 2 }, 2), [2]uint64{0xbf288a3c569dd42f, 0xbf288a3c569dd42f}},
+		{"no-aslr/5", gen(func(c *LayoutConfig) { c.HoleFraction, c.ASLR = 0.001, false }, 5), [2]uint64{0x820853382713a4c8, 0x9fa82999e963f9cc}},
+		{"offset/9", offset, [2]uint64{0x6b16ca10115b99a, 0x97af49884ccabb9b}},
+	}
+	for _, c := range cases {
+		s := c.space()
+		for i, thp := range []bool{false, true} {
+			h := fnv.New64a()
+			var b [16]byte
+			for _, tr := range s.Translations(thp) {
+				binary.LittleEndian.PutUint64(b[:8], uint64(tr.VPN))
+				binary.LittleEndian.PutUint64(b[8:], tr.Size.BaseVPNs())
+				h.Write(b[:])
+			}
+			if got := h.Sum64(); got != c.want[i] {
+				t.Errorf("%s thp=%t: digest %#x, want %#x", c.name, thp, got, c.want[i])
 			}
 		}
 	}
