@@ -245,6 +245,28 @@ func TestHugePages(t *testing.T) {
 	}
 }
 
+// A huge page whose VPN is not aligned to its size could never be found
+// (Walk probes the aligned base), so Insert refuses it and changes nothing.
+func TestInsertRefusesUnalignedHugePage(t *testing.T) {
+	var ms []Mapping
+	for i := 0; i < 1000; i++ {
+		ms = append(ms, Mapping{VPN: addr.VPN(0x5000 + i), Entry: pte.New(addr.PPN(i+1), addr.Page4K)})
+	}
+	ix := build(t, ms)
+	before, stats := ix.MappedPages(), ix.Stats()
+	for _, m := range []Mapping{
+		{VPN: 0x5000 + 1000 + 8, Entry: pte.New(0x10000, addr.Page2M)},
+		{VPN: 0x40000 + 512, Entry: pte.New(0x40000, addr.Page1G)},
+	} {
+		if err := ix.Insert(m); err == nil {
+			t.Errorf("unaligned %s insert at %#x accepted", m.Entry.Size(), uint64(m.VPN))
+		}
+	}
+	if ix.MappedPages() != before || ix.Stats() != stats {
+		t.Errorf("refused inserts changed the index: mapped %d -> %d", before, ix.MappedPages())
+	}
+}
+
 func TestInsertWithinBounds(t *testing.T) {
 	// Space with holes; fill one in.
 	var ms []Mapping

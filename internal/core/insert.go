@@ -14,10 +14,15 @@ import (
 // Insert adds one translation to the index, choosing among the paths of
 // §4.3.4: within-bounds insert, out-of-bounds insert close to the edge
 // (batched extension + rescaling, no retraining), or — for far out-of-bounds
-// inserts — a full rebuild.
+// inserts — a full rebuild. A mapping whose VPN is not aligned to its
+// page size is refused: Walk probes a huge page at its aligned base, so
+// such a mapping could never translate.
 func (ix *Index) Insert(m Mapping) error {
 	if ix.root == nil {
 		return errors.New("core: insert into released index")
+	}
+	if size := m.Entry.Size(); !addr.Aligned(m.VPN, size) {
+		return fmt.Errorf("core: insert of %#x is not %s-aligned", uint64(m.VPN), size)
 	}
 	v := uint64(m.VPN)
 	var err error

@@ -30,9 +30,7 @@ func artifactFor[T any](r *Runner, name string, compute func() (T, error)) (T, e
 		return zero, err
 	}
 	if hit {
-		if as, ok := r.sink.(ArtifactSink); ok {
-			as.ArtifactCached(name)
-		}
+		r.sink.Emit(Event{Kind: ArtifactCached, Artifact: name})
 		return v, nil
 	}
 	v, err = compute()
@@ -42,8 +40,6 @@ func artifactFor[T any](r *Runner, name string, compute func() (T, error)) (T, e
 	if err := r.arts.StoreArtifact(name, v); err != nil {
 		return zero, err
 	}
-	if as, ok := r.sink.(ArtifactSink); ok {
-		as.ArtifactStored(name)
-	}
+	r.sink.Emit(Event{Kind: ArtifactStored, Artifact: name})
 	return v, nil
 }

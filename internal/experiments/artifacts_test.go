@@ -106,15 +106,16 @@ type artifactRecorder struct {
 	stored []string
 }
 
-func (s *artifactRecorder) ArtifactCached(name string) {
+func (s *artifactRecorder) Emit(e Event) {
+	s.countingSink.Emit(e)
 	s.mu.Lock()
-	s.cached = append(s.cached, name)
-	s.mu.Unlock()
-}
-func (s *artifactRecorder) ArtifactStored(name string) {
-	s.mu.Lock()
-	s.stored = append(s.stored, name)
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	switch e.Kind {
+	case ArtifactCached:
+		s.cached = append(s.cached, e.Artifact)
+	case ArtifactStored:
+		s.stored = append(s.stored, e.Artifact)
+	}
 }
 
 // A bespoke study renders byte-identically whether its measurement was just

@@ -8,70 +8,71 @@ import (
 	"lvm/internal/experiments/sched"
 )
 
+// EventKind names one progress event of the experiment pipeline.
+type EventKind int
+
+const (
+	RunStart        EventKind = iota + 1 // a simulation was admitted to a worker
+	RunDone                              // a simulation finished (Err on failure)
+	RunCached                            // restored from the run cache: no RunStart/RunDone
+	RunHostMem                           // Mem holds a completed run's host-memory sample
+	ExperimentStart                      // before an experiment's compute phase
+	ExperimentDone                       // after it (Err on failure)
+	ArtifactCached                       // a compute-phase measurement loaded from the run cache
+	ArtifactStored                       // a compute-phase measurement persisted to it
+	WorkerConnected                      // an orchestrator worker passed the handshake
+	WorkerGone                           // a worker's connection ended (Err nil when clean)
+	RunAssigned                          // a run was dispatched to a worker
+	RunRetry                             // a failed run was queued for another attempt
+	RunDuplicate                         // a late copy of a finished run (a lost steal), discarded
+)
+
+// An Event is one progress report: Kind says what happened, and only the
+// fields that kind documents are set. Timings and memory samples are
+// host-side measurements (internal/wallclock, runtime.MemStats), and the
+// orchestrator's fields are scheduling detail: all of it is observational.
+// No simulated result ever depends on an event, and sinks should keep
+// events off any stream that is compared across runs.
+type Event struct {
+	Kind EventKind
+	// Key is the run of every Run* event.
+	Key RunKey
+	// Experiment is the key of an Experiment* event; Title is set on
+	// ExperimentStart.
+	Experiment, Title string
+	// Worker names the orchestrator worker of a Worker* event, the one a
+	// run was assigned to, or the one a duplicate came from. Remote and
+	// Capacity are its address and advertised capacity on WorkerConnected.
+	Worker, Remote string
+	Capacity       int
+	// Steal marks a RunAssigned that duplicates a straggler's outstanding
+	// run.
+	Steal bool
+	// Attempt of MaxAttempts failed for Reason on RunRetry.
+	Attempt, MaxAttempts int
+	Reason               string
+	// Artifact names the measurement of an Artifact* event.
+	Artifact string
+	// Seconds is the host wall-clock time of a RunDone or ExperimentDone.
+	Seconds float64
+	// Err is the failure of a RunDone, ExperimentDone or WorkerGone.
+	Err error
+	// Mem is RunHostMem's sample (see sched.MemSample for what the
+	// numbers mean).
+	Mem sched.MemSample
+}
+
 // A Sink receives progress events from the experiment pipeline. The runner
-// calls it from worker goroutines, so implementations must be safe for
-// concurrent use. Timings are host-side wall-clock measurements
-// (internal/wallclock) and are strictly observational: no simulated result
-// ever depends on them, and sinks should keep them off any stream that is
-// compared across runs.
+// and the orchestrator call it from worker goroutines, so implementations
+// must be safe for concurrent use.
 type Sink interface {
-	// RunStart fires when a simulation is admitted to a worker.
-	RunStart(key RunKey)
-	// RunDone fires when a simulation finishes (err is nil on success).
-	RunDone(key RunKey, hostSeconds float64, err error)
-	// RunCached fires when a run is satisfied from the persistent run
-	// cache instead of simulating. RunStart/RunDone do not fire for it.
-	RunCached(key RunKey)
-	// ExperimentStart fires before an experiment's compute phase.
-	ExperimentStart(key, title string)
-	// ExperimentDone fires after an experiment's compute phase.
-	ExperimentDone(key string, hostSeconds float64, err error)
-}
-
-// MemSink is an optional Sink extension: sinks that also implement it
-// receive a host-memory sample for every completed run (see
-// sched.MemSample for what the numbers mean). Like the timings, samples
-// are observational and must stay off streams compared across runs.
-type MemSink interface {
-	RunHostMem(key RunKey, s sched.MemSample)
-}
-
-// OrchSink is an optional Sink extension for the sweep orchestrator: sinks
-// that also implement it receive per-worker lifecycle and dispatch events.
-// All of it is observational scheduling detail — which worker ran a key,
-// steals, retries — and must stay off streams compared across runs.
-type OrchSink interface {
-	// WorkerConnected fires when a worker passes the handshake.
-	WorkerConnected(worker, remote string, capacity int)
-	// WorkerGone fires when a worker's connection ends (err is nil on a
-	// clean shutdown).
-	WorkerGone(worker string, err error)
-	// RunAssigned fires when a run is dispatched to a worker; steal marks
-	// a duplicate dispatch of a straggler's outstanding run.
-	RunAssigned(key RunKey, worker string, steal bool)
-	// RunRetry fires when a failed run is queued for another attempt.
-	RunRetry(key RunKey, attempt, max int, reason string)
-	// RunDuplicate fires when a completion arrives for a run that already
-	// finished elsewhere (the losing side of a steal); it is discarded.
-	RunDuplicate(key RunKey, worker string)
-}
-
-// ArtifactSink is an optional Sink extension: sinks that also implement it
-// learn when a bespoke compute-phase measurement is satisfied from (or
-// persisted to) the run cache's artifact store.
-type ArtifactSink interface {
-	ArtifactCached(name string)
-	ArtifactStored(name string)
+	Emit(Event)
 }
 
 // NopSink discards all events; it is the default for benchmarks and tests.
 type NopSink struct{}
 
-func (NopSink) RunStart(RunKey)                       {}
-func (NopSink) RunDone(RunKey, float64, error)        {}
-func (NopSink) RunCached(RunKey)                      {}
-func (NopSink) ExperimentStart(string, string)        {}
-func (NopSink) ExperimentDone(string, float64, error) {}
+func (NopSink) Emit(Event) {}
 
 // WriterSink streams human-readable progress lines to w. cmd/lvmbench
 // points it at stderr so that stdout — the tables — stays byte-identical
@@ -85,77 +86,57 @@ type WriterSink struct {
 // NewWriterSink creates a sink writing progress lines to w.
 func NewWriterSink(w io.Writer) *WriterSink { return &WriterSink{w: w} }
 
-func (s *WriterSink) printf(format string, args ...any) {
+// Emit writes e's line; an unknown kind writes nothing.
+func (s *WriterSink) Emit(e Event) {
+	var line string
+	switch e.Kind {
+	case RunStart:
+		line = fmt.Sprintf("  running %s...", e.Key)
+	case RunDone:
+		if e.Err != nil {
+			line = fmt.Sprintf("  FAILED  %s after %.1fs: %v", e.Key, e.Seconds, e.Err)
+		} else {
+			line = fmt.Sprintf("  done    %s in %.1fs", e.Key, e.Seconds)
+		}
+	case RunCached:
+		line = fmt.Sprintf("  cached  %s", e.Key)
+	case RunHostMem:
+		line = fmt.Sprintf("  mem     %s: %.1f MiB allocated, %.1f MiB heap in use",
+			e.Key, float64(e.Mem.AllocBytes)/(1<<20), float64(e.Mem.HeapInuseBytes)/(1<<20))
+	case ExperimentStart:
+		line = fmt.Sprintf("== %s: %s", e.Experiment, e.Title)
+	case ExperimentDone:
+		if e.Err != nil {
+			line = fmt.Sprintf("== %s FAILED after %.1fs: %v", e.Experiment, e.Seconds, e.Err)
+		} else {
+			line = fmt.Sprintf("== %s computed in %.1fs", e.Experiment, e.Seconds)
+		}
+	case ArtifactCached:
+		line = fmt.Sprintf("  cached  artifact %s", e.Artifact)
+	case ArtifactStored:
+		line = fmt.Sprintf("  stored  artifact %s", e.Artifact)
+	case WorkerConnected:
+		line = fmt.Sprintf("  worker  %s joined (%s, capacity %d)", e.Worker, e.Remote, e.Capacity)
+	case WorkerGone:
+		if e.Err != nil {
+			line = fmt.Sprintf("  worker  %s left: %v", e.Worker, e.Err)
+		} else {
+			line = fmt.Sprintf("  worker  %s done", e.Worker)
+		}
+	case RunAssigned:
+		if e.Steal {
+			line = fmt.Sprintf("  steal   %s -> %s", e.Key, e.Worker)
+		} else {
+			line = fmt.Sprintf("  assign  %s -> %s", e.Key, e.Worker)
+		}
+	case RunRetry:
+		line = fmt.Sprintf("  retry   %s (attempt %d/%d): %s", e.Key, e.Attempt, e.MaxAttempts, e.Reason)
+	case RunDuplicate:
+		line = fmt.Sprintf("  dup     %s from %s (discarded)", e.Key, e.Worker)
+	default:
+		return
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	fmt.Fprintf(s.w, format+"\n", args...)
-}
-
-func (s *WriterSink) RunStart(key RunKey) {
-	s.printf("  running %s...", key)
-}
-
-func (s *WriterSink) RunDone(key RunKey, sec float64, err error) {
-	if err != nil {
-		s.printf("  FAILED  %s after %.1fs: %v", key, sec, err)
-		return
-	}
-	s.printf("  done    %s in %.1fs", key, sec)
-}
-
-func (s *WriterSink) RunCached(key RunKey) {
-	s.printf("  cached  %s", key)
-}
-
-func (s *WriterSink) RunHostMem(key RunKey, m sched.MemSample) {
-	s.printf("  mem     %s: %.1f MiB allocated, %.1f MiB heap in use",
-		key, float64(m.AllocBytes)/(1<<20), float64(m.HeapInuseBytes)/(1<<20))
-}
-
-func (s *WriterSink) WorkerConnected(worker, remote string, capacity int) {
-	s.printf("  worker  %s joined (%s, capacity %d)", worker, remote, capacity)
-}
-
-func (s *WriterSink) WorkerGone(worker string, err error) {
-	if err != nil {
-		s.printf("  worker  %s left: %v", worker, err)
-		return
-	}
-	s.printf("  worker  %s done", worker)
-}
-
-func (s *WriterSink) RunAssigned(key RunKey, worker string, steal bool) {
-	if steal {
-		s.printf("  steal   %s -> %s", key, worker)
-		return
-	}
-	s.printf("  assign  %s -> %s", key, worker)
-}
-
-func (s *WriterSink) RunRetry(key RunKey, attempt, max int, reason string) {
-	s.printf("  retry   %s (attempt %d/%d): %s", key, attempt, max, reason)
-}
-
-func (s *WriterSink) RunDuplicate(key RunKey, worker string) {
-	s.printf("  dup     %s from %s (discarded)", key, worker)
-}
-
-func (s *WriterSink) ArtifactCached(name string) {
-	s.printf("  cached  artifact %s", name)
-}
-
-func (s *WriterSink) ArtifactStored(name string) {
-	s.printf("  stored  artifact %s", name)
-}
-
-func (s *WriterSink) ExperimentStart(key, title string) {
-	s.printf("== %s: %s", key, title)
-}
-
-func (s *WriterSink) ExperimentDone(key string, sec float64, err error) {
-	if err != nil {
-		s.printf("== %s FAILED after %.1fs: %v", key, sec, err)
-		return
-	}
-	s.printf("== %s computed in %.1fs", key, sec)
+	fmt.Fprintln(s.w, line)
 }

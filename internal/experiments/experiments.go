@@ -249,8 +249,7 @@ func (r *Runner) BuildWorkloads(names []string, workers int) error {
 }
 
 // Sink returns the installed progress event sink (never nil). The
-// orchestrator reports coordinator-side events through it, extended ones
-// via the optional OrchSink interface.
+// orchestrator reports its coordinator-side events through it.
 func (r *Runner) Sink() Sink { return r.sink }
 
 // InstallRun stores a completed output under its key, exactly as if the
@@ -282,6 +281,26 @@ func (r *Runner) installRun(key RunKey, out *RunOutput) {
 	r.mu.Lock()
 	r.runs[key] = out
 	r.mu.Unlock()
+}
+
+// RestoreRun reports whether key's output is in the runner, first
+// installing it from c (nil for none) when the run cache holds it; a
+// restore emits RunCached. ExecuteRuns and the orchestrator both skip the
+// runs it reports done.
+func (r *Runner) RestoreRun(key RunKey, c *RunCache) (bool, error) {
+	if _, ok := r.lookupRun(key); ok {
+		return true, nil
+	}
+	if c == nil {
+		return false, nil
+	}
+	out, hit, err := c.Load(key)
+	if err != nil || !hit {
+		return false, err
+	}
+	r.installRun(key, out)
+	r.sink.Emit(Event{Kind: RunCached, Key: key})
+	return true, nil
 }
 
 // lookupRun returns the cached output for key, if present.
@@ -366,12 +385,12 @@ func (r *Runner) execute(key RunKey) (*RunOutput, error) {
 	if err != nil {
 		return nil, fmt.Errorf("run %s: %w", key, err)
 	}
-	r.sink.RunStart(key)
+	r.sink.Emit(Event{Kind: RunStart, Key: key})
 	sw := wallclock.Start()
 	sys, p, cpu, err := r.Cfg.NewRunMachine(w, key.Scheme, key.THP)
 	if err != nil {
 		err = fmt.Errorf("run %s: launch: %w", key, err)
-		r.sink.RunDone(key, sw.Seconds(), err)
+		r.sink.Emit(Event{Kind: RunDone, Key: key, Seconds: sw.Seconds(), Err: err})
 		return nil, err
 	}
 	var res sim.Result
@@ -404,7 +423,7 @@ func (r *Runner) execute(key RunKey) (*RunOutput, error) {
 		out.PWCPDEMissRate = pde.MissRate()
 	}
 	out.HostSeconds = sw.Seconds()
-	r.sink.RunDone(key, out.HostSeconds, nil)
+	r.sink.Emit(Event{Kind: RunDone, Key: key, Seconds: out.HostSeconds})
 	// Simulated memories are large; let the GC reclaim between runs.
 	runtime.GC()
 	return out, nil

@@ -66,7 +66,6 @@ type coordinator struct {
 	opt  Options
 	fp   string
 	sink experiments.Sink
-	os   experiments.OrchSink
 
 	mu       sync.Mutex
 	cond     *sync.Cond  // signals finished; uses mu
@@ -111,26 +110,16 @@ func Serve(ln net.Listener, r *experiments.Runner, p experiments.Plan, opt Optio
 	c := &coordinator{
 		r: r, opt: opt, fp: fp,
 		sink:  r.Sink(),
-		os:    orchSinkOf(r.Sink()),
 		byKey: make(map[experiments.RunKey]*runState, len(p.Runs)),
 	}
 	c.cond = sync.NewCond(&c.mu)
 	for i, key := range p.Runs {
-		st := &runState{key: key, cost: costs[i]}
-		if _, ok := r.LookupRun(key); ok {
-			st.done = true
-		} else if opt.Cache != nil {
-			out, hit, err := opt.Cache.Load(key)
-			if err != nil {
-				return fmt.Errorf("orch: %w", err)
-			}
-			if hit {
-				r.InstallRun(key, out)
-				c.sink.RunCached(key)
-				st.done = true
-			}
+		done, err := r.RestoreRun(key, opt.Cache)
+		if err != nil {
+			return fmt.Errorf("orch: %w", err)
 		}
-		if !st.done {
+		st := &runState{key: key, cost: costs[i], done: done}
+		if !done {
 			c.remaining++
 		}
 		c.states = append(c.states, st)
@@ -194,7 +183,8 @@ func (c *coordinator) handle(conn net.Conn) {
 		return
 	}
 	wc := c.newWorkerConn(hello, w, conn)
-	c.os.WorkerConnected(wc.name, wc.remote, wc.capacity)
+	c.sink.Emit(experiments.Event{Kind: experiments.WorkerConnected,
+		Worker: wc.name, Remote: wc.remote, Capacity: wc.capacity})
 	// Welcome before joining, so Serve's shutdown never overtakes it.
 	if err := w.Send(message{Type: msgWelcome, Worker: wc.name}); err != nil {
 		c.unregister(wc, err)
@@ -294,7 +284,7 @@ func (c *coordinator) unregister(wc *workerConn, cause error) {
 	if clean {
 		cause = nil // expected teardown after a completed sweep
 	}
-	c.os.WorkerGone(wc.name, cause)
+	c.sink.Emit(experiments.Event{Kind: experiments.WorkerGone, Worker: wc.name, Err: cause})
 }
 
 // dispatch hands out runs until no worker has both free capacity and an
@@ -330,7 +320,7 @@ func (c *coordinator) dispatch() {
 	}
 	c.mu.Unlock()
 	for _, s := range sends {
-		c.os.RunAssigned(s.key, s.wc.name, s.steal)
+		c.sink.Emit(experiments.Event{Kind: experiments.RunAssigned, Key: s.key, Worker: s.wc.name, Steal: s.steal})
 		key := s.key
 		s.wc.w.Send(message{Type: msgAssign, Key: &key})
 	}
@@ -413,14 +403,14 @@ func (c *coordinator) onResult(wc *workerConn, m message) {
 	wc.used -= min(st.cost, wc.budget)
 	if st.done {
 		c.mu.Unlock()
-		c.os.RunDuplicate(key, wc.name)
+		c.sink.Emit(experiments.Event{Kind: experiments.RunDuplicate, Key: key, Worker: wc.name})
 		c.dispatch()
 		return
 	}
 	if runErr != nil {
 		c.failLocked(st, wc.name, runErr, false)
 		c.mu.Unlock()
-		c.sink.RunDone(key, m.HostSeconds, runErr)
+		c.sink.Emit(experiments.Event{Kind: experiments.RunDone, Key: key, Seconds: m.HostSeconds, Err: runErr})
 		c.dispatch()
 		return
 	}
@@ -432,7 +422,7 @@ func (c *coordinator) onResult(wc *workerConn, m message) {
 
 	out.HostSeconds = m.HostSeconds
 	c.r.InstallRun(key, out)
-	c.sink.RunDone(key, m.HostSeconds, nil)
+	c.sink.Emit(experiments.Event{Kind: experiments.RunDone, Key: key, Seconds: m.HostSeconds})
 	if c.opt.Cache != nil {
 		if err := c.opt.Cache.Store(key, out); err != nil {
 			c.finish(fmt.Errorf("orch: %w", err))
@@ -459,7 +449,8 @@ func (c *coordinator) failLocked(st *runState, worker string, cause error, crash
 		}
 		return
 	}
-	c.os.RunRetry(st.key, st.attempts, c.opt.MaxAttempts, cause.Error())
+	c.sink.Emit(experiments.Event{Kind: experiments.RunRetry, Key: st.key,
+		Attempt: st.attempts, MaxAttempts: c.opt.MaxAttempts, Reason: cause.Error()})
 	if crashed {
 		return // immediately redispatchable
 	}

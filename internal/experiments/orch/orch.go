@@ -62,19 +62,3 @@ type message struct {
 	HostSeconds float64             `json:"host_seconds,omitempty"`
 	Error       string              `json:"error,omitempty"`
 }
-
-// orchSinkOf returns s's OrchSink extension, or a no-op fallback.
-func orchSinkOf(s experiments.Sink) experiments.OrchSink {
-	if os, ok := s.(experiments.OrchSink); ok {
-		return os
-	}
-	return nopOrchSink{}
-}
-
-type nopOrchSink struct{}
-
-func (nopOrchSink) WorkerConnected(string, string, int)           {}
-func (nopOrchSink) WorkerGone(string, error)                      {}
-func (nopOrchSink) RunAssigned(experiments.RunKey, string, bool)  {}
-func (nopOrchSink) RunRetry(experiments.RunKey, int, int, string) {}
-func (nopOrchSink) RunDuplicate(experiments.RunKey, string)       {}

@@ -48,8 +48,7 @@ func fakeOut(key experiments.RunKey, cycles float64) *experiments.RunOutput {
 	}
 }
 
-// recorder implements Sink + OrchSink and records every event for
-// assertions; waitFor polls a predicate under the lock.
+// recorder records every event for assertions; waitFor polls a predicate under the lock.
 type recorder struct {
 	mu         sync.Mutex
 	started    []experiments.RunKey
@@ -64,54 +63,33 @@ type recorder struct {
 	goneErrs   []error
 }
 
-func (s *recorder) RunStart(k experiments.RunKey) {
+func (s *recorder) Emit(e experiments.Event) {
 	s.mu.Lock()
-	s.started = append(s.started, k)
-	s.mu.Unlock()
-}
-func (s *recorder) RunCached(k experiments.RunKey) {
-	s.mu.Lock()
-	s.cached = append(s.cached, k)
-	s.mu.Unlock()
-}
-func (s *recorder) RunDone(k experiments.RunKey, _ float64, err error) {
-	s.mu.Lock()
-	s.done = append(s.done, k)
-	s.doneErrs = append(s.doneErrs, err)
-	s.mu.Unlock()
-}
-func (s *recorder) ExperimentStart(string, string)        {}
-func (s *recorder) ExperimentDone(string, float64, error) {}
-
-func (s *recorder) WorkerConnected(worker, _ string, _ int) {
-	s.mu.Lock()
-	s.joined = append(s.joined, worker)
-	s.mu.Unlock()
-}
-func (s *recorder) WorkerGone(worker string, err error) {
-	s.mu.Lock()
-	s.gone = append(s.gone, worker)
-	s.goneErrs = append(s.goneErrs, err)
-	s.mu.Unlock()
-}
-func (s *recorder) RunAssigned(k experiments.RunKey, worker string, steal bool) {
-	tag := k.String() + "@" + worker
-	if steal {
-		tag += "!"
+	defer s.mu.Unlock()
+	switch e.Kind {
+	case experiments.RunStart:
+		s.started = append(s.started, e.Key)
+	case experiments.RunCached:
+		s.cached = append(s.cached, e.Key)
+	case experiments.RunDone:
+		s.done = append(s.done, e.Key)
+		s.doneErrs = append(s.doneErrs, e.Err)
+	case experiments.WorkerConnected:
+		s.joined = append(s.joined, e.Worker)
+	case experiments.WorkerGone:
+		s.gone = append(s.gone, e.Worker)
+		s.goneErrs = append(s.goneErrs, e.Err)
+	case experiments.RunAssigned:
+		tag := e.Key.String() + "@" + e.Worker
+		if e.Steal {
+			tag += "!"
+		}
+		s.assigns = append(s.assigns, tag)
+	case experiments.RunRetry:
+		s.retries = append(s.retries, e.Key.String())
+	case experiments.RunDuplicate:
+		s.duplicates = append(s.duplicates, e.Key)
 	}
-	s.mu.Lock()
-	s.assigns = append(s.assigns, tag)
-	s.mu.Unlock()
-}
-func (s *recorder) RunRetry(k experiments.RunKey, attempt, maxAttempts int, _ string) {
-	s.mu.Lock()
-	s.retries = append(s.retries, k.String())
-	s.mu.Unlock()
-}
-func (s *recorder) RunDuplicate(k experiments.RunKey, _ string) {
-	s.mu.Lock()
-	s.duplicates = append(s.duplicates, k)
-	s.mu.Unlock()
 }
 
 // waitFor polls pred until it holds, failing the test after ~10s.

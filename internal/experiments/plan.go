@@ -99,21 +99,13 @@ func (r *Runner) ExecuteRuns(p Plan, opt ExecOptions) error {
 	// remains is the pending set that actually simulates.
 	var pending []int
 	for _, i := range selected {
-		if _, done := r.lookupRun(p.Runs[i]); done {
-			continue
+		done, err := r.RestoreRun(p.Runs[i], opt.Cache)
+		if err != nil {
+			return fmt.Errorf("experiments: %w", err)
 		}
-		if opt.Cache != nil {
-			out, hit, err := opt.Cache.Load(p.Runs[i])
-			if err != nil {
-				return fmt.Errorf("experiments: %w", err)
-			}
-			if hit {
-				r.installRun(p.Runs[i], out)
-				r.sink.RunCached(p.Runs[i])
-				continue
-			}
+		if !done {
+			pending = append(pending, i)
 		}
-		pending = append(pending, i)
 	}
 	if len(pending) == 0 {
 		return nil
@@ -148,11 +140,9 @@ func (r *Runner) ExecuteRuns(p Plan, opt ExecOptions) error {
 		// as the sweep progresses; admission-only, so results and ordering
 		// stay byte-identical.
 		CostModel: sched.NewCostModel(),
-	}
-	if ms, ok := r.sink.(MemSink); ok {
-		schedOpt.ObserveMem = func(ti int, s sched.MemSample) {
-			ms.RunHostMem(p.Runs[pending[ti]], s)
-		}
+		ObserveMem: func(ti int, s sched.MemSample) {
+			r.sink.Emit(Event{Kind: RunHostMem, Key: p.Runs[pending[ti]], Mem: s})
+		},
 	}
 	outs, err := sched.Run(tasks, schedOpt, r.execute)
 	if err != nil {
@@ -196,10 +186,10 @@ func (r *Runner) ExecutePlan(p Plan, opt ExecOptions) ([]Result, error) {
 
 	results := make([]Result, 0, len(p.Experiments))
 	for _, e := range p.Experiments {
-		r.sink.ExperimentStart(e.Key, e.Title)
+		r.sink.Emit(Event{Kind: ExperimentStart, Experiment: e.Key, Title: e.Title})
 		sw := wallclock.Start()
 		res, err := e.Compute(r)
-		r.sink.ExperimentDone(e.Key, sw.Seconds(), err)
+		r.sink.Emit(Event{Kind: ExperimentDone, Experiment: e.Key, Seconds: sw.Seconds(), Err: err})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", e.Key, err)
 		}

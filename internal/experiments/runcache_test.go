@@ -278,19 +278,16 @@ type countingSink struct {
 	cached  []RunKey
 }
 
-func (s *countingSink) RunStart(k RunKey) {
+func (s *countingSink) Emit(e Event) {
 	s.mu.Lock()
-	s.started = append(s.started, k)
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	switch e.Kind {
+	case RunStart:
+		s.started = append(s.started, e.Key)
+	case RunCached:
+		s.cached = append(s.cached, e.Key)
+	}
 }
-func (s *countingSink) RunCached(k RunKey) {
-	s.mu.Lock()
-	s.cached = append(s.cached, k)
-	s.mu.Unlock()
-}
-func (s *countingSink) RunDone(RunKey, float64, error)        {}
-func (s *countingSink) ExperimentStart(string, string)        {}
-func (s *countingSink) ExperimentDone(string, float64, error) {}
 
 // The cache acceptance test: a cold sweep simulates everything and fills
 // the cache; a warm sweep over a fresh runner simulates nothing, reports

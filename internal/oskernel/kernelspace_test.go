@@ -99,8 +99,6 @@ func TestOneGigabytePages(t *testing.T) {
 	}
 	// Insert a 1 GB translation manually (aligned VPN, synthetic PPN).
 	base := addr.AlignDown(addr.VPN(0x40000000>>addr.PageShift)+addr.VPN(addr.VPNsPer1G), addr.Page1G)
-	normBase := p.Norm.Normalize(base)
-	_ = normBase
 	ix := p.LVMIndex()
 	if err := ix.Insert(coreMapping1G(base)); err != nil {
 		t.Fatalf("1GB insert: %v", err)

@@ -159,6 +159,87 @@ func TestMapPage1GTakesWholeFrame(t *testing.T) {
 	}
 }
 
+// TestMapPageRefusedByTableTakesNothing maps a 1 GB page on ECPT, which
+// models 4 KB and 2 MB ways only: the table refuses it, and the refusal
+// must hand the frame back and forget the page, so that a 4 KB map at the
+// same VPN succeeds and Kill returns every page.
+func TestMapPageRefusedByTableTakesNothing(t *testing.T) {
+	mem := phys.New(2 << 30)
+	before := mem.FreePages()
+	sys := NewSystem(mem, SchemeECPT)
+	heap := vas.Region{Kind: vas.Heap, Base: 0x1000, Span: 16}
+	for i := 0; i < heap.Span; i++ {
+		heap.Mapped = append(heap.Mapped, heap.Base+addr.VPN(i))
+	}
+	if _, err := sys.Launch(1, &vas.AddressSpace{Regions: []vas.Region{heap}}, false); err != nil {
+		t.Fatal(err)
+	}
+	v := addr.VPN(addr.Page1G.BaseVPNs())
+	launched := mem.FreePages()
+	if err := sys.MapPage(1, v, addr.Page1G); err == nil {
+		t.Fatal("ECPT accepted a 1 GB page")
+	}
+	if got := mem.FreePages(); got != launched {
+		t.Errorf("refused 1 GB map kept %d pages", launched-got)
+	}
+	if e, ok := sys.SoftwareLookup(1, v); ok {
+		t.Errorf("refused 1 GB page translates: %v", e)
+	}
+	if err := sys.MapPage(1, v, addr.Page4K); err != nil {
+		t.Errorf("4 KB map where the 1 GB map was refused: %v", err)
+	}
+	if err := sys.Kill(1); err != nil {
+		t.Fatal(err)
+	}
+	if got := mem.FreePages(); got != before {
+		t.Errorf("leaked %d pages (free %d -> %d)", before-got, before, got)
+	}
+}
+
+// TestLVMRefusesUntranslatable1GPage maps a 1 GB-aligned VPN inside a VMA
+// on LVM. The normalizer keeps region bases only 2 MB-aligned, so the
+// page's normalized key is not 1 GB-aligned and the index's walk, which
+// probes the aligned base, could never find it: the index must refuse the
+// insert, and MapPage must return the error without keeping a frame.
+func TestLVMRefusesUntranslatable1GPage(t *testing.T) {
+	mem := phys.New(2 << 30)
+	before := mem.FreePages()
+	sys := NewSystem(mem, SchemeLVM)
+	v := addr.VPN(addr.Page1G.BaseVPNs())
+	// The VMA starts 16 mapped pages below v and extends over the whole
+	// 1 GB page above it.
+	heap := vas.Region{Kind: vas.Heap, Base: v - 16, Span: 16 + 1<<18}
+	for i := 0; i < 16; i++ {
+		heap.Mapped = append(heap.Mapped, heap.Base+addr.VPN(i))
+	}
+	p, err := sys.Launch(1, &vas.AddressSpace{Regions: []vas.Region{heap}}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k := p.Norm.Normalize(v); addr.Aligned(k, addr.Page1G) {
+		t.Fatalf("normalized key %#x is 1 GB-aligned; the test needs one that is not", uint64(k))
+	}
+	launched := mem.FreePages()
+	if err := sys.MapPage(1, v, addr.Page1G); err == nil {
+		t.Fatal("LVM accepted a 1 GB page it cannot translate")
+	}
+	if got := mem.FreePages(); got != launched {
+		t.Errorf("refused 1 GB map kept %d pages", launched-got)
+	}
+	if e, ok := sys.SoftwareLookup(1, v+12345); ok {
+		t.Errorf("refused 1 GB page translates: %v", e)
+	}
+	if err := sys.MapPage(1, v, addr.Page4K); err != nil {
+		t.Errorf("4 KB map where the 1 GB map was refused: %v", err)
+	}
+	if err := sys.Kill(1); err != nil {
+		t.Fatal(err)
+	}
+	if got := mem.FreePages(); got != before {
+		t.Errorf("leaked %d pages (free %d -> %d)", before-got, before, got)
+	}
+}
+
 // TestUnmapInteriorFreesHugeFrame unmaps a 2 MB page through a VPN inside
 // it, on every scheme under THP: the page's whole order-9 frame must come
 // back, MapPage must refuse an unaligned or already-covered VPN without

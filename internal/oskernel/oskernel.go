@@ -272,7 +272,13 @@ func (s *System) MapPage(asid uint16, v addr.VPN, size addr.PageSize) error {
 		return err
 	}
 	pages[v] = dataPage{base, order}
-	return p.pt.Map(v, pte.New(base, size))
+	if err := p.pt.Map(v, pte.New(base, size)); err != nil {
+		// The table refused the page: give its frame back.
+		delete(pages, v)
+		s.Mem.Free(base, order)
+		return err
+	}
+	return nil
 }
 
 // UnmapPage frees the page that covers v, which may be a huge page's
