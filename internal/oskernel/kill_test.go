@@ -200,7 +200,8 @@ func TestMapPageRefusedByTableTakesNothing(t *testing.T) {
 // on LVM. The normalizer keeps region bases only 2 MB-aligned, so the
 // page's normalized key is not 1 GB-aligned and the index's walk, which
 // probes the aligned base, could never find it: the index must refuse the
-// insert, and MapPage must return the error without keeping a frame.
+// insert, and MapPage must return the error without keeping a frame or
+// charging the insert's management cycles.
 func TestLVMRefusesUntranslatable1GPage(t *testing.T) {
 	mem := phys.New(2 << 30)
 	before := mem.FreePages()
@@ -219,12 +220,15 @@ func TestLVMRefusesUntranslatable1GPage(t *testing.T) {
 	if k := p.Norm.Normalize(v); addr.Aligned(k, addr.Page1G) {
 		t.Fatalf("normalized key %#x is 1 GB-aligned; the test needs one that is not", uint64(k))
 	}
-	launched := mem.FreePages()
+	launched, cycles := mem.FreePages(), p.MgmtCycles
 	if err := sys.MapPage(1, v, addr.Page1G); err == nil {
 		t.Fatal("LVM accepted a 1 GB page it cannot translate")
 	}
 	if got := mem.FreePages(); got != launched {
 		t.Errorf("refused 1 GB map kept %d pages", launched-got)
+	}
+	if p.MgmtCycles != cycles {
+		t.Errorf("refused 1 GB map charged management cycles: %d -> %d", cycles, p.MgmtCycles)
 	}
 	if e, ok := sys.SoftwareLookup(1, v+12345); ok {
 		t.Errorf("refused 1 GB page translates: %v", e)

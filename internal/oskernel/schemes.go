@@ -176,7 +176,9 @@ func (t *lvmTable) Map(v addr.VPN, e pte.Entry) error {
 	before := ix.Stats()
 	err := ix.Insert(core.Mapping{VPN: p.Norm.Normalize(v), Entry: e})
 	after := ix.Stats()
-	p.MgmtCycles += insertCycles
+	if err == nil {
+		p.MgmtCycles += insertCycles
+	}
 	if after.Retrains > before.Retrains {
 		p.MgmtCycles += uint64(ix.MappedPages()) * perKeyRetrainCycles / uint64(ix.LeafCount())
 	}

@@ -152,7 +152,7 @@ func SpeedupNames() []string {
 }
 
 // graphCache shares one Kronecker graph across the six graph kernels.
-var graphCache sync.Map // key: [2]int{scale, degree} -> *Graph
+var graphCache sync.Map // key: [3]int64{scale, degree, seed} -> *Graph
 
 func sharedGraph(p Params) *Graph {
 	key := [3]int64{int64(p.GraphScale), int64(p.GraphDegree), p.Seed}

@@ -1,7 +1,12 @@
 package workload
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"lvm/internal/addr"
@@ -57,6 +62,137 @@ func TestKroneckerDeterministic(t *testing.T) {
 		if a.Targets[i] != b.Targets[i] {
 			t.Fatal("same seed, different targets")
 		}
+	}
+}
+
+// kroneckerReference is the original sort-based generator: it draws every
+// edge into a slice and sorts the slice by (src, dst). Kronecker must build
+// the same CSR, byte for byte.
+func kroneckerReference(scale int, avgDegree int, seed int64) *Graph {
+	rng := rand.New(rand.NewSource(seed))
+	v := 1 << uint(scale)
+	e := v * avgDegree
+
+	type edge struct{ src, dst uint32 }
+	edges := make([]edge, 0, e)
+	const a, b, c = 0.57, 0.19, 0.19
+	for i := 0; i < e; i++ {
+		var src, dst uint32
+		for bit := scale - 1; bit >= 0; bit-- {
+			r := rng.Float64()
+			switch {
+			case r < a:
+				// top-left: neither bit set
+			case r < a+b:
+				dst |= 1 << uint(bit)
+			case r < a+b+c:
+				src |= 1 << uint(bit)
+			default:
+				src |= 1 << uint(bit)
+				dst |= 1 << uint(bit)
+			}
+		}
+		edges = append(edges, edge{src, dst})
+	}
+	sort.Slice(edges, func(i, j int) bool {
+		if edges[i].src != edges[j].src {
+			return edges[i].src < edges[j].src
+		}
+		return edges[i].dst < edges[j].dst
+	})
+
+	g := &Graph{
+		V:       v,
+		Offsets: make([]uint64, v+1),
+		Targets: make([]uint32, 0, len(edges)),
+	}
+	cur := uint32(0)
+	for _, ed := range edges {
+		for cur < ed.src {
+			cur++
+			g.Offsets[cur] = uint64(len(g.Targets))
+		}
+		g.Targets = append(g.Targets, ed.dst)
+	}
+	for cur < uint32(v) {
+		cur++
+		g.Offsets[cur] = uint64(len(g.Targets))
+	}
+	return g
+}
+
+func sameGraph(t *testing.T, scale, degree int, seed int64) {
+	t.Helper()
+	got, want := Kronecker(scale, degree, seed), kroneckerReference(scale, degree, seed)
+	if got.V != want.V || !slices.Equal(got.Offsets, want.Offsets) || !slices.Equal(got.Targets, want.Targets) {
+		t.Fatalf("Kronecker(%d, %d, %d) differs from the reference (V %d vs %d, E %d vs %d)",
+			scale, degree, seed, got.V, want.V, got.E(), want.E())
+	}
+}
+
+func TestKroneckerMatchesReference(t *testing.T) {
+	for scale := 0; scale <= 12; scale++ {
+		for _, degree := range []int{1, 4, 8, 16} {
+			for _, seed := range []int64{0, 1, 42, -7} {
+				sameGraph(t, scale, degree, seed)
+			}
+		}
+	}
+	// Scale 0 is one vertex whose every edge is a self-loop.
+	g := Kronecker(0, 5, 1)
+	if g.V != 1 || !slices.Equal(g.Offsets, []uint64{0, 5}) || !slices.Equal(g.Targets, make([]uint32, 5)) {
+		t.Errorf("scale 0: V=%d Offsets=%v Targets=%v", g.V, g.Offsets, g.Targets)
+	}
+}
+
+func FuzzKronecker(f *testing.F) {
+	f.Add(uint8(0), uint8(1), int64(0))
+	f.Add(uint8(8), uint8(4), int64(3))
+	f.Add(uint8(12), uint8(16), int64(42))
+	f.Fuzz(func(t *testing.T, scale, degree uint8, seed int64) {
+		sameGraph(t, int(scale%13), int(degree%17), seed)
+	})
+}
+
+// TestKroneckerGolden pins the graphs the benchmarks and the quick sweep
+// build: each digest is FNV-64a over Offsets (little-endian uint64s), then
+// over Targets (little-endian uint32s). The digests were computed with the
+// sort-based generator, so Kronecker and kroneckerReference cannot drift
+// together.
+func TestKroneckerGolden(t *testing.T) {
+	cases := []struct {
+		scale, degree int
+		seed          int64
+		want          [2]uint64 // Offsets, Targets
+	}{
+		{18, 8, 42, [2]uint64{0x9fd43d9c711c7677, 0xc626ca4fc94537cf}},
+		{18, 8, 43, [2]uint64{0x43d73320661ec249, 0x4fb856fc02d31cf6}},
+		{14, 8, 1, [2]uint64{0xa56673d03bf36b5f, 0xa9f874e5ce8da7d2}},
+	}
+	for _, c := range cases {
+		g := Kronecker(c.scale, c.degree, c.seed)
+		var b [8]byte
+		ho := fnv.New64a()
+		for _, o := range g.Offsets {
+			binary.LittleEndian.PutUint64(b[:], o)
+			ho.Write(b[:])
+		}
+		ht := fnv.New64a()
+		for _, d := range g.Targets {
+			binary.LittleEndian.PutUint32(b[:4], d)
+			ht.Write(b[:4])
+		}
+		if got := [2]uint64{ho.Sum64(), ht.Sum64()}; got != c.want {
+			t.Errorf("Kronecker(%d, %d, %d) digests %#x, want %#x", c.scale, c.degree, c.seed, got, c.want)
+		}
+	}
+}
+
+// BenchmarkKronecker builds the graph the benchmarks' graph workloads use.
+func BenchmarkKronecker(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Kronecker(18, 8, 42)
 	}
 }
 
