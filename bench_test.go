@@ -425,6 +425,19 @@ func BenchmarkBlake2Sum64(b *testing.B) {
 	_ = acc
 }
 
+// BenchmarkBlake2Sum64s measures one ECPT probe's hashing: the three cuckoo
+// ways' keys in one Sum64s call.
+func BenchmarkBlake2Sum64s(b *testing.B) {
+	var keys, sums [3]uint64
+	var acc uint64
+	for i := 0; i < b.N; i++ {
+		keys = [3]uint64{uint64(i), uint64(i) ^ 0x9e3779b97f4a7c15, uint64(i) ^ 0x3c6ef372fe94f82a}
+		blake2b.Sum64s(sums[:], keys[:])
+		acc ^= sums[0] ^ sums[1] ^ sums[2]
+	}
+	_ = acc
+}
+
 // --- Ablation sweeps (DESIGN.md §5) -----------------------------------------
 
 func ablationSpace(n int) []core.Mapping {

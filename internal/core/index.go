@@ -339,31 +339,3 @@ func (ix *Index) collectMappings() []Mapping {
 	}
 	return normalize(out)
 }
-
-// DumpTree renders the tree structure (up to maxPerLevel nodes per level)
-// for diagnostics.
-func (ix *Index) DumpTree(maxPerLevel int) string {
-	out := ""
-	for d, level := range ix.levels {
-		out += fmt.Sprintf("level %d: %d nodes\n", d+1, len(level))
-		for i, n := range level {
-			if i >= maxPerLevel {
-				out += "  ...\n"
-				break
-			}
-			if n.isLeaf() {
-				slots := -1
-				used := 0
-				if n.table != nil {
-					slots = n.table.Slots()
-					used = n.table.Used()
-				}
-				out += fmt.Sprintf("  [%d] leaf [%#x,%#x] slope=%.4f slots=%d used=%d disp=%d resid=%d\n",
-					n.offset, n.loKey, n.hiKey, n.slope.Float(), slots, used, n.maxDisp, n.residual)
-			} else {
-				out += fmt.Sprintf("  [%d] int  [%#x,%#x] kids=%d\n", n.offset, n.loKey, n.hiKey, len(n.children))
-			}
-		}
-	}
-	return out
-}

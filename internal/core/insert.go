@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"lvm/internal/addr"
 	"lvm/internal/fixed"
@@ -40,19 +39,6 @@ func (ix *Index) Insert(m Mapping) error {
 		ix.stats.Inserts++
 	}
 	return err
-}
-
-// InsertBatch adds many translations, sorted so edge extensions batch
-// naturally.
-func (ix *Index) InsertBatch(ms []Mapping) error {
-	sorted := append([]Mapping(nil), ms...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].VPN < sorted[j].VPN })
-	for _, m := range sorted {
-		if err := ix.Insert(m); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // insertWithin handles a key inside the current bounds: the model predicts

@@ -37,16 +37,16 @@ const DefaultInitialEntries = 16384
 // MaxLoadFactor triggers a resize when exceeded (the "elastic" part).
 const MaxLoadFactor = 0.85
 
+// rehashBatch is how many old slots a resize hashes per Sum64s call: the
+// way keys of up to 16 entries, four per call of the vector kernel.
+const rehashBatch = 16
+
 // way is one hash table of one cuckoo structure, physically contiguous.
 type way struct {
 	seed  uint64
 	base  addr.PPN
 	order int
 	slots []pte.Tagged
-}
-
-func (w *way) index(v addr.VPN) int {
-	return int(blake2b.Sum64(uint64(v)^w.seed) % uint64(len(w.slots)))
 }
 
 func (w *way) slotPA(i int) addr.PA {
@@ -89,6 +89,34 @@ func allocWay(mem *phys.Memory, slots int, seed uint64) (*way, error) {
 	return &way{seed: seed, base: base, order: order, slots: make([]pte.Tagged, n)}, nil
 }
 
+// indexes returns tag's slot in each way. It hashes all the ways' keys in
+// one blake2b.Sum64s call, which on a host with the vector kernel costs
+// about as much as hashing one.
+func (c *cuckoo) indexes(tag addr.VPN) [Ways]int {
+	var keys, sums [Ways]uint64
+	c.wayKeys(keys[:], tag)
+	blake2b.Sum64s(sums[:], keys[:])
+	return c.slotsOf(sums[:])
+}
+
+// wayKeys writes tag's hash key for each way into keys[:Ways].
+func (c *cuckoo) wayKeys(keys []uint64, tag addr.VPN) {
+	for j, w := range c.ways {
+		keys[j] = uint64(tag) ^ w.seed
+	}
+}
+
+// slotsOf turns the ways' hashes of one tag, sums[:Ways], into its slot in
+// each way. A way's slot count is a power of two (a buddy block of 8-byte
+// slots), so the mask is the hash modulo that count.
+func (c *cuckoo) slotsOf(sums []uint64) [Ways]int {
+	var idx [Ways]int
+	for j, w := range c.ways {
+		idx[j] = int(sums[j] & uint64(len(w.slots)-1))
+	}
+	return idx
+}
+
 func (c *cuckoo) capacity() int {
 	n := 0
 	for _, w := range c.ways {
@@ -101,9 +129,6 @@ func (c *cuckoo) loadFactor() float64 {
 	return float64(c.used) / float64(c.capacity())
 }
 
-// unhashed is a placement's way-index cache before any way has been hashed.
-var unhashed = [Ways]int{-1, -1, -1}
-
 // insert places a tagged entry, displacing existing entries cuckoo-style;
 // resizes and rehashes when a chain exceeds MaxKicks or the load factor is
 // too high.
@@ -114,16 +139,14 @@ func (c *cuckoo) insert(tag addr.VPN, e pte.Entry) error {
 		}
 	}
 	item := pte.Tagged{Tag: tag, Entry: e}
-	// Overwrite if present. The indices hashed here seed the first
-	// placement attempt, so a fresh insert hashes each way once.
-	var idx [Ways]int
+	// Overwrite if present. The same indices seed the first placement
+	// attempt.
+	idx := c.indexes(tag)
 	for j, w := range c.ways {
-		i := w.index(tag)
-		if w.slots[i].Valid() && w.slots[i].Tag == tag {
+		if i := idx[j]; w.slots[i].Valid() && w.slots[i].Tag == tag {
 			w.slots[i] = item
 			return nil
 		}
-		idx[j] = i
 	}
 	for attempt := 0; attempt < 4; attempt++ {
 		homeless, ok := c.tryPlace(item, idx)
@@ -137,36 +160,29 @@ func (c *cuckoo) insert(tag addr.VPN, e pte.Entry) error {
 		if err := c.resize(); err != nil {
 			return err
 		}
-		item, idx = homeless, unhashed
+		item, idx = homeless, c.indexes(homeless.Tag)
 	}
 	return fmt.Errorf("ecpt: insert failed after resize")
 }
 
-// tryPlace attempts cuckoo placement. idx caches item's index in each way,
-// -1 where that way is not hashed yet; each step hashes the missing ways
-// lazily in way order, so no way is hashed twice for one item. On failure
-// it returns the item left homeless at the end of the displacement chain
-// (which is generally NOT the item passed in — earlier links of the chain
-// have been placed).
+// tryPlace attempts cuckoo placement of item, whose index in each way is
+// idx. It takes the first empty way in way order; with every way occupied
+// it evicts from a random way and retries with the displaced item. On
+// failure it returns the item left homeless at the end of the displacement
+// chain (which is generally NOT the item passed in — earlier links of the
+// chain have been placed).
 func (c *cuckoo) tryPlace(item pte.Tagged, idx [Ways]int) (pte.Tagged, bool) {
 	for kick := 0; kick < MaxKicks; kick++ {
 		for j, w := range c.ways {
-			if idx[j] < 0 {
-				idx[j] = w.index(item.Tag)
-			}
 			if !w.slots[idx[j]].Valid() {
 				w.slots[idx[j]] = item
 				return pte.Tagged{}, true
 			}
 		}
-		// All ways occupied, so all are hashed: evict from a random way
-		// and retry with the displaced item, whose index in that way is
-		// the slot it was evicted from.
 		r := c.rng.Intn(Ways)
 		w, i := c.ways[r], idx[r]
 		item, w.slots[i] = w.slots[i], item
-		idx = unhashed
-		idx[r] = i
+		idx = c.indexes(item.Tag)
 	}
 	return item, false
 }
@@ -187,11 +203,25 @@ func (c *cuckoo) resize() error {
 		}
 		c.ways[i] = w
 	}
+	// Re-place the old entries in slot order. Their indexes depend only on
+	// their tags and the new way sizes, so each run of rehashBatch old
+	// slots is hashed in one Sum64s call before its entries are placed.
 	c.used = 0
+	var items [rehashBatch]pte.Tagged
+	var keys, sums [rehashBatch * Ways]uint64
 	for _, ow := range old {
-		for _, s := range ow.slots {
-			if s.Valid() {
-				if _, ok := c.tryPlace(s, unhashed); !ok {
+		for lo := 0; lo < len(ow.slots); lo += rehashBatch {
+			n := 0
+			for _, s := range ow.slots[lo:min(lo+rehashBatch, len(ow.slots))] {
+				if s.Valid() {
+					items[n] = s
+					c.wayKeys(keys[n*Ways:], s.Tag)
+					n++
+				}
+			}
+			blake2b.Sum64s(sums[:n*Ways], keys[:n*Ways])
+			for k, s := range items[:n] {
+				if _, ok := c.tryPlace(s, c.slotsOf(sums[k*Ways:])); !ok {
 					return fmt.Errorf("ecpt: rehash failed")
 				}
 				c.used++
@@ -204,11 +234,10 @@ func (c *cuckoo) resize() error {
 
 // lookup returns the entry and which way holds it.
 func (c *cuckoo) lookup(v addr.VPN) (pte.Entry, bool) {
-	tag := addr.AlignDown(v, c.size)
-	for _, w := range c.ways {
-		i := w.index(tag)
-		if w.slots[i].Matches(v) {
-			return w.slots[i].Entry, true
+	idx := c.indexes(addr.AlignDown(v, c.size))
+	for j, w := range c.ways {
+		if s := w.slots[idx[j]]; s.Matches(v) {
+			return s.Entry, true
 		}
 	}
 	return 0, false
@@ -217,9 +246,9 @@ func (c *cuckoo) lookup(v addr.VPN) (pte.Entry, bool) {
 // remove clears a translation.
 func (c *cuckoo) remove(v addr.VPN) bool {
 	tag := addr.AlignDown(v, c.size)
-	for _, w := range c.ways {
-		i := w.index(tag)
-		if w.slots[i].Valid() && w.slots[i].Tag == tag {
+	idx := c.indexes(tag)
+	for j, w := range c.ways {
+		if i := idx[j]; w.slots[i].Valid() && w.slots[i].Tag == tag {
 			w.slots[i] = pte.Tagged{}
 			c.used--
 			return true
@@ -231,8 +260,10 @@ func (c *cuckoo) remove(v addr.VPN) bool {
 // Table is one process's ECPT: one cuckoo structure per page size plus the
 // CWTs describing which sizes are present per region.
 type Table struct {
-	mem    *phys.Memory
-	tables map[addr.PageSize]*cuckoo
+	mem *phys.Memory
+	// tables holds the 4K and the 2M cuckoo structure, indexed by page
+	// size; ECPT has no 1GB table.
+	tables [addr.Page2M + 1]*cuckoo
 	// cwt maps a 2MB-region number (VPN>>9) to the set of page sizes
 	// present in that region; it is itself stored in memory at cwtBase.
 	cwt     map[uint64]uint8
@@ -245,15 +276,17 @@ func New(mem *phys.Memory, initialPerWay int) (*Table, error) {
 	if initialPerWay <= 0 {
 		initialPerWay = DefaultInitialEntries / Ways
 	}
-	t := &Table{mem: mem, tables: make(map[addr.PageSize]*cuckoo), cwt: make(map[uint64]uint8)}
+	t := &Table{mem: mem, cwt: make(map[uint64]uint8)}
 	fail := func(err error) (*Table, error) {
 		for _, c := range t.tables {
-			c.release()
+			if c != nil {
+				c.release()
+			}
 		}
 		return nil, err
 	}
-	for _, s := range []addr.PageSize{addr.Page4K, addr.Page2M} {
-		c, err := newCuckoo(mem, s, initialPerWay)
+	for s := range t.tables {
+		c, err := newCuckoo(mem, addr.PageSize(s), initialPerWay)
 		if err != nil {
 			return fail(err)
 		}
@@ -279,10 +312,10 @@ func (t *Table) cwtPA(region uint64) addr.PA {
 
 // Map installs a translation.
 func (t *Table) Map(v addr.VPN, e pte.Entry) error {
-	c := t.tables[e.Size()]
-	if c == nil {
+	if int(e.Size()) >= len(t.tables) {
 		return fmt.Errorf("ecpt: unsupported page size %s", e.Size())
 	}
+	c := t.tables[e.Size()]
 	tag := addr.AlignDown(v, e.Size())
 	if err := c.insert(tag, e); err != nil {
 		return err
@@ -295,8 +328,8 @@ func (t *Table) Map(v addr.VPN, e pte.Entry) error {
 
 // Unmap removes a translation from whichever size table holds it.
 func (t *Table) Unmap(v addr.VPN) bool {
-	for _, s := range []addr.PageSize{addr.Page4K, addr.Page2M} {
-		if t.tables[s].remove(addr.AlignDown(v, s)) {
+	for _, c := range t.tables {
+		if c.remove(v) {
 			return true
 		}
 	}
@@ -305,8 +338,8 @@ func (t *Table) Unmap(v addr.VPN) bool {
 
 // Lookup is the software walk.
 func (t *Table) Lookup(v addr.VPN) (pte.Entry, bool) {
-	for _, s := range [...]addr.PageSize{addr.Page4K, addr.Page2M} {
-		if e, ok := t.tables[s].lookup(v); ok {
+	for _, c := range t.tables {
+		if e, ok := c.lookup(v); ok {
 			return e, true
 		}
 	}
@@ -348,7 +381,7 @@ func (t *Table) Release() {
 	for _, c := range t.tables {
 		c.release()
 	}
-	t.tables = map[addr.PageSize]*cuckoo{}
+	clear(t.tables[:])
 	t.mem.Free(t.cwtBase, t.cwtOrdr)
 	t.cwt = map[uint64]uint8{}
 }
@@ -421,20 +454,19 @@ func (w *Walker) Walk(asid uint16, v addr.VPN) mmu.Outcome {
 	}
 
 	// All indicated page-size tables are probed as one parallel group,
-	// 4K before 2M and ways in order; an empty group is dropped. Each way
-	// is hashed once, for both the probe address and the tag match, and
-	// the first matching (size, way) wins.
+	// 4K before 2M and ways in order; an empty group is dropped. One
+	// indexes call per size gives both the probe addresses and the tag
+	// matches, and the first matching (size, way) wins.
 	b.Group()
 	var entry pte.Entry
 	found := false
-	for _, s := range [...]addr.PageSize{addr.Page4K, addr.Page2M} {
-		if mask&(1<<uint(s)) == 0 {
+	for _, c := range t.tables {
+		if mask&(1<<uint(c.size)) == 0 {
 			continue
 		}
-		c := t.tables[s]
-		tag := addr.AlignDown(v, c.size)
-		for _, wy := range c.ways {
-			i := wy.index(tag)
+		idx := c.indexes(addr.AlignDown(v, c.size))
+		for j, wy := range c.ways {
+			i := idx[j]
 			b.Add(wy.slotPA(i))
 			if !found && wy.slots[i].Matches(v) {
 				entry, found = wy.slots[i].Entry, true

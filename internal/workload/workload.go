@@ -44,11 +44,6 @@ type Workload struct {
 // FootprintBytes returns the mapped memory size.
 func (w *Workload) FootprintBytes() uint64 { return w.Space.FootprintBytes() }
 
-// Window returns the zero-copy access slice [lo, hi) — the translation
-// pipeline's batch view into the trace. The three-index form prevents an
-// append through the window from reaching the trace beyond hi.
-func (w *Workload) Window(lo, hi int) []Access { return w.Accesses[lo:hi:hi] }
-
 // arena bump-allocates data structures inside a fully mapped region.
 type arena struct {
 	base addr.VA
@@ -151,18 +146,32 @@ func SpeedupNames() []string {
 	return []string{"bfs", "pr", "cc", "dc", "dfs", "sssp", "gups", "mem$", "MUMr"}
 }
 
-// graphCache shares one Kronecker graph across the six graph kernels.
-var graphCache sync.Map // key: [3]int64{scale, degree, seed} -> *Graph
-
-func sharedGraph(p Params) *Graph {
-	key := [3]int64{int64(p.GraphScale), int64(p.GraphDegree), p.Seed}
-	if g, ok := graphCache.Load(key); ok {
-		return g.(*Graph)
-	}
-	g := Kronecker(p.GraphScale, p.GraphDegree, p.Seed)
-	actual, _ := graphCache.LoadOrStore(key, g)
-	return actual.(*Graph)
+// graphCache builds each Kronecker graph once and shares it: callers that
+// ask for the same (scale, degree, seed) at the same time wait for the one
+// build instead of each running their own.
+type graphCache struct {
+	m sync.Map // key: [3]int64{scale, degree, seed} -> *graphEntry
 }
+
+type graphEntry struct {
+	once sync.Once
+	g    *Graph
+}
+
+// get returns the graph for p's key, calling build for it only the first
+// time that key is asked for.
+func (c *graphCache) get(p Params, build func(scale, degree int, seed int64) *Graph) *Graph {
+	key := [3]int64{int64(p.GraphScale), int64(p.GraphDegree), p.Seed}
+	v, _ := c.m.LoadOrStore(key, new(graphEntry))
+	e := v.(*graphEntry)
+	e.once.Do(func() { e.g = build(p.GraphScale, p.GraphDegree, p.Seed) })
+	return e.g
+}
+
+// graphs shares one Kronecker graph across the six graph kernels.
+var graphs graphCache
+
+func sharedGraph(p Params) *Graph { return graphs.get(p, Kronecker) }
 
 // ErrUnknown reports a workload name Build does not recognize; callers can
 // test for it with errors.Is through any number of wrapping layers.

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"lvm/internal/addr"
@@ -193,6 +195,47 @@ func BenchmarkKronecker(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Kronecker(18, 8, 42)
+	}
+}
+
+// TestGraphCacheBuildsOnce asks a fresh cache for one key from many
+// goroutines at once: the build must run exactly once, it holds every caller
+// until all have started, and every caller must get the same *Graph. A
+// second key gets its own build.
+func TestGraphCacheBuildsOnce(t *testing.T) {
+	const callers = 8
+	var c graphCache
+	var builds atomic.Int32
+	var ready sync.WaitGroup
+	ready.Add(callers)
+	build := func(scale, degree int, seed int64) *Graph {
+		builds.Add(1)
+		ready.Wait()
+		return &Graph{V: 1 << scale}
+	}
+	p := Params{GraphScale: 3, GraphDegree: 2, Seed: 7}
+	got := make([]*Graph, callers)
+	var done sync.WaitGroup
+	done.Add(callers)
+	for i := range got {
+		go func() {
+			defer done.Done()
+			ready.Done()
+			got[i] = c.get(p, build)
+		}()
+	}
+	done.Wait()
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("%d concurrent callers ran %d builds, want 1", callers, n)
+	}
+	for i, g := range got {
+		if g == nil || g != got[0] {
+			t.Fatalf("caller %d got graph %p, caller 0 got %p", i, g, got[0])
+		}
+	}
+	p.Seed++
+	if g := c.get(p, build); g == got[0] || builds.Load() != 2 {
+		t.Errorf("a second key shared the first key's graph or skipped its build (%d builds)", builds.Load())
 	}
 }
 
