@@ -1,7 +1,7 @@
 // Command lvmd runs the translation-simulation daemon: it listens for
 // lvmd wire-protocol clients (cmd/lvmload, tests), serves each connection
 // one access-trace session on a per-tenant simulated machine, and streams
-// live metric windows back. See DESIGN.md §10 for the protocol and the
+// live metric windows back. See DESIGN.md §9 for the protocol and the
 // serving bit-identity contract.
 //
 // Usage:

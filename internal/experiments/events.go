@@ -20,19 +20,13 @@ const (
 	ExperimentDone                       // after it (Err on failure)
 	ArtifactCached                       // a compute-phase measurement loaded from the run cache
 	ArtifactStored                       // a compute-phase measurement persisted to it
-	WorkerConnected                      // an orchestrator worker passed the handshake
-	WorkerGone                           // a worker's connection ended (Err nil when clean)
-	RunAssigned                          // a run was dispatched to a worker
-	RunRetry                             // a failed run was queued for another attempt
-	RunDuplicate                         // a late copy of a finished run (a lost steal), discarded
 )
 
 // An Event is one progress report: Kind says what happened, and only the
 // fields that kind documents are set. Timings and memory samples are
-// host-side measurements (internal/wallclock, runtime.MemStats), and the
-// orchestrator's fields are scheduling detail: all of it is observational.
-// No simulated result ever depends on an event, and sinks should keep
-// events off any stream that is compared across runs.
+// host-side measurements (internal/wallclock, runtime.MemStats): all of it
+// is observational. No simulated result ever depends on an event, and
+// sinks should keep events off any stream that is compared across runs.
 type Event struct {
 	Kind EventKind
 	// Key is the run of every Run* event.
@@ -40,22 +34,11 @@ type Event struct {
 	// Experiment is the key of an Experiment* event; Title is set on
 	// ExperimentStart.
 	Experiment, Title string
-	// Worker names the orchestrator worker of a Worker* event, the one a
-	// run was assigned to, or the one a duplicate came from. Remote and
-	// Capacity are its address and advertised capacity on WorkerConnected.
-	Worker, Remote string
-	Capacity       int
-	// Steal marks a RunAssigned that duplicates a straggler's outstanding
-	// run.
-	Steal bool
-	// Attempt of MaxAttempts failed for Reason on RunRetry.
-	Attempt, MaxAttempts int
-	Reason               string
 	// Artifact names the measurement of an Artifact* event.
 	Artifact string
 	// Seconds is the host wall-clock time of a RunDone or ExperimentDone.
 	Seconds float64
-	// Err is the failure of a RunDone, ExperimentDone or WorkerGone.
+	// Err is the failure of a RunDone or ExperimentDone.
 	Err error
 	// Mem is RunHostMem's sample (see sched.MemSample for what the
 	// numbers mean).
@@ -63,8 +46,8 @@ type Event struct {
 }
 
 // A Sink receives progress events from the experiment pipeline. The runner
-// and the orchestrator call it from worker goroutines, so implementations
-// must be safe for concurrent use.
+// calls it from worker goroutines, so implementations must be safe for
+// concurrent use.
 type Sink interface {
 	Emit(Event)
 }
@@ -115,24 +98,6 @@ func (s *WriterSink) Emit(e Event) {
 		line = fmt.Sprintf("  cached  artifact %s", e.Artifact)
 	case ArtifactStored:
 		line = fmt.Sprintf("  stored  artifact %s", e.Artifact)
-	case WorkerConnected:
-		line = fmt.Sprintf("  worker  %s joined (%s, capacity %d)", e.Worker, e.Remote, e.Capacity)
-	case WorkerGone:
-		if e.Err != nil {
-			line = fmt.Sprintf("  worker  %s left: %v", e.Worker, e.Err)
-		} else {
-			line = fmt.Sprintf("  worker  %s done", e.Worker)
-		}
-	case RunAssigned:
-		if e.Steal {
-			line = fmt.Sprintf("  steal   %s -> %s", e.Key, e.Worker)
-		} else {
-			line = fmt.Sprintf("  assign  %s -> %s", e.Key, e.Worker)
-		}
-	case RunRetry:
-		line = fmt.Sprintf("  retry   %s (attempt %d/%d): %s", e.Key, e.Attempt, e.MaxAttempts, e.Reason)
-	case RunDuplicate:
-		line = fmt.Sprintf("  dup     %s from %s (discarded)", e.Key, e.Worker)
 	default:
 		return
 	}

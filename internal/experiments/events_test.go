@@ -10,9 +10,9 @@ import (
 )
 
 // writerSinkGolden is the exact text WriterSink renders for every progress
-// event, including the failure, steal and clean-shutdown variants. CI greps
-// these prefixes ('^  running ', '^  cached  ', '^  assign ', steal), so a
-// change here is a change to what the smoke steps assert.
+// event, including the failure variants. CI greps these prefixes
+// ('^  running ', '^  cached  '), so a change here is a change to what the
+// smoke steps assert.
 const writerSinkGolden = `== fig9: Figure 9 — walk latency
   running mem$/lvm thp=false...
   done    mem$/lvm thp=false in 1.5s
@@ -22,13 +22,6 @@ const writerSinkGolden = `== fig9: Figure 9 — walk latency
   cached  bfs/ecpt thp=false
   cached  artifact tail
   stored  artifact frag
-  worker  w1 joined (127.0.0.1:40000, capacity 4)
-  assign  mem$/lvm thp=false -> w1
-  steal   bfs/ecpt thp=false -> w2
-  retry   gups/radix thp=true warmup=50000 (attempt 1/3): worker w1 disconnected: EOF
-  dup     bfs/ecpt thp=false from w1 (discarded)
-  worker  w1 left: connection reset
-  worker  w2 done
 == fig9 computed in 12.3s
 == table2 FAILED after 0.1s: run gups/radix thp=true: launch: out of memory
 `
@@ -49,13 +42,6 @@ func driveEveryEvent(s *WriterSink) {
 		{Kind: RunCached, Key: hit},
 		{Kind: ArtifactCached, Artifact: "tail"},
 		{Kind: ArtifactStored, Artifact: "frag"},
-		{Kind: WorkerConnected, Worker: "w1", Remote: "127.0.0.1:40000", Capacity: 4},
-		{Kind: RunAssigned, Key: ok, Worker: "w1"},
-		{Kind: RunAssigned, Key: hit, Worker: "w2", Steal: true},
-		{Kind: RunRetry, Key: bad, Attempt: 1, MaxAttempts: 3, Reason: "worker w1 disconnected: EOF"},
-		{Kind: RunDuplicate, Key: hit, Worker: "w1"},
-		{Kind: WorkerGone, Worker: "w1", Err: errors.New("connection reset")},
-		{Kind: WorkerGone, Worker: "w2"},
 		{Kind: ExperimentDone, Experiment: "fig9", Seconds: 12.3},
 		{Kind: ExperimentDone, Experiment: "table2", Seconds: 0.1, Err: errors.New("run gups/radix thp=true: launch: out of memory")},
 		{}, // an unknown kind renders nothing

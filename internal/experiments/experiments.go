@@ -189,10 +189,33 @@ func (r *Runner) runBytes(w *workload.Workload) uint64 {
 
 // costFromFootprint is the shared footprint→physical-memory formula behind
 // both runBytes (built workloads) and EstimateCosts (estimated footprints);
-// keeping them one function is what makes shard assignment agree between
-// hosts that build a workload and hosts that only estimate it.
+// keeping them one function is what makes the costs lvmbench -list prints
+// equal the costs the scheduler charges.
 func (r *Runner) costFromFootprint(fp uint64) uint64 {
 	return r.Cfg.RunCostBytes(fp)
+}
+
+// EstimateCosts returns each plan run's CostBytes — the simulated physical
+// memory the scheduler will charge it — computed from the workload-footprint
+// estimator, so no workload is built. The estimates are exact (the
+// estimator reproduces the builders' sizing formulas), which is what lets
+// lvmbench -list print a plan's costs without building anything.
+func (r *Runner) EstimateCosts(p Plan) ([]uint64, error) {
+	costs := make([]uint64, len(p.Runs))
+	est := make(map[string]uint64)
+	for i, k := range p.Runs {
+		e, ok := est[k.Workload]
+		if !ok {
+			fp, err := workload.EstimateFootprintBytes(k.Workload, r.Cfg.Params)
+			if err != nil {
+				return nil, fmt.Errorf("experiments: estimating cost of %s: %w", k, err)
+			}
+			e = r.costFromFootprint(fp)
+			est[k.Workload] = e
+		}
+		costs[i] = e
+	}
+	return costs, nil
 }
 
 // RunCostBytes is the footprint→physical-memory sizing formula for one run:
@@ -248,34 +271,6 @@ func (r *Runner) BuildWorkloads(names []string, workers int) error {
 	return nil
 }
 
-// Sink returns the installed progress event sink (never nil). The
-// orchestrator reports its coordinator-side events through it.
-func (r *Runner) Sink() Sink { return r.sink }
-
-// InstallRun stores a completed output under its key, exactly as if the
-// runner had simulated it locally: the seam the sweep orchestrator uses to
-// feed remotely executed runs into the compute phase.
-func (r *Runner) InstallRun(key RunKey, out *RunOutput) { r.installRun(key, out) }
-
-// LookupRun returns the in-memory output for key, if present.
-func (r *Runner) LookupRun(key RunKey) (*RunOutput, bool) { return r.lookupRun(key) }
-
-// ExecuteKey simulates one run (reusing the in-memory output when the key
-// was already executed) and installs the result. It is the worker-side
-// execution entry point of the sweep orchestrator; errors come back
-// wrapped, naming the RunKey, exactly like the local execute path.
-func (r *Runner) ExecuteKey(key RunKey) (*RunOutput, error) {
-	if out, ok := r.lookupRun(key); ok {
-		return out, nil
-	}
-	out, err := r.execute(key)
-	if err != nil {
-		return nil, err
-	}
-	r.installRun(key, out)
-	return out, nil
-}
-
 // installRun stores a completed (or cache-restored) output under its key.
 func (r *Runner) installRun(key RunKey, out *RunOutput) {
 	r.mu.Lock()
@@ -283,11 +278,10 @@ func (r *Runner) installRun(key RunKey, out *RunOutput) {
 	r.mu.Unlock()
 }
 
-// RestoreRun reports whether key's output is in the runner, first
+// restoreRun reports whether key's output is in the runner, first
 // installing it from c (nil for none) when the run cache holds it; a
-// restore emits RunCached. ExecuteRuns and the orchestrator both skip the
-// runs it reports done.
-func (r *Runner) RestoreRun(key RunKey, c *RunCache) (bool, error) {
+// restore emits RunCached. ExecuteRuns skips the runs it reports done.
+func (r *Runner) restoreRun(key RunKey, c *RunCache) (bool, error) {
 	if _, ok := r.lookupRun(key); ok {
 		return true, nil
 	}

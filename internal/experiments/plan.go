@@ -52,54 +52,28 @@ type ExecOptions struct {
 	// MemBudgetBytes caps the summed simulated footprint of in-flight
 	// runs (0 means DefaultMemBudgetBytes; see sched.Options).
 	MemBudgetBytes uint64
-	// Shard, when Count > 1, restricts execution to the runs AssignShards
-	// gives shard Index. The compute phase needs the full matrix, so a
-	// shard only fills Cache through ExecuteRuns; copying the shards'
-	// caches together and running a warm sweep recombines them.
-	Shard ShardSpec
 	// Cache, when non-nil, is consulted before simulating (hits skip the
 	// simulation entirely) and updated with every newly computed run.
 	Cache *RunCache
 }
 
-// ExecuteRuns runs the pipeline's execute phase: select the runs this
-// host is responsible for (all of them, or one shard), skip the ones
-// already computed or restorable from the run cache, build the workloads
-// the remainder needs in parallel, execute them on the worker pool, and
-// merge the outputs into the runner in plan order. The runner's state
-// after ExecuteRuns is bit-for-bit independent of worker count and of the
+// ExecuteRuns runs the pipeline's execute phase: skip the runs already
+// computed or restorable from the run cache, build the workloads the
+// remainder needs in parallel, execute them on the worker pool, and merge
+// the outputs into the runner in plan order. The runner's state after
+// ExecuteRuns is bit-for-bit independent of worker count and of the
 // cold/warm split; only the Sink's progress stream reflects scheduling.
 func (r *Runner) ExecuteRuns(p Plan, opt ExecOptions) error {
 	if opt.MemBudgetBytes == 0 {
 		opt.MemBudgetBytes = DefaultMemBudgetBytes
 	}
 
-	selected := make([]int, 0, len(p.Runs))
-	if opt.Shard.enabled() {
-		if err := opt.Shard.validate(); err != nil {
-			return err
-		}
-		assign, err := r.AssignPlan(p, opt.Shard.Count)
-		if err != nil {
-			return err
-		}
-		for i := range p.Runs {
-			if assign[i] == opt.Shard.Index {
-				selected = append(selected, i)
-			}
-		}
-	} else {
-		for i := range p.Runs {
-			selected = append(selected, i)
-		}
-	}
-
-	// Drop runs already in memory (a warm runner, or outputs installed by
-	// the orchestrator), then runs restorable from the persistent cache. What
-	// remains is the pending set that actually simulates.
+	// Drop runs already in memory (a warm runner), then runs restorable
+	// from the persistent cache. What remains is the pending set that
+	// actually simulates.
 	var pending []int
-	for _, i := range selected {
-		done, err := r.RestoreRun(p.Runs[i], opt.Cache)
+	for i, k := range p.Runs {
+		done, err := r.restoreRun(k, opt.Cache)
 		if err != nil {
 			return fmt.Errorf("experiments: %w", err)
 		}
@@ -169,12 +143,8 @@ func (r *Runner) ExecuteRuns(p Plan, opt ExecOptions) error {
 // matrix (ExecuteRuns), then each experiment's compute phase sequentially.
 // The returned results — tables, summaries, and raw structs — are
 // bit-for-bit identical at any worker count and whether the runs were
-// simulated here, restored from a run cache, or installed by the
-// orchestrator.
+// simulated here or restored from a run cache.
 func (r *Runner) ExecutePlan(p Plan, opt ExecOptions) ([]Result, error) {
-	if opt.Shard.enabled() {
-		return nil, fmt.Errorf("experiments: ExecutePlan cannot compute tables from shard %s alone; fill a run cache per shard with ExecuteRuns, copy the caches together and run a warm sweep", opt.Shard)
-	}
 	if opt.Cache != nil {
 		// Let the compute phase's bespoke measurements persist their
 		// artifacts alongside the run outputs.

@@ -150,11 +150,11 @@ func TestRunUnknownWorkload(t *testing.T) {
 	}
 }
 
-// TestContendersPlanWithoutBuilding covers the -list / -shard path for the
-// contenders experiment: planning, cost estimation, and shard assignment
-// must handle the new schemes' runs without building a single workload —
-// costs are workload-keyed, so victima and revelator rows estimate exactly
-// like radix ones.
+// TestContendersPlanWithoutBuilding covers the -list path for the
+// contenders experiment: planning and cost estimation must handle the new
+// schemes' runs without building a single workload — costs are
+// workload-keyed, so victima and revelator rows estimate exactly like radix
+// ones.
 func TestContendersPlanWithoutBuilding(t *testing.T) {
 	cfg := tinyConfig()
 	exps, err := Select("contenders")
@@ -195,26 +195,35 @@ func TestContendersPlanWithoutBuilding(t *testing.T) {
 		perWL[k.Workload] = costs[i]
 	}
 
-	assign, err := r.AssignPlan(p, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	used := map[int]bool{}
-	for i, s := range assign {
-		if s < 0 || s >= 3 {
-			t.Fatalf("run %s assigned to shard %d", p.Runs[i], s)
-		}
-		used[s] = true
-	}
-	if len(used) != 3 {
-		t.Errorf("only %d of 3 shards used for %d runs", len(used), len(p.Runs))
-	}
-
 	r.mu.Lock()
 	built := len(r.wls)
 	r.mu.Unlock()
 	if built != 0 {
 		t.Errorf("planning built %d workloads; -list must not build any", built)
+	}
+}
+
+func TestEstimateCostsMatchRunBytes(t *testing.T) {
+	// -list prints the scheduler's costs only if the estimates are exactly
+	// the costs a runner that builds the workloads computes.
+	cfg := jsonSweepConfig()
+	r := NewRunner(cfg)
+	p := jsonSweepPlan(cfg)
+	costs, err := r.EstimateCosts(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range p.Runs {
+		w, err := r.Workload(k.Workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if costs[i] != r.runBytes(w) {
+			t.Errorf("%s: estimated cost %d, built cost %d", k, costs[i], r.runBytes(w))
+		}
+	}
+	if _, err := r.EstimateCosts(Plan{Runs: []RunKey{{Workload: "nope", Scheme: oskernel.SchemeLVM}}}); err == nil {
+		t.Error("unknown workload estimated without error")
 	}
 }
 

@@ -29,13 +29,9 @@ type cacheEntry struct {
 // runs back instead of simulating; any config or schema change lands in a
 // fresh namespace, so stale entries can never be replayed into a different
 // sweep. A present-but-unreadable entry is an error naming the key and
-// file — never a silent re-simulation and never a wrong table.
-//
-// Copying cache directories together is also how a sharded sweep is
-// merged: each host fills its own cache with -shard i/n, the directories
-// are copied into one, and a warm sweep renders the tables. A namespace
-// may therefore hold entries written on other hosts; Load vets each one
-// the same way whoever wrote it.
+// file — never a silent re-simulation and never a wrong table. A cache
+// directory may be copied from another host; Load vets each entry the
+// same way whoever wrote it.
 type RunCache struct {
 	dir         string
 	fingerprint string
@@ -54,9 +50,6 @@ func NewRunCache(root string, cfg Config) (*RunCache, error) {
 	}
 	return &RunCache{dir: dir, fingerprint: fp}, nil
 }
-
-// Dir returns the namespace directory entries live in.
-func (c *RunCache) Dir() string { return c.dir }
 
 // sanitizeName makes a key component portable as a file-name fragment
 // (mem$ → mem_).

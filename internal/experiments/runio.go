@@ -11,16 +11,16 @@ import (
 	"lvm/internal/sim"
 )
 
-// This file is the serialization seam shared by the persistent run cache
-// and the orchestrator's result frames: a RunOutput round-trips losslessly
-// through runOutputDoc, so a cache-restored or orchestrated runner computes
-// every experiment table byte-identically to one that simulated locally.
+// This file is the persistent run cache's serialization seam: a RunOutput
+// round-trips losslessly through runOutputDoc, so a cache-restored runner
+// computes every experiment table byte-identically to one that simulated
+// locally.
 //
 // HostSeconds deliberately never appears in runOutputDoc — host wall-clock
 // is observational and machine-dependent, and keeping it out of the
-// round-tripped output is what keeps result identity independent of which
-// host executed a run. Cache entries and result frames carry it in a
-// separate, clearly labeled timing field instead.
+// round-tripped output is what keeps result identity independent of when
+// and where a run executed. Cache entries carry it in a separate, clearly
+// labeled timing field instead.
 
 // typedMetric is one metrics.Value with its kind preserved — the flat
 // metrics.Set JSON form loses the counter/gauge distinction for integral
@@ -197,29 +197,11 @@ func decodeRunOutput(d runOutputDoc) (*RunOutput, error) {
 	}, nil
 }
 
-// MarshalRunOutput serializes out through the lossless wire form (minus
-// HostSeconds; see the file comment). The orchestrator's wire protocol and
-// any other transport that moves RunOutputs between processes must go
-// through this pair so transported runs stay byte-identical to local ones.
-func MarshalRunOutput(out *RunOutput) ([]byte, error) {
-	return json.Marshal(encodeRunOutput(out))
-}
-
-// UnmarshalRunOutput is the inverse of MarshalRunOutput. HostSeconds comes
-// back zero; transports carry it separately if they want timings.
-func UnmarshalRunOutput(b []byte) (*RunOutput, error) {
-	var d runOutputDoc
-	if err := json.Unmarshal(b, &d); err != nil {
-		return nil, err
-	}
-	return decodeRunOutput(d)
-}
-
 // Fingerprint hashes the full sweep configuration together with the
-// document schema version. Shard documents must carry matching
-// fingerprints to merge, and the run cache namespaces its entries by it,
-// so outputs computed under different configs (or schema layouts) can
-// never be combined or replayed as if they were interchangeable.
+// document schema version. The run cache namespaces its entries by it
+// and lvmd's handshake vets it, so outputs computed under different
+// configs (or schema layouts) can never be replayed or served as if they
+// were interchangeable.
 func (c Config) Fingerprint() (string, error) {
 	b, err := json.Marshal(struct {
 		SchemaVersion int    `json:"schema_version"`

@@ -19,7 +19,7 @@ import (
 // ones.
 //
 // v2: the version that introduced the lossless run-output payload, which
-// today travels in run-cache entries and orchestrator result frames.
+// today travels in run-cache entries.
 const RunJSONSchemaVersion = 2
 
 // RunJSONOptions selects what RunsJSON emits.

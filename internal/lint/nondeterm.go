@@ -28,8 +28,8 @@ var simPkgs = map[string]bool{
 	// bit-identity contract (served == standalone, byte for byte); a map
 	// range there could reorder session teardown or frame emission.
 	ModulePath + "/internal/lvmd": true,
-	// internal/wire frames every lvmd and orchestrator message; it is held
-	// to the same bar as the protocols that moved their framing into it.
+	// internal/wire frames every lvmd message; it is held to the same bar
+	// as the daemon whose framing moved into it.
 	ModulePath + "/internal/wire": true,
 }
 

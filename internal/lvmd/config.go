@@ -50,7 +50,8 @@ func (c Config) withDefaults() Config {
 }
 
 // Fingerprint is the handshake identity: the Exp config's fingerprint
-// (schema-versioned sha256), exactly what the sweep orchestrator vets.
+// (schema-versioned sha256), the same identity that namespaces the sweep's
+// run cache.
 func (c Config) Fingerprint() (string, error) {
 	return c.Exp.Fingerprint()
 }

@@ -370,7 +370,7 @@ func TestConnectDisconnectStorm(t *testing.T) {
 }
 
 // TestHandshakeVetting checks protocol/fingerprint mismatches are refused
-// with a reason, exactly like the sweep orchestrator's handshake.
+// with the reason wire.Hello.Vet gives.
 func TestHandshakeVetting(t *testing.T) {
 	cfg := testConfig()
 	_, addrs := startServer(t, cfg)

@@ -100,7 +100,7 @@ type ResultDoc struct {
 // meaningful depends on Type.
 type message struct {
 	Type msgType `json:"type"`
-	// hello fields, vetted exactly like the sweep orchestrator's handshake.
+	// hello fields, vetted by wire.Hello.Vet.
 	wire.Hello
 	// welcome fields: the daemon's capacity advertisement.
 	Workers     int    `json:"workers,omitempty"`

@@ -1,10 +1,9 @@
-// Package wire is the one framing and handshake layer under the sweep
-// orchestrator (internal/experiments/orch) and the translation daemon
-// (internal/lvmd). A frame is a 4-byte big-endian payload length followed
-// by that many bytes of JSON; each protocol defines its own message type
-// and speaks it through a Conn. Every connection opens with a Hello whose
-// protocol version, schema version and config fingerprint the accepting
-// side vets before anything else crosses the wire.
+// Package wire is the framing and handshake layer under the translation
+// daemon (internal/lvmd). A frame is a 4-byte big-endian payload length
+// followed by that many bytes of JSON; a protocol defines its own message
+// type and speaks it through a Conn. Every connection opens with a Hello
+// whose protocol version, schema version and config fingerprint the
+// accepting side vets before anything else crosses the wire.
 package wire
 
 import (
@@ -15,9 +14,9 @@ import (
 	"sync"
 )
 
-// MaxFrameBytes bounds one frame's payload. Run outputs are a few hundred
-// KB of JSON and trace chunks are client-bounded; anything near this
-// limit is a corrupt or hostile peer.
+// MaxFrameBytes bounds one frame's payload. Session results and interval
+// windows are small JSON documents and trace chunks are client-bounded;
+// anything near this limit is a corrupt or hostile peer.
 const MaxFrameBytes = 64 << 20
 
 // Conn frames messages of type M over one connection. Each side runs a
@@ -74,7 +73,7 @@ func (c *Conn[M]) Recv() (M, error) {
 // Close closes the underlying connection, unblocking a pending Recv.
 func (c *Conn[M]) Close() error { return c.rw.Close() }
 
-// Hello is the handshake both protocols open with. Message types embed it
+// Hello is the handshake a protocol opens with. Message types embed it
 // so its fields sit inline in the hello frame's JSON.
 type Hello struct {
 	Proto         int    `json:"proto,omitempty"`

@@ -10,7 +10,7 @@ import (
 	"testing"
 )
 
-// testMsg is a message shape like the protocols': a type tag with the
+// testMsg is a message shape like lvmd's: a type tag with the
 // handshake inline.
 type testMsg struct {
 	Type string `json:"type"`

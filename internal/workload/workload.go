@@ -197,9 +197,9 @@ func Build(name string, p Params) (*Workload, error) {
 // the heap size from the same formulas the builders use and generates only
 // the (cheap) address-space layout. The estimate is exact for every known
 // workload — the Kronecker generator emits exactly V·degree edges and the
-// layout is a pure function of (pages, seed) — which is what lets shard
-// partitions computed on different hosts, and `lvmbench -list` cost
-// columns computed without any build, agree with the real footprints.
+// layout is a pure function of (pages, seed) — which is what lets
+// `lvmbench -list` cost columns, computed without any build, agree with
+// the real footprints.
 func EstimateFootprintBytes(name string, p Params) (uint64, error) {
 	var heapPages int
 	var seedOff int64

@@ -258,10 +258,9 @@ func TestAllWorkloadsBuild(t *testing.T) {
 	}
 }
 
-// The estimate must be exact, not approximate: shard assignment partitions
-// the run matrix by estimated cost on every participating host, and a host
-// that builds the workload must land on the same partition as one that
-// only estimates it.
+// The estimate must be exact, not approximate: lvmbench -list prints
+// estimated costs as the costs the scheduler will charge, and the
+// scheduler charges the built workload's footprint.
 func TestEstimateFootprintExact(t *testing.T) {
 	p := QuickParams()
 	for _, name := range SpeedupNames() {
