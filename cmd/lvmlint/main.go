@@ -3,60 +3,29 @@
 // floatfree, nopanic, sortedfree) and the whole-program ones built on the
 // cross-package call graph (hotalloc, syncsafe, snapshotpure).
 //
-// Standalone:
-//
 //	go run ./cmd/lvmlint ./...          # whole module
 //	go run ./cmd/lvmlint ./internal/core
-//	go run ./cmd/lvmlint -json ./...    # machine-readable diagnostics
+//	go run ./cmd/lvmlint -list          # analyzer names and one-line docs
 //	go run ./cmd/lvmlint -doc           # analyzer docs as markdown
 //
-// As a go vet tool (unitchecker protocol):
-//
-//	go build -o lvmlint ./cmd/lvmlint
-//	go vet -vettool=$PWD/lvmlint ./...
-//
-// Exit status is 1 (standalone) or 2 (vettool) when violations are found.
-// Legitimate exceptions are suppressed with a //lint:allow <analyzer>
-// <reason> comment on the flagged line or the line above.
+// Diagnostics print one per line as file:line:col: message (analyzer).
+// Exit status is 0 when the packages are clean, 1 when violations are
+// found and 2 when the packages cannot be loaded. Legitimate exceptions
+// are suppressed with a //lint:allow <analyzer> <reason> comment on the
+// flagged line or the line above.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"strings"
 
 	"lvm/internal/lint"
 )
 
 func main() {
-	// go vet probes the tool with -V=full and -flags before handing it
-	// work, and keys its result/facts cache on the answer. The version
-	// string therefore embeds a content hash of the tool binary itself: a
-	// constant answer would make cmd/go replay diagnostics and .vetx facts
-	// recorded by an older build of the suite.
-	if len(os.Args) == 2 && strings.HasPrefix(os.Args[1], "-V") {
-		fmt.Printf("lvmlint version 2 build %s\n", selfHash())
-		return
-	}
-	if len(os.Args) == 2 && os.Args[1] == "-flags" {
-		// JSON description of tool flags; the suite takes none.
-		fmt.Println("[]")
-		return
-	}
-	// go vet invokes the tool with a single *.cfg argument per package.
-	if len(os.Args) >= 2 && strings.HasSuffix(os.Args[len(os.Args)-1], ".cfg") {
-		os.Exit(runUnitchecker(os.Args[len(os.Args)-1]))
-	}
-
 	list := flag.Bool("list", false, "list analyzers and exit")
 	doc := flag.Bool("doc", false, "print analyzer documentation as markdown and exit")
-	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array on stdout")
-	nocache := flag.Bool("nocache", false, "skip the result cache and always type-check from source")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: lvmlint [packages]\n\nAnalyzers:\n")
 		for _, a := range lint.Analyzers() {
@@ -81,36 +50,19 @@ func main() {
 		fmt.Fprintln(os.Stderr, "lvmlint:", err)
 		os.Exit(2)
 	}
-
-	// The diagnostics are a pure function of (toolchain, suite, module
-	// source, patterns): replay a previously recorded run when nothing has
-	// changed, skipping the multi-second from-source type check. The cache
-	// is transparent — any problem computing the key or reading the entry
-	// falls back to a full run, and a full run records its result best
-	// effort.
-	cacheDir, cacheKey := "", ""
-	if !*nocache {
-		if dir, err := lint.DefaultCacheDir(); err == nil {
-			if key, err := lint.CacheKey(loader.ModRoot(), flag.Args()); err == nil {
-				cacheDir, cacheKey = dir, key
-				if diags, ok := lint.LoadCachedResult(dir, key); ok {
-					exitWithDiagnostics(diags, *jsonOut)
-				}
-			}
-		}
-	}
-
 	pkgs, err := loader.Load(flag.Args())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lvmlint:", err)
 		os.Exit(2)
 	}
-	diags, _ := lint.RunSuite(pkgs, lint.Analyzers(), nil)
-	if cacheKey != "" {
-		// Best effort: an unwritable cache must not fail the lint run.
-		_ = lint.StoreCachedResult(cacheDir, cacheKey, diags)
+	diags := lint.RunSuite(pkgs, lint.Analyzers())
+	for _, d := range diags {
+		fmt.Println(d)
 	}
-	exitWithDiagnostics(diags, *jsonOut)
+	if len(diags) > 0 {
+		fmt.Fprintf(os.Stderr, "lvmlint: %d violation(s)\n", len(diags))
+		os.Exit(1)
+	}
 }
 
 // printDoc renders the analyzer docs as the markdown the README's
@@ -120,68 +72,4 @@ func printDoc() {
 	for _, a := range lint.Analyzers() {
 		fmt.Printf("\n### `%s`\n\n%s\n", a.Name, a.Doc)
 	}
-}
-
-// jsonDiagnostic is the machine-readable diagnostic shape for -json: flat
-// strings and ints so a CI problem matcher or editor integration can
-// consume it without knowing internal types.
-type jsonDiagnostic struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Message  string `json:"message"`
-}
-
-// exitWithDiagnostics prints the diagnostics exactly as a full run would
-// and exits 1 when there are any — cached and fresh runs are observably
-// identical apart from wall-clock time.
-func exitWithDiagnostics(diags []lint.Diagnostic, jsonOut bool) {
-	if jsonOut {
-		out := make([]jsonDiagnostic, 0, len(diags))
-		for _, d := range diags {
-			out = append(out, jsonDiagnostic{
-				Analyzer: d.Analyzer,
-				File:     d.Pos.Filename,
-				Line:     d.Pos.Line,
-				Column:   d.Pos.Column,
-				Message:  d.Message,
-			})
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			fmt.Fprintln(os.Stderr, "lvmlint:", err)
-			os.Exit(2)
-		}
-	} else {
-		for _, d := range diags {
-			fmt.Println(d)
-		}
-	}
-	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "lvmlint: %d violation(s)\n", len(diags))
-		os.Exit(1)
-	}
-	os.Exit(0)
-}
-
-// selfHash returns a short content hash of the running executable. It is
-// part of the -V=full answer, which cmd/go uses as the vet cache key: two
-// different builds of the suite must never share cached results or facts.
-func selfHash() string {
-	exe, err := os.Executable()
-	if err != nil {
-		return "unknown"
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		return "unknown"
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return "unknown"
-	}
-	return hex.EncodeToString(h.Sum(nil))[:16]
 }

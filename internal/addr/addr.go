@@ -95,9 +95,6 @@ func VAOf(v VPN) VA { return VA(v << PageShift) }
 // table scheme uses to locate its structures in physical memory.
 func PAOf(p PPN) PA { return PA(p << PageShift) }
 
-// PPNOf returns the physical page number containing the physical address.
-func PPNOf(pa PA) PPN { return PPN(pa >> PageShift) }
-
 // SlotPA returns the physical address of the index'th slot of slotBytes
 // bytes in a table based at page p. Every scheme's slot/entry addressing is
 // this one shape; keeping it here means the PPN→PA step happens in exactly
@@ -147,11 +144,4 @@ func RadixIndex(v VPN, level int) int {
 	}
 	shift := uint((level - 1) * RadixBitsPerLevel)
 	return int((uint64(v) >> shift) & (RadixFanout - 1))
-}
-
-// RadixCoverage returns the number of base-page VPNs mapped beneath a single
-// entry at the given level (level 1 entry covers 1 page, level 2 covers
-// 512 pages = 2 MB, etc.).
-func RadixCoverage(level int) uint64 {
-	return 1 << uint((level-1)*RadixBitsPerLevel)
 }

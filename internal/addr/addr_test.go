@@ -123,6 +123,13 @@ func TestRadixIndexPanicsOnBadLevel(t *testing.T) {
 	RadixIndex(0, 0)
 }
 
+// RadixCoverage returns the number of base-page VPNs mapped beneath a single
+// entry at the given level (level 1 entry covers 1 page, level 2 covers
+// 512 pages = 2 MB, etc.).
+func RadixCoverage(level int) uint64 {
+	return 1 << uint((level-1)*RadixBitsPerLevel)
+}
+
 func TestRadixCoverage(t *testing.T) {
 	if RadixCoverage(1) != 1 {
 		t.Errorf("L1 coverage = %d", RadixCoverage(1))

@@ -89,9 +89,6 @@ func (t *Table) Unmap(v addr.VPN) bool { return t.Radix.Unmap(v) }
 // Lookup is the software walk.
 func (t *Table) Lookup(v addr.VPN) (pte.Entry, bool) { return t.Radix.Lookup(v) }
 
-// AllocFailures counts VMAs whose contiguous tables could not be placed.
-func (t *Table) AllocFailures() uint64 { return t.allocFailures.Value() }
-
 func (t *Table) vmaFor(v addr.VPN) *vma {
 	for i := range t.vmas {
 		if v >= t.vmas[i].lo && v <= t.vmas[i].hi {

@@ -59,8 +59,8 @@ func TestUnprefetchableFallsBackToRadix(t *testing.T) {
 	if err := tb.AddVMA(0, 1<<20); err == nil {
 		t.Fatal("expected prefetchability failure")
 	}
-	if tb.AllocFailures() != 1 {
-		t.Errorf("alloc failures = %d", tb.AllocFailures())
+	if tb.allocFailures.Value() != 1 {
+		t.Errorf("alloc failures = %d", tb.allocFailures.Value())
 	}
 	mem.SetContiguityCap(-1)
 	tb.Map(5, pte.New(1, addr.Page4K))

@@ -106,7 +106,7 @@ func TestAllocFailuresUnderFragmentation(t *testing.T) {
 	if err := tb.AddVMA(0, 1<<20-1); err == nil {
 		t.Fatal("AddVMA allocated contiguous arrays on capped memory")
 	}
-	if tb.AllocFailures() == 0 {
+	if tb.allocFailures.Value() == 0 {
 		t.Fatal("no alloc failures recorded on capped memory")
 	}
 	tb.Map(500, pte.New(9, addr.Page4K))

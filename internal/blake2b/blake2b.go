@@ -4,14 +4,13 @@
 // The paper's §7.3 collision-rate baseline is "a hash table that has a load
 // factor of 0.6 and uses the state-of-the-art hash function Blake2"; the
 // repository is restricted to the standard library, so the algorithm is
-// implemented here from the RFC. Only the pieces the baseline needs are
-// provided: one-shot hashing and a convenience Sum64 for table indexing.
+// implemented here from the RFC. Only the piece the baseline needs is
+// provided: Sum64 (and its four-lane Sum64s) for table indexing. The
+// general digest Sum, which the tests check against the RFC's vectors and
+// Sum64 against, lives in reference_test.go.
 package blake2b
 
-import (
-	"encoding/binary"
-	"math/bits"
-)
+import "math/bits"
 
 // iv is the BLAKE2b initialization vector (RFC 7693 §2.6).
 var iv = [8]uint64{
@@ -19,22 +18,6 @@ var iv = [8]uint64{
 	0x3c6ef372fe94f82b, 0xa54ff53a5f1d36f1,
 	0x510e527fade682d1, 0x9b05688c2b3e6c1f,
 	0x1f83d9abfb41bd6b, 0x5be0cd19137e2179,
-}
-
-// sigma is the message schedule (RFC 7693 §2.7).
-var sigma = [12][16]uint8{
-	{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15},
-	{14, 10, 4, 8, 9, 15, 13, 6, 1, 12, 0, 2, 11, 7, 5, 3},
-	{11, 8, 12, 0, 5, 2, 15, 13, 10, 14, 3, 6, 7, 1, 9, 4},
-	{7, 9, 3, 1, 13, 12, 11, 14, 2, 6, 5, 10, 4, 0, 15, 8},
-	{9, 0, 5, 7, 2, 4, 10, 15, 14, 1, 11, 12, 6, 8, 3, 13},
-	{2, 12, 6, 10, 0, 11, 8, 3, 4, 13, 7, 5, 15, 14, 1, 9},
-	{12, 5, 1, 15, 14, 13, 4, 10, 0, 7, 6, 3, 9, 2, 8, 11},
-	{13, 11, 7, 14, 12, 1, 3, 9, 5, 0, 15, 4, 8, 6, 2, 10},
-	{6, 15, 14, 9, 11, 3, 0, 8, 12, 2, 13, 7, 1, 4, 10, 5},
-	{10, 2, 8, 4, 7, 6, 1, 5, 15, 11, 9, 14, 3, 12, 13, 0},
-	{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15},
-	{14, 10, 4, 8, 9, 15, 13, 6, 1, 12, 0, 2, 11, 7, 5, 3},
 }
 
 // g is the BLAKE2b mixing function (RFC 7693 §3.1) on the four state words
@@ -52,77 +35,9 @@ func g(a, b, c, d, x, y uint64) (uint64, uint64, uint64, uint64) {
 	return a, b, c, d
 }
 
-// compress applies the F compression function to one 128-byte block.
-func compress(h *[8]uint64, block *[128]byte, t uint64, final bool) {
-	var m [16]uint64
-	for i := range m {
-		m[i] = binary.LittleEndian.Uint64(block[i*8:])
-	}
-	var v [16]uint64
-	copy(v[:8], h[:])
-	copy(v[8:], iv[:])
-	v[12] ^= t // low word of the offset counter; high word is 0 for our sizes
-	if final {
-		v[14] = ^v[14]
-	}
-	for r := 0; r < 12; r++ {
-		s := &sigma[r]
-		v[0], v[4], v[8], v[12] = g(v[0], v[4], v[8], v[12], m[s[0]], m[s[1]])
-		v[1], v[5], v[9], v[13] = g(v[1], v[5], v[9], v[13], m[s[2]], m[s[3]])
-		v[2], v[6], v[10], v[14] = g(v[2], v[6], v[10], v[14], m[s[4]], m[s[5]])
-		v[3], v[7], v[11], v[15] = g(v[3], v[7], v[11], v[15], m[s[6]], m[s[7]])
-		v[0], v[5], v[10], v[15] = g(v[0], v[5], v[10], v[15], m[s[8]], m[s[9]])
-		v[1], v[6], v[11], v[12] = g(v[1], v[6], v[11], v[12], m[s[10]], m[s[11]])
-		v[2], v[7], v[8], v[13] = g(v[2], v[7], v[8], v[13], m[s[12]], m[s[13]])
-		v[3], v[4], v[9], v[14] = g(v[3], v[4], v[9], v[14], m[s[14]], m[s[15]])
-	}
-	for i := 0; i < 8; i++ {
-		h[i] ^= v[i] ^ v[i+8]
-	}
-}
-
-// Sum computes the unkeyed BLAKE2b digest of data with the given output
-// size in bytes (1..64).
-func Sum(data []byte, size int) []byte {
-	if size < 1 || size > 64 {
-		panic("blake2b: digest size out of range")
-	}
-	var h [8]uint64
-	copy(h[:], iv[:])
-	// Parameter block: digest length, fanout=1, depth=1.
-	h[0] ^= 0x01010000 ^ uint64(size)
-
-	var block [128]byte
-	var t uint64
-	for len(data) > 128 {
-		copy(block[:], data[:128])
-		t += 128
-		compress(&h, &block, t, false)
-		data = data[128:]
-	}
-	// Final (possibly partial, possibly empty) block.
-	block = [128]byte{}
-	copy(block[:], data)
-	t += uint64(len(data))
-	compress(&h, &block, t, true)
-
-	out := make([]byte, 64)
-	for i := 0; i < 8; i++ {
-		binary.LittleEndian.PutUint64(out[i*8:], h[i])
-	}
-	return out[:size]
-}
-
-// Sum256 computes the 32-byte BLAKE2b-256 digest.
-func Sum256(data []byte) [32]byte {
-	var d [32]byte
-	copy(d[:], Sum(data, 32))
-	return d
-}
-
 // Sum64 hashes a 64-bit key and returns the first 8 digest bytes as a
 // uint64, the form the hashed page tables (ecpt, revelator, hashpt) use for
-// slot selection. It equals the little-endian first word of
+// slot selection. It equals the little-endian first word of the reference
 // Sum(le(key), 8), which TestSum64MatchesSum checks, but runs as one
 // specialised final compression: the parameter block, offset counter and
 // final flag are folded into the initial state, the 16 working words live in

@@ -159,34 +159,6 @@ func (h *Hierarchy) Access(pa addr.PA, walk bool) int {
 	return latency
 }
 
-// MPKI returns misses-per-kilo-instruction at the given level (1-3) for
-// the given instruction count, counting both demand and walk misses —
-// the Figure 12 metric.
-func (h *Hierarchy) MPKI(level int, instructions uint64) float64 {
-	l := h.levels[level-1]
-	return stats.PerKilo(l.demandMisses.Value()+l.walkMisses.Value(), instructions)
-}
-
-// Misses returns total misses at a level.
-func (h *Hierarchy) Misses(level int) uint64 {
-	l := h.levels[level-1]
-	return l.demandMisses.Value() + l.walkMisses.Value()
-}
-
-// WalkMisses returns walk-request misses at a level.
-func (h *Hierarchy) WalkMisses(level int) uint64 { return h.levels[level-1].walkMisses.Value() }
-
-// DemandMisses returns demand-request misses at a level.
-func (h *Hierarchy) DemandMisses(level int) uint64 { return h.levels[level-1].demandMisses.Value() }
-
-// HitRate returns the hit rate at a level.
-func (h *Hierarchy) HitRate(level int) float64 {
-	l := h.levels[level-1]
-	hits := l.demandHits.Value() + l.walkHits.Value()
-	misses := l.demandMisses.Value() + l.walkMisses.Value()
-	return stats.Ratio(hits, hits+misses)
-}
-
 // DRAM returns the underlying memory model.
 func (h *Hierarchy) DRAM() *dram.Model { return h.dram }
 

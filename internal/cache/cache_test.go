@@ -61,15 +61,16 @@ func TestMPKIAccounting(t *testing.T) {
 	h.Access(0x10000, false)
 	h.Access(0x20000, false)
 	h.Access(0x30000, false)
-	if got := h.MPKI(3, 1000); got != 3 {
-		t.Errorf("L3 MPKI = %v want 3", got)
+	s := h.Snapshot()
+	if got := s.Uint("l3.demand_misses") + s.Uint("l3.walk_misses"); got != 3 {
+		t.Errorf("L3 misses = %d want 3", got)
 	}
-	if h.DemandMisses(1) != 3 || h.WalkMisses(1) != 0 {
-		t.Errorf("demand/walk split wrong: %d/%d", h.DemandMisses(1), h.WalkMisses(1))
+	if s.Uint("l1.demand_misses") != 3 || s.Uint("l1.walk_misses") != 0 {
+		t.Errorf("demand/walk split wrong: %d/%d", s.Uint("l1.demand_misses"), s.Uint("l1.walk_misses"))
 	}
 	h.Access(0x40000, true)
-	if h.WalkMisses(2) != 1 {
-		t.Errorf("walk misses L2 = %d", h.WalkMisses(2))
+	if got := h.Snapshot().Uint("l2.walk_misses"); got != 1 {
+		t.Errorf("walk misses L2 = %d", got)
 	}
 }
 
@@ -99,8 +100,8 @@ func TestDRAMCounting(t *testing.T) {
 	h := newHier()
 	h.Access(0x1000, false)
 	h.Access(0x1000, false)
-	if h.DRAM().Accesses() != 1 {
-		t.Errorf("DRAM accesses = %d want 1", h.DRAM().Accesses())
+	if got := h.DRAM().Snapshot().Uint("accesses"); got != 1 {
+		t.Errorf("DRAM accesses = %d want 1", got)
 	}
 }
 
@@ -109,7 +110,8 @@ func TestHitRate(t *testing.T) {
 	h.Access(0x1000, false)
 	h.Access(0x1000, false)
 	h.Access(0x1000, false)
-	if got := h.HitRate(1); got < 0.66 || got > 0.67 {
+	s := h.Snapshot()
+	if got := float64(s.Uint("l1.demand_hits")) / float64(s.Uint("l1.demand_hits")+s.Uint("l1.demand_misses")); got < 0.66 || got > 0.67 {
 		t.Errorf("L1 hit rate = %v want 2/3", got)
 	}
 }

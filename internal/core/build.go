@@ -24,15 +24,6 @@ type builder struct {
 	totalPages uint64
 }
 
-// pagesOf sums the base-page coverage of a mapping set.
-func pagesOf(ms []Mapping) uint64 {
-	var pages uint64
-	for _, m := range ms {
-		pages += m.Entry.Size().BaseVPNs()
-	}
-	return pages
-}
-
 // buildNode trains the node responsible for mappings ms covering the VPN
 // range [lo, hi].
 //
@@ -633,41 +624,6 @@ func (b *builder) makeLeaf(ms []Mapping, lo, hi uint64, relaxed bool) (*node, er
 		table.Release()
 		nd.table = nil
 		return nil, errErrBound
-	}
-	return nd, nil
-}
-
-// makePositionalLeaf builds a leaf whose model is positional: slot =
-// ga_scale x (VPN - lo). Every key's prediction is exact, so lookups are
-// single-access even for arbitrarily mixed page-size content.
-func (b *builder) makePositionalLeaf(ms []Mapping, lo, hi uint64) (*node, error) {
-	slope := fixed.FromFloat(b.p.GAScale)
-	intercept := slope.Mul(fixed.FromInt(int64(lo))).Neg()
-	nd := &node{slope: slope, intercept: intercept, loKey: lo, hiKey: hi, leaf: true}
-	span := hi - lo + 1
-	needSlots := int(slope.MulInt(int64(span))) + pte.ClusterSlots + 1
-	table, err := gapped.New(b.ix.mem, needSlots, b.availOrder())
-	if err != nil {
-		return nil, err
-	}
-	for table.Slots() < needSlots {
-		if err := table.Expand(needSlots-table.Slots(), b.availOrder()); err != nil {
-			table.Release()
-			return nil, err
-		}
-	}
-	nd.table = table
-	for _, m := range ms {
-		pred := nd.predict(m.VPN)
-		slot, _, err := table.Insert(int(pred), m.VPN, m.Entry, b.p.InsertReach)
-		if err != nil {
-			table.Release()
-			nd.table = nil
-			return nil, fmt.Errorf("core: positional leaf overflow: %w", err)
-		}
-		if d := abs(slot - int(pred)); d > nd.maxDisp {
-			nd.maxDisp = d
-		}
 	}
 	return nd, nil
 }

@@ -64,9 +64,6 @@ func (w *HWWalker) Name() string { return "lvm" }
 // LWC exposes the walk cache for stats.
 func (w *HWWalker) LWC() *mmu.LWC { return w.lwc }
 
-// Flushes returns the number of LWC flush events the OS has issued.
-func (w *HWWalker) Flushes() uint64 { return w.flushes }
-
 // Snapshot implements metrics.Source: the LWC hit/miss counters plus the
 // OS-driven flush count (lwc.hits, lwc.misses, lwc.flushes).
 func (w *HWWalker) Snapshot() metrics.Set {

@@ -270,9 +270,6 @@ func (ix *Index) MappedPages() int {
 	return total
 }
 
-// KeyRange returns the VPN range currently covered by the index.
-func (ix *Index) KeyRange() (lo, hi addr.VPN) { return addr.VPN(ix.loKey), addr.VPN(ix.hiKey) }
-
 // TableFootprintBytes returns the physical memory consumed by all gapped
 // page tables, including gaps — the overhead metric of §7.3.
 func (ix *Index) TableFootprintBytes() uint64 {
@@ -289,9 +286,6 @@ func (ix *Index) TableFootprintBytes() uint64 {
 
 // Stats returns the accumulated maintenance statistics.
 func (ix *Index) Stats() IndexStats { return ix.stats }
-
-// Params returns the index configuration.
-func (ix *Index) Params() Params { return ix.params }
 
 // Release frees all physical memory held by the index (tables and node
 // arrays).

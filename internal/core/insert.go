@@ -306,10 +306,6 @@ func (ix *Index) rebuildWith(extras []Mapping) error {
 	return ix.construct(ms)
 }
 
-// Rebuild forces a full rebuild over the live translations (the OS invokes
-// this to reclaim space after a workload shrinks far below its peak, §5.2).
-func (ix *Index) Rebuild() error { return ix.rebuildWith(nil) }
-
 // Free removes the translation for v. Following §5.2, the index and the
 // gap are kept: only the PTE is cleared, so no retraining and no LWC flush.
 // Returns false if v was not mapped.

@@ -82,20 +82,6 @@ func (m *Model) Access(pa addr.PA) int {
 	return m.cfg.RowMissCycles
 }
 
-// Accesses returns the total number of requests that reached memory.
-func (m *Model) Accesses() uint64 { return m.accesses.Value() }
-
-// RowHitRate returns the row-buffer hit rate.
-func (m *Model) RowHitRate() float64 {
-	return stats.Ratio(m.rowHits.Value(), m.accesses.Value())
-}
-
-// ResetStats clears the counters.
-func (m *Model) ResetStats() {
-	m.accesses.Reset()
-	m.rowHits.Reset()
-}
-
 // Snapshot implements metrics.Source: total requests that reached memory
 // and how many of them hit an open row.
 func (m *Model) Snapshot() metrics.Set {

@@ -47,14 +47,10 @@ func TestStats(t *testing.T) {
 	m := New(DefaultConfig())
 	m.Access(0x40)
 	m.Access(0x40)
-	if m.Accesses() != 2 {
-		t.Errorf("accesses = %d", m.Accesses())
+	if m.accesses.Value() != 2 {
+		t.Errorf("accesses = %d", m.accesses.Value())
 	}
-	if got := m.RowHitRate(); got != 0.5 {
+	if got := m.rowHitRate(); got != 0.5 {
 		t.Errorf("row hit rate = %v", got)
-	}
-	m.ResetStats()
-	if m.Accesses() != 0 {
-		t.Error("reset failed")
 	}
 }

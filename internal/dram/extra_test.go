@@ -5,7 +5,13 @@ import (
 	"testing"
 
 	"lvm/internal/addr"
+	"lvm/internal/stats"
 )
+
+// rowHitRate returns the row-buffer hit rate.
+func (m *Model) rowHitRate() float64 {
+	return stats.Ratio(m.rowHits.Value(), m.accesses.Value())
+}
 
 // TestSequentialBeatsRandomRowHits: a streaming access pattern must enjoy a
 // far higher row-buffer hit rate (and lower average latency) than uniform
@@ -19,7 +25,7 @@ func TestSequentialBeatsRandomRowHits(t *testing.T) {
 		for i := 0; i < n; i++ {
 			total += m.Access(next(i))
 		}
-		return m.RowHitRate(), float64(total) / n
+		return m.rowHitRate(), float64(total) / n
 	}
 	seqHits, seqAvg := run(func(i int) addr.PA { return addr.PA(i * 64) })
 	rng := rand.New(rand.NewSource(9))

@@ -358,15 +358,6 @@ func (t *Table) TableBytes() uint64 {
 	return b
 }
 
-// Rehashes returns the number of elastic resizes performed.
-func (t *Table) Rehashes() uint64 {
-	var n uint64
-	for _, c := range t.tables {
-		n += c.rehashes.Value()
-	}
-	return n
-}
-
 // release frees the ways of one cuckoo table.
 func (c *cuckoo) release() {
 	for _, w := range c.ways {
@@ -415,9 +406,6 @@ func (w *Walker) Detach(asid uint16) {
 
 // Name implements mmu.Walker.
 func (w *Walker) Name() string { return "ecpt" }
-
-// CWCs returns the walk-cache levels for stats.
-func (w *Walker) CWCs() (pmd, pud *mmu.PWC) { return w.cwcPMD, w.cwcPUD }
 
 // Snapshot implements metrics.Source: the CWC level counters
 // (cwc.pmd.hits, cwc.pud.misses, ...).

@@ -100,7 +100,7 @@ func TestWalkerParallelProbes(t *testing.T) {
 		t.Errorf("warm ECPT walk made %d refs, want %d", out.Refs(), Ways)
 	}
 	if out.NumGroups() != 1 || len(out.Group(0)) != Ways {
-		t.Errorf("warm probes must be one parallel group: %+v", out.AllRefs())
+		t.Errorf("warm probes must be one parallel group: %+v", out)
 	}
 }
 

@@ -75,14 +75,6 @@ func (q Q) Floor() int64 {
 	return int64(q >> FracBits)
 }
 
-// Round returns q rounded to the nearest integer, half away from zero.
-func (q Q) Round() int64 {
-	if q >= 0 {
-		return int64((q + One/2) >> FracBits)
-	}
-	return -int64((-q + One/2) >> FracBits)
-}
-
 // Add returns q + r with saturation on overflow.
 func (q Q) Add(r Q) Q {
 	s := q + r

@@ -82,6 +82,14 @@ func TestFloor(t *testing.T) {
 	}
 }
 
+// Round returns q rounded to the nearest integer, half away from zero.
+func (q Q) Round() int64 {
+	if q >= 0 {
+		return int64((q + One/2) >> FracBits)
+	}
+	return -int64((-q + One/2) >> FracBits)
+}
+
 func TestRound(t *testing.T) {
 	cases := []struct {
 		in   float64

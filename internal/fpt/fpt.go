@@ -133,24 +133,6 @@ func (t *Table) Lookup(v addr.VPN) (pte.Entry, bool) {
 	return 0, false
 }
 
-// FoldFailures counts 2 MB table allocations that fell back to radix.
-func (t *Table) FoldFailures() uint64 { return t.foldFailures.Value() }
-
-// FoldedFraction returns the fraction of touched 1 GB regions with folded
-// leaf tables.
-func (t *Table) FoldedFraction() float64 {
-	if len(t.regions) == 0 {
-		return 1
-	}
-	folded := 0
-	for _, r := range t.regions {
-		if r.folded {
-			folded++
-		}
-	}
-	return float64(folded) / float64(len(t.regions))
-}
-
 func (t *Table) upperPA(v addr.VPN) addr.PA {
 	idx := uint64(v) >> upperIndexBits
 	span := phys.BlockBytes(foldOrder) / pte.Bytes

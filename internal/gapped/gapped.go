@@ -84,26 +84,6 @@ func (t *Table) Slots() int { return len(t.slots) }
 // Used returns the number of occupied slots.
 func (t *Table) Used() int { return t.used }
 
-// UsedPages returns the total 4 KB base pages covered by live entries
-// (huge pages count their full span).
-func (t *Table) UsedPages() uint64 {
-	var pages uint64
-	for _, s := range t.slots {
-		if s.Valid() {
-			pages += s.Entry.Size().BaseVPNs()
-		}
-	}
-	return pages
-}
-
-// LoadFactor returns used/capacity.
-func (t *Table) LoadFactor() float64 {
-	if len(t.slots) == 0 {
-		return 0
-	}
-	return float64(t.used) / float64(len(t.slots))
-}
-
 // Extents returns the number of physically contiguous runs backing the
 // table (1 in the common case; in-place expansions keep the run count at 1
 // even though they add allocator blocks).

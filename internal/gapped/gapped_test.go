@@ -206,7 +206,7 @@ func TestExpandChainsWhenAdjacentTaken(t *testing.T) {
 	m := newMem()
 	tb, _ := New(m, 256, phys.MaxOrder)
 	// Occupy the adjacent block so in-place growth fails.
-	blocker := addr.PPNOf(tb.SlotPA(0)) + 1
+	blocker := tb.extents[0].base + 1
 	if err := m.AllocExact(blocker, 0); err != nil {
 		t.Fatalf("could not place blocker: %v", err)
 	}

@@ -76,26 +76,6 @@ func (t *Table) Insert(v addr.VPN, e pte.Entry) (collided bool, err error) {
 	return true, fmt.Errorf("hashpt: no free slot")
 }
 
-// Lookup finds a translation and reports how many slots were probed.
-func (t *Table) Lookup(v addr.VPN) (e pte.Entry, probes int, ok bool) {
-	for _, s := range []addr.PageSize{addr.Page4K, addr.Page2M, addr.Page1G} {
-		tag := addr.AlignDown(v, s)
-		h := t.home(tag)
-		for d := 0; d < len(t.slots); d++ {
-			i := (h + d) & (len(t.slots) - 1)
-			probes++
-			slot := t.slots[i]
-			if !slot.Valid() {
-				break // linear probing: an empty slot ends the chain
-			}
-			if slot.Tag == tag && slot.Entry.Size() == s {
-				return slot.Entry, probes, true
-			}
-		}
-	}
-	return 0, probes, false
-}
-
 // CollisionRate returns the fraction of inserts whose home slot was taken —
 // the §7.3 metric.
 func (t *Table) CollisionRate() float64 {
@@ -112,11 +92,3 @@ func (t *Table) Snapshot() metrics.Set {
 }
 
 var _ metrics.Source = (*Table)(nil)
-
-// LoadFactor returns the current occupancy.
-func (t *Table) LoadFactor() float64 {
-	return float64(t.used) / float64(len(t.slots))
-}
-
-// Slots returns the table capacity.
-func (t *Table) Slots() int { return len(t.slots) }

@@ -44,12 +44,6 @@ type Structure struct {
 // Entries returns the total entry count.
 func (s Structure) Entries() int { return s.Arrays * s.EntriesPerArray }
 
-// SizeBytes returns the storage capacity in bytes (data + tags).
-func (s Structure) SizeBytes() int {
-	bits := s.Entries() * (s.RAMBitsPerEntry + s.CAMBitsPerEntry)
-	return bits / 8
-}
-
 // DataBytes returns the payload capacity in bytes (the §7.4 "size" metric:
 // 3.0× improvement counts model/entry payload).
 func (s Structure) DataBytes() int { return s.Entries() * s.RAMBitsPerEntry / 8 }

@@ -15,16 +15,17 @@ package lint
 //   - closure creation is an edge too, so code inside a func literal is
 //     reachable from wherever the literal is built.
 //
-// Determinism is a hard requirement (the lint result cache and CI diffs
-// hash the output): nodes are ordered by their canonical FuncID, CHA
+// Determinism is a hard requirement (CI and the golden tests compare the
+// output line for line): nodes are ordered by their canonical FuncID, CHA
 // target lists are sorted, and breadth-first reachability visits
 // neighbors in sorted order, so diagnostics and walk paths never depend
 // on map iteration.
 //
-// Calls whose target has no body in the analyzed package set — standard
-// library, and other module packages in the vet-tool's one-package-at-a-
-// time mode — become ExtTarget frontier entries. Analyzers judge those
-// through the facts layer (facts.go) instead of traversing them.
+// Calls whose target has no body in the analyzed package set — the
+// standard library, and other module packages when the golden-test
+// harness loads one package alone — become ExtTarget frontier entries.
+// Analyzers judge those through the facts layer (facts.go) instead of
+// traversing them.
 
 import (
 	"fmt"
@@ -71,8 +72,9 @@ type Call struct {
 	Kind CallKind
 	// Targets are the in-graph candidates, sorted by ID.
 	Targets []*Node
-	// Externals are candidates without bodies (stdlib, other packages in
-	// vet mode), sorted by ID. Analyzers consult facts for these.
+	// Externals are candidates without bodies (stdlib, or module
+	// packages outside the analyzed set), sorted by ID. Analyzers consult
+	// facts for these.
 	Externals []ExtTarget
 }
 
@@ -98,19 +100,6 @@ func (n *Node) Body() *ast.BlockStmt {
 		return n.Lit.Body
 	}
 	return nil
-}
-
-// Name returns the bare function or method name ("Walk", "$1" for a
-// closure).
-func (n *Node) Name() string {
-	if n.Fn != nil {
-		return n.Fn.Name()
-	}
-	id := string(n.ID)
-	if i := strings.LastIndex(id, "$"); i >= 0 {
-		return "$" + id[i+1:]
-	}
-	return id
 }
 
 // Recv returns the receiver type for methods, nil otherwise.
@@ -196,10 +185,10 @@ type graphBuilder struct {
 	chaTypes []types.Type
 }
 
-// BuildGraph constructs the call graph over the given packages. Packages
-// may come from the whole-module loader (standalone mode) or be a single
-// package (vet-tool mode); resolution degrades gracefully to ExtTargets
-// for anything without a body.
+// BuildGraph constructs the call graph over the given packages: usually
+// the whole module, or a single golden-test package, in which case
+// resolution degrades gracefully to ExtTargets for anything without a
+// body.
 func BuildGraph(pkgs []*Package) *Graph {
 	b := &graphBuilder{
 		g:            &Graph{nodes: map[FuncID]*Node{}},
@@ -581,19 +570,14 @@ func (b *graphBuilder) addInterfaceCall(owner *Node, call *ast.CallExpr, recv ty
 // can reach, with enough bookkeeping to reconstruct one shortest path per
 // node for diagnostics.
 type Reach struct {
-	order  []FuncID
+	order []FuncID
+	// parent maps each reached node to the node it was first reached from
+	// (a root maps to itself).
 	parent map[FuncID]FuncID
-	root   map[FuncID]FuncID
 }
-
-// Reachable reports whether id was reached.
-func (r *Reach) Reachable(id FuncID) bool { _, ok := r.root[id]; return ok }
 
 // Order returns the reached IDs in BFS-then-ID deterministic order.
 func (r *Reach) Order() []FuncID { return r.order }
-
-// Root returns the root that first reached id.
-func (r *Reach) Root(id FuncID) FuncID { return r.root[id] }
 
 // Path renders "root → … → id" for diagnostics (at most 6 hops shown).
 func (r *Reach) Path(id FuncID) string {
@@ -629,15 +613,14 @@ func shortID(id FuncID) string {
 // in the result (the node is marked reached, so analyzers can frontier-
 // check it) but not traversed further. A nil follow traverses everything.
 func (g *Graph) Reach(roots []*Node, follow func(*Node) bool) *Reach {
-	r := &Reach{parent: map[FuncID]FuncID{}, root: map[FuncID]FuncID{}}
+	r := &Reach{parent: map[FuncID]FuncID{}}
 	sorted := append([]*Node{}, roots...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ID < sorted[j].ID })
 	var queue []FuncID
 	for _, n := range sorted {
-		if _, ok := r.root[n.ID]; ok {
+		if _, ok := r.parent[n.ID]; ok {
 			continue
 		}
-		r.root[n.ID] = n.ID
 		r.parent[n.ID] = n.ID
 		queue = append(queue, n.ID)
 	}
@@ -646,18 +629,14 @@ func (g *Graph) Reach(roots []*Node, follow func(*Node) bool) *Reach {
 		queue = queue[1:]
 		r.order = append(r.order, id)
 		n := g.nodes[id]
-		if n == nil || (follow != nil && r.root[id] != id && !follow(n)) {
+		if n == nil || (follow != nil && !follow(n)) {
 			continue // frontier: reached but not traversed
-		}
-		if follow != nil && r.root[id] == id && !follow(n) {
-			continue
 		}
 		for _, c := range n.Calls {
 			for _, t := range c.Targets {
-				if _, ok := r.root[t.ID]; ok {
+				if _, ok := r.parent[t.ID]; ok {
 					continue
 				}
-				r.root[t.ID] = r.root[id]
 				r.parent[t.ID] = id
 				queue = append(queue, t.ID)
 			}

@@ -1,7 +1,6 @@
 package lint_test
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -24,6 +23,15 @@ func loadFixture(t *testing.T) ([]*lint.Package, *lint.Graph) {
 }
 
 const fixturePkg = "lvm/test/callgraph"
+
+// reached returns the set of IDs a reachability query visited.
+func reached(r *lint.Reach) map[lint.FuncID]bool {
+	set := map[lint.FuncID]bool{}
+	for _, id := range r.Order() {
+		set[id] = true
+	}
+	return set
+}
 
 // TestGraphInterfaceDispatch: total calls Area through the Shape
 // interface; CHA must resolve the site to BOTH concrete implementations.
@@ -64,17 +72,18 @@ func TestGraphReach(t *testing.T) {
 		t.Fatal("no node for entry")
 	}
 	r := g.Reach([]*lint.Node{entry}, func(*lint.Node) bool { return true })
+	got := reached(r)
 	for _, id := range []string{
 		fixturePkg + ".total",
 		"(" + fixturePkg + ".Square).Area",
 		"(*" + fixturePkg + ".Circle).Area",
 	} {
-		if !r.Reachable(lint.FuncID(id)) {
+		if !got[lint.FuncID(id)] {
 			t.Errorf("%s not reachable from entry", id)
 		}
 	}
 	for _, id := range []string{fixturePkg + ".alloc", fixturePkg + ".callsAlloc"} {
-		if r.Reachable(lint.FuncID(id)) {
+		if got[lint.FuncID(id)] {
 			t.Errorf("%s reachable from entry; should be disconnected", id)
 		}
 	}
@@ -88,7 +97,7 @@ func TestGraphReach(t *testing.T) {
 // acquisition) must propagate one call level to their transitive callers.
 func TestFactsFixpoint(t *testing.T) {
 	pkgs, g := loadFixture(t)
-	fs := lint.ComputeFacts(g, pkgs, nil, nil)
+	fs := lint.ComputeFacts(g, pkgs, nil)
 	cases := []struct {
 		id   string
 		want func(lint.FuncFact) bool
@@ -117,52 +126,8 @@ func TestFactsFixpoint(t *testing.T) {
 	}
 }
 
-// TestFactsRoundTrip: Encode is deterministic and DecodeFacts inverts it.
-func TestFactsRoundTrip(t *testing.T) {
-	pkgs, g := loadFixture(t)
-	fs := lint.ComputeFacts(g, pkgs, nil, nil)
-	if fs.Len() == 0 {
-		t.Fatal("fixture produced no facts")
-	}
-	enc := fs.Encode()
-	if !bytes.Equal(enc, fs.Encode()) {
-		t.Fatal("Encode is not deterministic")
-	}
-	dec, err := lint.DecodeFacts(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec.Len() != fs.Len() {
-		t.Fatalf("round trip lost facts: %d → %d", fs.Len(), dec.Len())
-	}
-	for _, n := range g.Nodes() {
-		want, _ := fs.Lookup(n.ID)
-		got, ok := dec.Lookup(n.ID)
-		if !ok || got != want {
-			t.Errorf("%s: round trip %+v → %+v", n.ID, want, got)
-		}
-	}
-}
-
-// TestFactsVersionMismatch: a fact file from a different schema version
-// decodes to an EMPTY set without error — stale facts are recomputed, never
-// misread.
-func TestFactsVersionMismatch(t *testing.T) {
-	future := []byte(`{"version":99,"funcs":[{"id":"x.F","fact":{"a":true}}]}`)
-	fs, err := lint.DecodeFacts(future)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fs.Len() != 0 {
-		t.Fatalf("version-99 facts decoded to %d entries; want 0", fs.Len())
-	}
-	if _, err := lint.DecodeFacts([]byte("not json")); err == nil {
-		t.Fatal("corrupt facts decoded without error")
-	}
-}
-
 // TestGraphDeterminism: two independent builds over the same source
-// produce identical node orders and identical encoded facts.
+// produce identical node orders and identical facts for every node.
 func TestGraphDeterminism(t *testing.T) {
 	pkgs1, g1 := loadFixture(t)
 	pkgs2, g2 := loadFixture(t)
@@ -175,9 +140,13 @@ func TestGraphDeterminism(t *testing.T) {
 			t.Fatalf("node order diverges at %d: %s vs %s", i, n1[i].ID, n2[i].ID)
 		}
 	}
-	e1 := lint.ComputeFacts(g1, pkgs1, nil, nil).Encode()
-	e2 := lint.ComputeFacts(g2, pkgs2, nil, nil).Encode()
-	if !bytes.Equal(e1, e2) {
-		t.Fatal("encoded facts differ between identical builds")
+	f1 := lint.ComputeFacts(g1, pkgs1, nil)
+	f2 := lint.ComputeFacts(g2, pkgs2, nil)
+	for _, n := range n1 {
+		a, ok1 := f1.Lookup(n.ID)
+		b, ok2 := f2.Lookup(n.ID)
+		if !ok1 || !ok2 || a != b {
+			t.Errorf("%s: facts differ between identical builds: %+v vs %+v", n.ID, a, b)
+		}
 	}
 }

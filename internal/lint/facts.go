@@ -2,9 +2,8 @@ package lint
 
 // facts.go is the facts seam of the whole-program layer: per-function
 // summaries (allocates / mutates-receiver / acquires-locks) computed by a
-// fixpoint over the call graph, exported as deterministic JSON so the
-// vet-tool driver can hand them to dependent packages through cmd/go's
-// .vetx fact files, and consumed by the interprocedural analyzers:
+// fixpoint over the call graph and consumed by the interprocedural
+// analyzers:
 //
 //   - hotalloc judges calls that leave its scope (or the analyzed set) by
 //     the callee's Allocates fact;
@@ -16,13 +15,11 @@ package lint
 // conservative assumption table keyed on package path: formatting,
 // string-building, sorting, reflection and I/O packages are assumed to
 // allocate; pure-arithmetic packages are assumed clean. Module-internal
-// functions missing from the analyzed set (vet mode before their facts
-// arrive) are assumed clean — the vet driver always supplies dependency
-// facts in import order, so this only relaxes the golden-test harness,
-// which loads one package at a time.
+// functions missing from the analyzed set are assumed clean: a
+// whole-module run has a body for every one of them, so this only relaxes
+// the golden-test harness, which loads one package at a time.
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -31,16 +28,16 @@ import (
 	"strings"
 )
 
-// FuncFact is the exported summary of one function.
+// FuncFact is the summary of one function.
 type FuncFact struct {
 	// Allocates: some path through the function heap-allocates.
-	Allocates bool `json:"a,omitempty"`
+	Allocates bool
 	// AllocWhat is the first allocation reason, for diagnostics.
-	AllocWhat string `json:"w,omitempty"`
+	AllocWhat string
 	// Mutates: the function writes through its receiver.
-	Mutates bool `json:"m,omitempty"`
+	Mutates bool
 	// Locks: the function acquires a sync.Mutex / sync.RWMutex.
-	Locks bool `json:"l,omitempty"`
+	Locks bool
 }
 
 // FactSet maps FuncIDs to their facts.
@@ -48,86 +45,10 @@ type FactSet struct {
 	funcs map[FuncID]FuncFact
 }
 
-// NewFactSet returns an empty fact set.
-func NewFactSet() *FactSet { return &FactSet{funcs: map[FuncID]FuncFact{}} }
-
 // Lookup returns the fact for id.
 func (fs *FactSet) Lookup(id FuncID) (FuncFact, bool) {
-	if fs == nil || fs.funcs == nil {
-		return FuncFact{}, false
-	}
 	f, ok := fs.funcs[id]
 	return f, ok
-}
-
-// Len returns the number of facts.
-func (fs *FactSet) Len() int {
-	if fs == nil {
-		return 0
-	}
-	return len(fs.funcs)
-}
-
-// Merge copies every fact from src into fs (src wins on collision).
-func (fs *FactSet) Merge(src *FactSet) {
-	if src == nil {
-		return
-	}
-	for id, f := range src.funcs {
-		fs.funcs[id] = f
-	}
-}
-
-// factJSON is the wire form: a sorted list, so encoding is deterministic
-// and diffable.
-type factJSON struct {
-	Version int         `json:"version"`
-	Funcs   []factEntry `json:"funcs"`
-}
-
-type factEntry struct {
-	ID   FuncID   `json:"id"`
-	Fact FuncFact `json:"fact"`
-}
-
-// factsVersion is bumped whenever FuncFact's meaning changes; mismatched
-// fact files are ignored rather than misread.
-const factsVersion = 1
-
-// Encode renders the set as deterministic JSON.
-func (fs *FactSet) Encode() []byte {
-	out := factJSON{Version: factsVersion}
-	ids := make([]FuncID, 0, len(fs.funcs))
-	for id := range fs.funcs {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		out.Funcs = append(out.Funcs, factEntry{ID: id, Fact: fs.funcs[id]})
-	}
-	data, err := json.Marshal(out)
-	if err != nil {
-		// Marshal of plain structs cannot fail; keep the signature simple.
-		return []byte(`{"version":0,"funcs":[]}`)
-	}
-	return data
-}
-
-// DecodeFacts parses Encode output. Unknown versions decode to an empty
-// set (forward compatibility: stale facts are recomputed, not misread).
-func DecodeFacts(data []byte) (*FactSet, error) {
-	var in factJSON
-	if err := json.Unmarshal(data, &in); err != nil {
-		return nil, fmt.Errorf("lint: decoding facts: %w", err)
-	}
-	fs := NewFactSet()
-	if in.Version != factsVersion {
-		return fs, nil
-	}
-	for _, e := range in.Funcs {
-		fs.funcs[e.ID] = e.Fact
-	}
-	return fs, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -168,14 +89,11 @@ var assumedCleanFuncs = map[string]bool{
 }
 
 // externalFact judges a call target with no body in the analyzed set.
-func externalFact(imported *FactSet, ext ExtTarget) FuncFact {
-	if f, ok := imported.Lookup(ext.ID); ok {
-		return f
-	}
+func externalFact(ext ExtTarget) FuncFact {
 	if strings.HasPrefix(ext.PkgPath, ModulePath+"/") || ext.PkgPath == ModulePath {
-		// Module-internal without facts: the vet driver supplies deps'
-		// facts in dependency order; the golden-test harness loads one
-		// package at a time and assumes its module imports clean.
+		// Module-internal without a body: only the golden-test harness,
+		// which loads one package at a time, reaches here, and it
+		// assumes the module packages its fixture imports are clean.
 		return FuncFact{}
 	}
 	key := ext.PkgPath + "." + ext.Name
@@ -555,13 +473,9 @@ type nodeLocal struct {
 // ComputeFacts runs the direct scans and the transitive fixpoint over the
 // graph. allowed filters allocation sites that carry an audited
 // //lint:allow hotalloc, so a fully-suppressed function exports a clean
-// fact. imported supplies facts for bodyless module-internal targets
-// (vet mode); nil means none.
-func ComputeFacts(g *Graph, pkgs []*Package, imported *FactSet, allowed func(pkg *Package, pos token.Pos) bool) *FactSet {
-	if imported == nil {
-		imported = NewFactSet()
-	}
-	fs := NewFactSet()
+// fact.
+func ComputeFacts(g *Graph, pkgs []*Package, allowed func(pkg *Package, pos token.Pos) bool) *FactSet {
+	fs := &FactSet{funcs: map[FuncID]FuncFact{}}
 	local := map[FuncID]*nodeLocal{}
 	trunc := map[*Package]map[types.Object]bool{}
 	for _, pkg := range pkgs {
@@ -602,11 +516,11 @@ func ComputeFacts(g *Graph, pkgs []*Package, imported *FactSet, allowed func(pkg
 					break
 				}
 				// An audited //lint:allow hotalloc on the call line keeps
-				// the callee's Allocates out of this function's exported
-				// fact — otherwise vet mode, which judges cross-package
-				// calls by facts alone, would re-report every allocation
-				// that standalone mode suppresses at the site. Locks
-				// propagation is unaffected: the filter is hotalloc's.
+				// the callee's Allocates out of this function's fact, so
+				// hotalloc's frontier check, which judges a call by its
+				// callee's fact, does not re-report an allocation already
+				// suppressed at the site. Locks propagation is
+				// unaffected: the filter is hotalloc's.
 				callAllowed := allowed != nil && allowed(n.Pkg, c.Pos)
 				for _, t := range c.Targets {
 					tf := fs.funcs[t.ID]
@@ -619,7 +533,7 @@ func ComputeFacts(g *Graph, pkgs []*Package, imported *FactSet, allowed func(pkg
 					}
 				}
 				for _, ext := range c.Externals {
-					ef := externalFact(imported, ext)
+					ef := externalFact(ext)
 					if !f.Allocates && ef.Allocates && !callAllowed {
 						f.Allocates = true
 						f.AllocWhat = "calls " + string(shortID(ext.ID))
@@ -631,11 +545,7 @@ func ComputeFacts(g *Graph, pkgs []*Package, imported *FactSet, allowed func(pkg
 			}
 			if !f.Mutates {
 				for _, id := range local[n.ID].recvCalls {
-					tf, ok := fs.funcs[id]
-					if !ok {
-						tf, _ = imported.Lookup(id)
-					}
-					if tf.Mutates {
+					if fs.funcs[id].Mutates {
 						f.Mutates = true
 						break
 					}

@@ -39,7 +39,6 @@ var FloatFree = &Analyzer{
 	// core counts as covered even though only its hot-path files are
 	// checked: the analyzer does look at the package, file by file.
 	Covers: func(path string) bool {
-		path = StripVariant(path)
 		return floatFreePkgs[path] || path == ModulePath+"/internal/core"
 	},
 }

@@ -9,8 +9,7 @@ package lint
 // roots — sim.step, CPU.translate, and every Walk/WalkInto method of a
 // type implementing mmu.Walker — it visits everything reachable inside
 // the hardware-model packages and flags every heap-allocating construct,
-// and judges calls that leave the scope by the callee's exported
-// Allocates fact.
+// and judges calls that leave the scope by the callee's Allocates fact.
 
 import (
 	"go/types"
@@ -50,7 +49,7 @@ var hotAllocPkgs = map[string]bool{
 	ModulePath + "/internal/workload":  true,
 }
 
-func inHotAllocScope(path string) bool { return hotAllocPkgs[StripVariant(path)] }
+func inHotAllocScope(path string) bool { return hotAllocPkgs[path] }
 
 // HotAlloc flags heap allocation reachable from the translation hot path.
 var HotAlloc = &Analyzer{
@@ -65,7 +64,7 @@ var HotAlloc = &Analyzer{
 		"composite literals, closure creation, interface boxing at call " +
 		"boundaries, string concatenation and conversions, and go " +
 		"statements. Calls leaving the hardware-model package set are " +
-		"judged by the callee's exported Allocates fact at the call site, " +
+		"judged by the callee's Allocates fact at the call site, " +
 		"so audited exceptions (the OS fault path, bounded warm-up " +
 		"appends) carry a //lint:allow where the hot path meets them. " +
 		"TestStepZeroAllocs remains the dynamic backstop for what static " +
@@ -143,7 +142,7 @@ func runHotAlloc(pass *ProgramPass) {
 				}
 			}
 			for _, ext := range c.Externals {
-				if f := prog.FactFor(ext.ID, ext); f.Allocates {
+				if f := externalFact(ext); f.Allocates {
 					report(n.Pkg, allocSite{pos: c.Pos,
 						what: "call to " + string(shortID(ext.ID)) + ", which allocates (" + f.AllocWhat + ")"}, via)
 				}

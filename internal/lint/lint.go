@@ -79,8 +79,8 @@ type Analyzer struct {
 // A Pass provides one analyzer with one type-checked package.
 type Pass struct {
 	Analyzer *Analyzer
-	// PkgPath is the package's import path with any test-variant suffix
-	// (e.g. " [lvm/internal/sim.test]") already stripped.
+	// PkgPath is the package's import path (an external test package
+	// keeps its base package's path).
 	PkgPath string
 	Fset    *token.FileSet
 	Files   []*ast.File
@@ -124,9 +124,7 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s (%s)", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Message, d.Analyzer)
 }
 
-// Analyzers returns the full lvmlint suite in a stable order. The order
-// is part of the result-cache key, so appending here invalidates stale
-// cached runs automatically.
+// Analyzers returns the full lvmlint suite in a stable order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		FixedQ, AddrTypes, NonDeterm, FloatFree, NoPanic,
@@ -136,43 +134,23 @@ func Analyzers() []*Analyzer {
 
 // A Program is the whole-program view handed to RunProgram analyzers: the
 // loaded packages, the CHA call graph over them, and the per-function
-// facts (local ∪ imported).
+// facts.
 type Program struct {
 	Packages []*Package
 	Graph    *Graph
-	// Facts holds the summaries computed for this program's functions,
-	// closed transitively over Imported.
+	// Facts holds the summaries computed for this program's functions.
 	Facts *FactSet
-	// Imported holds facts received from already-analyzed dependency
-	// packages (the vet-tool facts seam); empty in whole-module runs.
-	Imported *FactSet
-}
-
-// FactFor returns the best-known fact for a call target: a node's
-// computed fact, an imported fact, or the external assumption table.
-func (prog *Program) FactFor(id FuncID, ext ExtTarget) FuncFact {
-	if f, ok := prog.Facts.Lookup(id); ok {
-		return f
-	}
-	if f, ok := prog.Imported.Lookup(id); ok {
-		return f
-	}
-	return externalFact(prog.Imported, ext)
 }
 
 // NewProgram builds the graph and facts over pkgs. allowed filters
 // //lint:allow hotalloc sites out of the allocation facts; nil applies no
 // filtering.
-func NewProgram(pkgs []*Package, imported *FactSet, allowed func(pkg *Package, pos token.Pos) bool) *Program {
-	if imported == nil {
-		imported = NewFactSet()
-	}
+func NewProgram(pkgs []*Package, allowed func(pkg *Package, pos token.Pos) bool) *Program {
 	g := BuildGraph(pkgs)
 	return &Program{
 		Packages: pkgs,
 		Graph:    g,
-		Facts:    ComputeFacts(g, pkgs, imported, allowed),
-		Imported: imported,
+		Facts:    ComputeFacts(g, pkgs, allowed),
 	}
 }
 
@@ -193,12 +171,12 @@ func (p *ProgramPass) Reportf(pkg *Package, pos token.Pos, format string, args .
 	})
 }
 
-// RunSuite applies the full analyzer set — per-package and whole-program —
-// to the loaded packages and returns the surviving diagnostics plus the
-// computed facts (for the vet driver to export). Suppression is uniform:
-// a //lint:allow in any package suppresses a diagnostic at that position
-// regardless of which mode produced it.
-func RunSuite(pkgs []*Package, analyzers []*Analyzer, imported *FactSet) ([]Diagnostic, *FactSet) {
+// RunSuite applies the analyzers — per-package and whole-program — to the
+// loaded packages and returns the surviving diagnostics, malformed
+// //lint:allow comments included, sorted by position. Suppression is
+// uniform: a //lint:allow in any package suppresses a diagnostic at that
+// position whichever kind of analyzer produced it.
+func RunSuite(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	var perPkg, perProg []*Analyzer
 	for _, a := range analyzers {
 		if a.RunProgram != nil {
@@ -242,7 +220,7 @@ func RunSuite(pkgs []*Package, analyzers []*Analyzer, imported *FactSet) ([]Diag
 		}
 	}
 
-	prog := NewProgram(pkgs, imported, allowedHot)
+	prog := NewProgram(pkgs, allowedHot)
 	for _, a := range perProg {
 		pass := &ProgramPass{Analyzer: a, Prog: prog}
 		a.RunProgram(pass)
@@ -265,7 +243,7 @@ func RunSuite(pkgs []*Package, analyzers []*Analyzer, imported *FactSet) ([]Diag
 		}
 		return out[i].Message < out[j].Message
 	})
-	return out, prog.Facts
+	return out
 }
 
 // allow is one parsed //lint:allow comment.
@@ -336,41 +314,6 @@ func suppress(diags []Diagnostic, allows []*allow) []Diagnostic {
 	return kept
 }
 
-// Run applies the per-package analyzers to one loaded package and returns
-// the surviving diagnostics plus any malformed-allow diagnostics, sorted
-// by position. Whole-program analyzers in the list are skipped; use
-// RunSuite to run both kinds.
-func Run(pkg *Package, analyzers []*Analyzer) []Diagnostic {
-	allows, malformed := collectAllows(pkg.Fset, pkg.Files)
-	var out []Diagnostic
-	for _, a := range analyzers {
-		if a.Run == nil {
-			continue
-		}
-		pass := &Pass{
-			Analyzer: a,
-			PkgPath:  pkg.PkgPath,
-			Fset:     pkg.Fset,
-			Files:    pkg.Files,
-			Pkg:      pkg.Types,
-			Info:     pkg.Info,
-		}
-		a.Run(pass)
-		out = append(out, suppress(pass.diags, allows)...)
-	}
-	out = append(out, malformed...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Pos.Filename != out[j].Pos.Filename {
-			return out[i].Pos.Filename < out[j].Pos.Filename
-		}
-		if out[i].Pos.Line != out[j].Pos.Line {
-			return out[i].Pos.Line < out[j].Pos.Line
-		}
-		return out[i].Pos.Column < out[j].Pos.Column
-	})
-	return out
-}
-
 // isNamed reports whether t is the named type pkgPath.name (after
 // following aliases).
 func isNamed(t types.Type, pkgPath, name string) bool {
@@ -380,13 +323,4 @@ func isNamed(t types.Type, pkgPath, name string) bool {
 	}
 	obj := n.Obj()
 	return obj.Pkg() != nil && obj.Pkg().Path() == pkgPath && obj.Name() == name
-}
-
-// StripVariant removes cmd/go's test-variant suffix from an import path:
-// "p [p.test]" → "p".
-func StripVariant(path string) string {
-	if i := strings.Index(path, " ["); i >= 0 {
-		return path[:i]
-	}
-	return path
 }

@@ -1,7 +1,10 @@
 package lint_test
 
 import (
+	"go/ast"
+	"go/types"
 	"strings"
+	"sync"
 	"testing"
 
 	"lvm/internal/lint"
@@ -53,17 +56,7 @@ func TestNonDetermCoversMetrics(t *testing.T) {
 // or a scope map that silently drifts out from under the import graph —
 // fails here.
 func TestSuiteScopeCoverage(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and type-checks the whole module")
-	}
-	loader, err := lint.NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.LoadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	pkgs := loadModule(t)
 	simCore := map[string]bool{
 		"lvm/internal/sim":     true,
 		"lvm/internal/mmu":     true,
@@ -166,29 +159,167 @@ func TestAllowSuppression(t *testing.T) {
 	linttest.Run(t, lint.FixedQ, "testdata/src/allow", "lvm/test/allow")
 }
 
-// TestRepoIsLintClean enforces the full suite — per-package AND
-// whole-program analyzers — over the module as a tier-1 test: a PR that
-// introduces a violation without an auditable //lint:allow fails here, not
-// just in CI's lvmlint step. RunSuite (not per-package Run) is essential:
-// hotalloc's reachability and syncsafe's Locks facts only exist with the
-// cross-package call graph built.
-func TestRepoIsLintClean(t *testing.T) {
+var module struct {
+	once sync.Once
+	pkgs []*lint.Package
+	err  error
+}
+
+// loadModule type-checks the whole module once per test binary; the
+// whole-module tests share the result and skip themselves in -short mode.
+func loadModule(t *testing.T) []*lint.Package {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module")
 	}
-	loader, err := lint.NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
+	module.once.Do(func() {
+		loader, err := lint.NewLoader(".")
+		if err != nil {
+			module.err = err
+			return
+		}
+		module.pkgs, module.err = loader.LoadAll()
+	})
+	if module.err != nil {
+		t.Fatal(module.err)
 	}
-	pkgs, err := loader.LoadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
+	return module.pkgs
+}
+
+// TestRepoIsLintClean enforces the full suite — per-package AND
+// whole-program analyzers — over the module as a tier-1 test: a PR that
+// introduces a violation without an auditable //lint:allow fails here, not
+// just in CI's lvmlint step. hotalloc's reachability and syncsafe's Locks
+// facts only exist with the cross-package call graph built, so the suite
+// runs over the whole module at once.
+func TestRepoIsLintClean(t *testing.T) {
+	pkgs := loadModule(t)
 	if len(pkgs) < 20 {
 		t.Fatalf("loader found only %d packages; module discovery is broken", len(pkgs))
 	}
-	diags, _ := lint.RunSuite(pkgs, lint.Analyzers(), nil)
-	for _, d := range diags {
+	for _, d := range lint.RunSuite(pkgs, lint.Analyzers()) {
 		t.Errorf("%s", d)
+	}
+}
+
+// stdlibCallbacks are method names the standard library calls through an
+// interface (fmt's Stringer and error, go/types' Importer): no call edge
+// inside the module leads to them, so every non-test method with one of
+// these names is a root.
+var stdlibCallbacks = map[string]bool{
+	"String": true, "Error": true, "Import": true,
+}
+
+// reachKeep lists functions that stay although nothing outside tests
+// reaches them, each with its reason. They are roots, so what they call
+// stays too. A function only another package's tests use cannot move into
+// a _test.go file, and neither can one an external test package (package
+// x_test) uses: the loader type-checks those against x without its
+// _test.go files.
+var reachKeep = map[lint.FuncID]string{
+	"lvm/internal/lint/linttest.Run": "the golden-file harness every analyzer test runs through",
+	"(*lvm/internal/sim.CPU).RunIntervals": "the standalone windowed run that the Session and " +
+		"lvmd tests check served windows against",
+	"(*lvm/internal/gapped.Table).Extents": "internal/core's fragmentation test counts a leaf " +
+		"table's contiguous runs with it",
+	"(*lvm/internal/lvmd.Server).Stats":       "lvmd's admission tests watch queue depth and load through it",
+	"(*lvm/internal/lvmd.Server).KillSession": "lvmd's kill tests abort a session daemon-side with it",
+	"(*lvm/internal/lvmd.Client).Kill":        "lvmd's kill tests send a client kill frame with it",
+}
+
+// TestEveryFunctionIsReached finds dead code with the lint call graph.
+// The roots are main and init of every package (cmd/*, examples/* and
+// perfbench included), the root lvm package's exported functions, every
+// function named in a package-level var initializer (the registries and
+// scheme tables), methods the standard library calls back (stdlibCallbacks)
+// and reachKeep. The edges are the CHA call edges plus every function or
+// method value named in a reached body — a method value handed to a
+// generic helper is reached through no call edge — iterated to a
+// fixpoint. A non-test function outside that set is reached only by
+// tests or by nothing: delete it, or move it into the _test.go file that
+// uses it.
+func TestEveryFunctionIsReached(t *testing.T) {
+	pkgs := loadModule(t)
+	g := lint.BuildGraph(pkgs)
+	idOf := func(fn *types.Func) lint.FuncID { return lint.FuncID(fn.Origin().FullName()) }
+
+	var roots []*lint.Node
+	rooted := map[lint.FuncID]bool{}
+	addRoot := func(n *lint.Node) bool {
+		if n == nil || rooted[n.ID] {
+			return false
+		}
+		rooted[n.ID] = true
+		roots = append(roots, n)
+		return true
+	}
+	for _, n := range g.Nodes() {
+		if n.Fn == nil || n.InTestFile() {
+			continue
+		}
+		name := n.Fn.Name()
+		switch {
+		case n.Recv() == nil && (name == "main" || name == "init"),
+			n.Recv() == nil && n.Pkg.PkgPath == lint.ModulePath && n.Fn.Exported(),
+			n.Recv() != nil && stdlibCallbacks[name]:
+			addRoot(n)
+		}
+	}
+	for id := range reachKeep {
+		if g.Lookup(id) == nil {
+			t.Errorf("reachKeep names %s, which is not a function in the module", id)
+		}
+		addRoot(g.Lookup(id))
+	}
+	// named calls fn for every function or method value named in x.
+	named := func(pkg *lint.Package, x ast.Node, fn func(*lint.Node)) {
+		ast.Inspect(x, func(y ast.Node) bool {
+			if id, ok := y.(*ast.Ident); ok {
+				if f, ok := pkg.Info.Uses[id].(*types.Func); ok {
+					if n := g.Lookup(idOf(f)); n != nil {
+						fn(n)
+					}
+				}
+			}
+			return true
+		})
+	}
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			if strings.HasSuffix(pkg.Fset.Position(f.Pos()).Filename, "_test.go") {
+				continue
+			}
+			for _, decl := range f.Decls {
+				if gd, ok := decl.(*ast.GenDecl); ok {
+					named(pkg, gd, func(n *lint.Node) { addRoot(n) })
+				}
+			}
+		}
+	}
+
+	var live map[lint.FuncID]bool
+	scanned := map[lint.FuncID]bool{}
+	for grew := true; grew; {
+		grew = false
+		reach := g.Reach(roots, nil)
+		live = reached(reach)
+		for _, id := range reach.Order() {
+			n := g.Lookup(id)
+			if n == nil || scanned[id] || n.Body() == nil {
+				continue
+			}
+			scanned[id] = true
+			named(n.Pkg, n.Body(), func(m *lint.Node) {
+				if !live[m.ID] && addRoot(m) {
+					grew = true
+				}
+			})
+		}
+	}
+
+	for _, n := range g.Nodes() {
+		if n.Fn != nil && !n.InTestFile() && !live[n.ID] {
+			t.Errorf("%s is reached by nothing outside tests: delete it, or move it into the _test.go file that uses it", n.ID)
+		}
 	}
 }

@@ -51,16 +51,10 @@ func Run(t *testing.T, a *lint.Analyzer, dir, asPath string) {
 	}
 	for _, pkg := range pkgs {
 		expects := collectWants(t, pkg)
-		// Whole-program analyzers see a one-package program (imports are
-		// judged by facts, exactly as in vet mode); per-package analyzers
-		// take the direct path.
-		var diags []lint.Diagnostic
-		if a.RunProgram != nil {
-			diags, _ = lint.RunSuite([]*lint.Package{pkg}, []*lint.Analyzer{a}, nil)
-		} else {
-			diags = lint.Run(pkg, []*lint.Analyzer{a})
-		}
-		for _, d := range diags {
+		// Whole-program analyzers see a one-package program: calls into
+		// other module packages have no body here and are judged by the
+		// facts layer's assumptions.
+		for _, d := range lint.RunSuite([]*lint.Package{pkg}, []*lint.Analyzer{a}) {
 			if !consume(expects, d) {
 				t.Errorf("unexpected diagnostic: %s", d)
 			}

@@ -87,9 +87,6 @@ func NewLoader(dir string) (*Loader, error) {
 	return l, nil
 }
 
-// ModRoot returns the module root directory.
-func (l *Loader) ModRoot() string { return l.modRoot }
-
 // Import implements types.Importer, routing module-internal paths to the
 // source tree and everything else to the standard importer.
 func (l *Loader) Import(path string) (*types.Package, error) {
@@ -222,7 +219,7 @@ func (l *Loader) LoadDir(dir, asPath string) ([]*Package, error) {
 			return nil, err
 		}
 		out = append(out, &Package{
-			PkgPath: StripVariant(asPath), Dir: dir,
+			PkgPath: asPath, Dir: dir,
 			Fset: l.Fset, Files: files, Types: pkg, Info: info,
 		})
 	}
@@ -236,7 +233,7 @@ func (l *Loader) LoadDir(dir, asPath string) ([]*Package, error) {
 			return nil, err
 		}
 		out = append(out, &Package{
-			PkgPath: StripVariant(asPath), Dir: dir, IsXTest: true,
+			PkgPath: asPath, Dir: dir, IsXTest: true,
 			Fset: l.Fset, Files: xfiles, Types: pkg, Info: info,
 		})
 	}

@@ -62,7 +62,7 @@ var NonDeterm = &Analyzer{
 	Run:  runNonDeterm,
 	// The clock/rand rules are module-wide; Covers declares the stricter
 	// map-iteration scope, which is what the suite coverage test audits.
-	Covers: func(path string) bool { return inSimScope(StripVariant(path)) },
+	Covers: inSimScope,
 }
 
 func runNonDeterm(pass *Pass) {

@@ -40,7 +40,7 @@ var NoPanic = &Analyzer{
 	Name:   "nopanic",
 	Doc:    "bans panic in simulator and experiment packages; propagate wrapped errors instead",
 	Run:    runNoPanic,
-	Covers: func(path string) bool { return inNoPanicScope(StripVariant(path)) },
+	Covers: inNoPanicScope,
 }
 
 func runNoPanic(pass *Pass) {

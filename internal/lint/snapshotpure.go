@@ -9,7 +9,7 @@ package lint
 //
 // The check is interprocedural: a Snapshot body may not write through its
 // receiver (closures included — they share the receiver variable), and
-// may not call, through the receiver, any function whose exported
+// may not call, through the receiver, any function whose
 // MutatesReceiver fact is true. Interface-dispatched calls (e.g.
 // c.walker.(metrics.Source).Snapshot()) are resolved by CHA and every
 // candidate implementation is checked.
@@ -106,7 +106,7 @@ func checkSnapshotBody(pass *ProgramPass, n *Node) {
 				}
 			}
 			for _, ext := range c.Externals {
-				if f := prog.FactFor(ext.ID, ext); f.Mutates {
+				if f := externalFact(ext); f.Mutates {
 					pass.Reportf(pkg, x.Pos(), "Snapshot must be read-only: calls %s, which mutates its receiver", shortID(ext.ID))
 				}
 			}

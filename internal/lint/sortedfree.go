@@ -24,7 +24,7 @@ var sortedFreePkgs = map[string]bool{
 	ModulePath + "/internal/phys":     true,
 }
 
-func inSortedFreeScope(path string) bool { return sortedFreePkgs[StripVariant(path)] }
+func inSortedFreeScope(path string) bool { return sortedFreePkgs[path] }
 
 // SortedFree flags frame frees inside map iterations.
 var SortedFree = &Analyzer{
@@ -42,7 +42,7 @@ var SortedFree = &Analyzer{
 const physPkgPath = ModulePath + "/internal/phys"
 
 func runSortedFree(pass *Pass) {
-	inScope := inSortedFreeScope(pass.PkgPath) || StripVariant(pass.PkgPath) == physPkgPath
+	inScope := inSortedFreeScope(pass.PkgPath) || pass.PkgPath == physPkgPath
 	if !inScope {
 		for _, imp := range pass.Pkg.Imports() {
 			if imp.Path() == physPkgPath {

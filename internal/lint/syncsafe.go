@@ -25,7 +25,6 @@ import (
 )
 
 func inSyncSafeScope(path string) bool {
-	path = StripVariant(path)
 	for _, p := range []string{
 		ModulePath + "/internal/experiments",
 		ModulePath + "/internal/lvmd",

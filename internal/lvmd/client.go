@@ -16,10 +16,8 @@ import (
 // primitives they are built on). Kill may be called from any goroutine to
 // abort the in-flight session; everything else is caller-serialized.
 type Client struct {
-	w       *wire.Conn[message]
-	workers int
-	budget  uint64
-	st      SessionStats
+	w  *wire.Conn[message]
+	st SessionStats
 }
 
 // SessionStats reports what admission observed for one session.
@@ -82,7 +80,7 @@ func DialRetry(addr string, cfg Config, attempts int, backoff time.Duration) (*C
 		w.Close()
 		return nil, fmt.Errorf("lvmd: unexpected handshake reply %q", m.Type)
 	}
-	return &Client{w: w, workers: m.Workers, budget: m.BudgetBytes}, nil
+	return &Client{w: w}, nil
 }
 
 // hello is the handshake frame of a client configured with fingerprint fp;
@@ -90,12 +88,6 @@ func DialRetry(addr string, cfg Config, attempts int, backoff time.Duration) (*C
 func hello(fp string) message {
 	return message{Type: msgHello, Hello: wire.Hello{Proto: ProtocolVersion, SchemaVersion: StreamSchemaVersion, Fingerprint: fp}}
 }
-
-// Workers reports the daemon's advertised worker-slot count.
-func (c *Client) Workers() int { return c.workers }
-
-// BudgetBytes reports the daemon's advertised admission budget.
-func (c *Client) BudgetBytes() uint64 { return c.budget }
 
 // Close releases the connection. Closing mid-session aborts it daemon-side
 // exactly like a client crash.

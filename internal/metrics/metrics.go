@@ -111,9 +111,6 @@ func (s *Set) Merge(prefix string, o Set) {
 	}
 }
 
-// Len returns the number of metrics in the set.
-func (s Set) Len() int { return len(s.vals) }
-
 // Get returns the metric of the given name.
 func (s Set) Get(name string) (Value, bool) {
 	if i := s.find(name); i >= 0 {
@@ -126,14 +123,6 @@ func (s Set) Get(name string) (Value, bool) {
 func (s Set) Uint(name string) uint64 {
 	if v, ok := s.Get(name); ok && v.Kind == KindCounter {
 		return v.Uint
-	}
-	return 0
-}
-
-// Float returns the named gauge's value (0 when absent or a counter).
-func (s Set) Float(name string) float64 {
-	if v, ok := s.Get(name); ok && v.Kind == KindGauge {
-		return v.Float
 	}
 	return 0
 }

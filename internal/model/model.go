@@ -100,21 +100,6 @@ func FitRanks(keys []uint64) Linear {
 	return Fit(keys, positions)
 }
 
-// FitEndpoints fits a line through the first and last (key, position)
-// pairs. Internal nodes use this: the relationship between a node's key
-// range and its evenly divided children is exactly linear, so heavyweight
-// regression is unnecessary (paper §4.3.2).
-func FitEndpoints(loKey, hiKey uint64, loPos, hiPos float64) Linear {
-	if hiKey == loKey {
-		return Linear{Slope: 0, Intercept: loPos}
-	}
-	slope := (hiPos - loPos) / (float64(hiKey) - float64(loKey))
-	return Linear{
-		Slope:     slope,
-		Intercept: loPos - slope*float64(loKey),
-	}
-}
-
 func residualBounds(l Linear, keys []uint64, positions []float64) (minErr, maxErr float64) {
 	for i, k := range keys {
 		r := positions[i] - l.Predict(float64(k))

@@ -103,6 +103,20 @@ func TestResidualBoundsContainTruth(t *testing.T) {
 	}
 }
 
+// FitEndpoints fits a line through the first and last (key, position)
+// pairs: the exactly linear relationship between a node's key range and
+// its evenly divided children (paper §4.3.2).
+func FitEndpoints(loKey, hiKey uint64, loPos, hiPos float64) Linear {
+	if hiKey == loKey {
+		return Linear{Slope: 0, Intercept: loPos}
+	}
+	slope := (hiPos - loPos) / (float64(hiKey) - float64(loKey))
+	return Linear{
+		Slope:     slope,
+		Intercept: loPos - slope*float64(loKey),
+	}
+}
+
 func TestFitEndpoints(t *testing.T) {
 	l := FitEndpoints(100, 200, 0, 10)
 	if math.Abs(l.Predict(100)) > 1e-12 {

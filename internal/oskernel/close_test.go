@@ -1,10 +1,30 @@
 package oskernel
 
 import (
+	"sort"
 	"testing"
 
 	"lvm/internal/phys"
 )
+
+// Close tears down every launched process in ascending ASID order. The
+// kernel address space (ASID 0) is left in place; after Close the System
+// can launch fresh processes against the same physical memory.
+func (s *System) Close() {
+	// Sorted order for the same reason Kill frees pages in VPN order: the
+	// buddy allocator's free lists must not depend on map iteration.
+	asids := make([]uint16, 0, len(s.procs))
+	for asid := range s.procs {
+		asids = append(asids, asid)
+	}
+	sort.Slice(asids, func(i, j int) bool { return asids[i] < asids[j] })
+	for _, asid := range asids {
+		if asid == KernelASID {
+			continue
+		}
+		_ = s.Kill(asid) // cannot fail: asid came from the live proc table
+	}
+}
 
 // TestCloseReleasesEverything launches several processes per scheme,
 // closes the system, and verifies every page the launches consumed came

@@ -93,9 +93,6 @@ func (s *System) InstallKernel(l KernelLayout) error {
 	return nil
 }
 
-// KernelIndex returns the shared kernel learned index (LVM scheme).
-func (s *System) KernelIndex() *core.Index { return s.kernelIx }
-
 // KernelMappings returns the number of kernel translations installed.
 func (s *System) KernelMappings() int { return s.kernelMappings }
 
@@ -108,6 +105,3 @@ func (s *System) KernelIndexBytes() int {
 	}
 	return s.kernelIx.SizeBytes()
 }
-
-// IsKernelVPN reports whether a VPN belongs to the kernel half.
-func IsKernelVPN(v addr.VPN) bool { return v >= KernelBaseVPN }

@@ -68,6 +68,9 @@ func TestKernelUnsupportedScheme(t *testing.T) {
 	}
 }
 
+// IsKernelVPN reports whether a VPN belongs to the kernel half.
+func IsKernelVPN(v addr.VPN) bool { return v >= KernelBaseVPN }
+
 func TestIsKernelVPN(t *testing.T) {
 	if IsKernelVPN(0x1000) {
 		t.Error("user VPN classified as kernel")

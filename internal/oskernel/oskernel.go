@@ -387,27 +387,6 @@ func (s *System) Kill(asid uint16) error {
 	return nil
 }
 
-// Close tears down every launched process in ascending ASID order — the
-// deterministic end-of-life path a per-tenant server takes when a session
-// ends or the daemon shuts down. The kernel address space (ASID 0) is left
-// in place; after Close the System can launch fresh processes against the
-// same physical memory.
-func (s *System) Close() {
-	// Sorted order for the same reason Kill frees pages in VPN order: the
-	// buddy allocator's free lists must not depend on map iteration.
-	asids := make([]uint16, 0, len(s.procs))
-	for asid := range s.procs {
-		asids = append(asids, asid)
-	}
-	sort.Slice(asids, func(i, j int) bool { return asids[i] < asids[j] })
-	for _, asid := range asids {
-		if asid == KernelASID {
-			continue
-		}
-		_ = s.Kill(asid) // cannot fail: asid came from the live proc table
-	}
-}
-
 // SoftwareLookup is the OS's own walk (e.g. for permission changes). Like
 // Linux's VMA check before a page-table walk (§5), it first asks the
 // process's frame record whether any page covers v, and walks the table

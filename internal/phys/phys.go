@@ -126,8 +126,6 @@ type Memory struct {
 	// out, emulating environments where large contiguity is exhausted
 	// (the ≤256 KB experiment of §7.3).
 	contiguityCap int
-	// Stats.
-	allocCalls, freeCalls, splits, merges uint64
 }
 
 // New creates a memory of the given size in bytes. The size is rounded down
@@ -214,7 +212,6 @@ func (m *Memory) Alloc(order int) (addr.PPN, error) {
 	if m.contiguityCap >= 0 && order > m.contiguityCap {
 		return 0, ErrNoMemory
 	}
-	m.allocCalls++
 	// Find the smallest free order >= requested. The contiguity cap limits
 	// the order a caller may *request* (no large allocation succeeds), but
 	// small requests may still split larger free blocks, exactly as a real
@@ -235,7 +232,6 @@ func (m *Memory) Alloc(order int) (addr.PPN, error) {
 	}
 	// Split down to the requested order, returning the upper halves.
 	for o := from; o > order; o-- {
-		m.splits++
 		half := base + blockPages(o-1)
 		m.freeLists[o-1].add(half)
 	}
@@ -243,9 +239,6 @@ func (m *Memory) Alloc(order int) (addr.PPN, error) {
 	m.freePages -= blockPages(order)
 	return addr.PPN(base), nil
 }
-
-// AllocPage allocates a single base page.
-func (m *Memory) AllocPage() (addr.PPN, error) { return m.Alloc(0) }
 
 // AllocExact allocates the specific block [base, base+2^order) if it is
 // entirely free. Gapped page tables use this to expand in place: when the
@@ -271,13 +264,11 @@ func (m *Memory) AllocExact(base addr.PPN, order int) error {
 		if !m.freeLists[o].contains(container) {
 			continue
 		}
-		m.allocCalls++
 		m.freeLists[o].remove(container)
 		// Split the container down, freeing the sibling halves that do
 		// not contain the target block.
 		cur := container
 		for co := o; co > order; co-- {
-			m.splits++
 			half := blockPages(co - 1)
 			if b < cur+half {
 				// Target is in the lower half; free the upper.
@@ -304,7 +295,6 @@ func (m *Memory) Free(base addr.PPN, order int) {
 		panic(fmt.Sprintf("phys: bad free of pfn %#x order %d (allocated order %d, ok=%t)", b, order, got, got >= 0))
 	}
 	m.allocOrder[b] = 0
-	m.freeCalls++
 	m.freePages += blockPages(order)
 	for order < MaxOrder {
 		buddy := b ^ blockPages(order)
@@ -312,7 +302,6 @@ func (m *Memory) Free(base addr.PPN, order int) {
 			break
 		}
 		m.freeLists[order].remove(buddy)
-		m.merges++
 		if buddy < b {
 			b = buddy
 		}
@@ -345,15 +334,6 @@ func (m *Memory) FMFI(order int) float64 {
 		return 1
 	}
 	return 1 - m.ContiguousFreeFraction(order)
-}
-
-// FreeBlockCount returns the number of free blocks at exactly the given
-// order (for tests and diagnostics).
-func (m *Memory) FreeBlockCount(order int) int { return m.freeLists[order].len() }
-
-// Stats returns cumulative allocator statistics.
-func (m *Memory) Stats() (allocs, frees, splits, merges uint64) {
-	return m.allocCalls, m.freeCalls, m.splits, m.merges
 }
 
 // FragmentConfig controls how Fragment ages the allocator.

@@ -205,12 +205,6 @@ func (t *Table) Unmap(v addr.VPN) bool {
 // mirror always agrees).
 func (t *Table) Lookup(v addr.VPN) (pte.Entry, bool) { return t.Radix.Lookup(v) }
 
-// LiveEntries returns the hash table's live translation count.
-func (t *Table) LiveEntries() int { return t.live }
-
-// Slots returns the hash table's capacity.
-func (t *Table) Slots() int { return len(t.slots) }
-
 // TableBytes returns the physical memory consumed: radix table pages plus
 // the hash region.
 func (t *Table) TableBytes() uint64 {

@@ -163,8 +163,8 @@ func TestWalkTraceShape(t *testing.T) {
 	if !out.Found || out.Entry.PPN() != 0x100 {
 		t.Fatalf("walk = %+v", out)
 	}
-	if !out.HasVerify() || out.VerifyGroups() != 4 {
-		t.Fatalf("verify groups = %d, want the 4-level radix walk", out.VerifyGroups())
+	if v := out.NumGroups() - out.CriticalGroups(); v != 4 {
+		t.Fatalf("verify groups = %d, want the 4-level radix walk", v)
 	}
 	if out.CriticalGroups() < 1 {
 		t.Fatalf("critical groups = %d, want the probe chain", out.CriticalGroups())
@@ -179,7 +179,7 @@ func TestWalkTraceShape(t *testing.T) {
 	}
 
 	miss := w.Walk(1, 9)
-	if miss.Found || miss.HasVerify() {
+	if miss.Found || miss.CriticalGroups() != miss.NumGroups() {
 		t.Fatalf("unmapped walk = %+v, want miss with no verify region", miss)
 	}
 	if miss.NumGroups() < 1 {

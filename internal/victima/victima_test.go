@@ -97,9 +97,8 @@ func TestWalkTraceShape(t *testing.T) {
 	tb.Map(7, pte.New(0x100, addr.Page4K))
 
 	cold := w.Walk(1, 7)
-	if cold.NumGroups() != 6 || cold.VerifyGroups() != 1 {
-		t.Fatalf("cold walk: %d groups / %d verify, want 6 / 1",
-			cold.NumGroups(), cold.VerifyGroups())
+	if v := cold.NumGroups() - cold.CriticalGroups(); cold.NumGroups() != 6 || v != 1 {
+		t.Fatalf("cold walk: %d groups / %d verify, want 6 / 1", cold.NumGroups(), v)
 	}
 	// Probe and fill target the same store slot.
 	if cold.Group(0)[0] != tb.SlotPA(7) || cold.Group(5)[0] != tb.SlotPA(7) {
@@ -108,9 +107,9 @@ func TestWalkTraceShape(t *testing.T) {
 	}
 
 	hot := w.Walk(1, 7)
-	if hot.NumGroups() != 1 || hot.HasVerify() {
-		t.Fatalf("hot walk: %d groups, verify=%t, want 1 probe group, no verify",
-			hot.NumGroups(), hot.HasVerify())
+	if hot.NumGroups() != 1 || hot.CriticalGroups() != 1 {
+		t.Fatalf("hot walk: %d groups, %d critical, want 1 probe group, no verify",
+			hot.NumGroups(), hot.CriticalGroups())
 	}
 	if hot.WalkCacheCycles != 2 {
 		t.Errorf("hot walk wcc = %d, want StepCycles", hot.WalkCacheCycles)
@@ -136,7 +135,7 @@ func TestHugePagesNotCached(t *testing.T) {
 		if !out.Found || out.Entry.Size() != addr.Page2M {
 			t.Fatalf("walk %d: %+v", i, out)
 		}
-		if out.HasVerify() {
+		if out.CriticalGroups() != out.NumGroups() {
 			t.Errorf("walk %d: huge-page walk carries a verify region", i)
 		}
 	}

@@ -82,15 +82,5 @@ func bit(b bool) uint32 {
 	return 0
 }
 
-// Degree returns the out-degree of vertex u.
-func (g *Graph) Degree(u int) int {
-	return int(g.Offsets[u+1] - g.Offsets[u])
-}
-
-// Neighbors returns the target slice of vertex u.
-func (g *Graph) Neighbors(u int) []uint32 {
-	return g.Targets[g.Offsets[u]:g.Offsets[u+1]]
-}
-
 // E returns the edge count.
 func (g *Graph) E() int { return len(g.Targets) }
