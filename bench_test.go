@@ -3,14 +3,16 @@
 // micro-benchmarks of the core data structures and the ablation sweeps
 // called out in DESIGN.md §5.
 //
-// The experiment benchmarks share one cached Runner, so the first benchmark
-// to touch a (workload, scheme) pair pays for the simulation and the rest
-// reuse it. Set LVM_BENCH_SCALE=quick for a fast pass.
+// The experiment benchmarks share one Runner and go through its Execute
+// method, so the first benchmark to need a (workload, scheme) run or a
+// measurement pays for it and the rest reuse it. Set LVM_BENCH_SCALE=quick
+// for a fast pass.
 package lvm_test
 
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -41,45 +43,37 @@ func runner() *experiments.Runner {
 	return benchR
 }
 
+// result executes experiment key on the shared runner b.N times and returns
+// its raw result. Only the first execution of a run or measurement
+// simulates; later ones, in this benchmark or another, reuse it.
+func result[T any](b *testing.B, key string) T {
+	b.Helper()
+	var res T
+	for i := 0; i < b.N; i++ {
+		out, err := runner().Execute(experiments.ExecOptions{Workers: runtime.NumCPU()}, key)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res = out[0].Raw.(T)
+	}
+	return res
+}
+
 // --- Figure/table regeneration benchmarks -----------------------------------
 
 func BenchmarkFig2GapCoverage(b *testing.B) {
-	r := runner()
-	var min float64
-	for i := 0; i < b.N; i++ {
-		res, err := r.Fig2GapCoverage()
-		if err != nil {
-			b.Fatal(err)
-		}
-		min = res.Min
-	}
-	b.ReportMetric(100*min, "min-coverage-%")
+	res := result[experiments.Fig2Result](b, "fig2")
+	b.ReportMetric(100*res.Min, "min-coverage-%")
 }
 
 func BenchmarkFig3Contiguity(b *testing.B) {
-	r := runner()
-	var at256K, at256M float64
-	for i := 0; i < b.N; i++ {
-		res, err := r.Fig3Contiguity()
-		if err != nil {
-			b.Fatal(err)
-		}
-		at256K, at256M = res.Fraction[256<<10], res.Fraction[256<<20]
-	}
-	b.ReportMetric(100*at256K, "contig-256KB-%")
-	b.ReportMetric(100*at256M, "contig-256MB-%")
+	res := result[experiments.Fig3Result](b, "fig3")
+	b.ReportMetric(100*res.Fraction[256<<10], "contig-256KB-%")
+	b.ReportMetric(100*res.Fraction[256<<20], "contig-256MB-%")
 }
 
 func BenchmarkFig9Speedup(b *testing.B) {
-	r := runner()
-	var res experiments.Fig9Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = r.Fig9Speedups()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	res := result[experiments.Fig9Result](b, "fig9")
 	b.ReportMetric(100*(res.AvgLVM4K-1), "lvm-4K-speedup-%")
 	b.ReportMetric(100*(res.AvgLVMTHP-1), "lvm-THP-speedup-%")
 	b.ReportMetric(100*(res.AvgECPT4K-1), "ecpt-4K-speedup-%")
@@ -87,15 +81,7 @@ func BenchmarkFig9Speedup(b *testing.B) {
 }
 
 func BenchmarkFig10MMUOverhead(b *testing.B) {
-	r := runner()
-	var res experiments.Fig10Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = r.Fig10MMUOverhead()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	res := result[experiments.Fig10Result](b, "fig10")
 	b.ReportMetric(100*(1-res.AvgLVM4K), "lvm-mmu-reduction-4K-%")
 	b.ReportMetric(100*(1-res.AvgLVMTHP), "lvm-mmu-reduction-THP-%")
 	b.ReportMetric(100*res.LVMWalkReduction4K, "lvm-walkcyc-reduction-4K-%")
@@ -103,15 +89,7 @@ func BenchmarkFig10MMUOverhead(b *testing.B) {
 }
 
 func BenchmarkFig11WalkTraffic(b *testing.B) {
-	r := runner()
-	var res experiments.Fig11Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = r.Fig11WalkTraffic()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	res := result[experiments.Fig11Result](b, "fig11")
 	b.ReportMetric(res.AvgLVM4K, "lvm-traffic-vs-radix-4K")
 	b.ReportMetric(res.AvgECPT4K, "ecpt-traffic-vs-radix-4K")
 	b.ReportMetric(res.AvgLVMTHP, "lvm-traffic-vs-radix-THP")
@@ -120,15 +98,7 @@ func BenchmarkFig11WalkTraffic(b *testing.B) {
 }
 
 func BenchmarkFig12CacheMPKI(b *testing.B) {
-	r := runner()
-	var res experiments.Fig12Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = r.Fig12CacheMPKI()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	res := result[experiments.Fig12Result](b, "fig12")
 	b.ReportMetric(res.AvgLVML2, "lvm-L2-mpki-vs-radix")
 	b.ReportMetric(res.AvgLVML3, "lvm-L3-mpki-vs-radix")
 	b.ReportMetric(res.AvgECPTL2, "ecpt-L2-mpki-vs-radix")
@@ -136,15 +106,7 @@ func BenchmarkFig12CacheMPKI(b *testing.B) {
 }
 
 func BenchmarkTable2IndexSize(b *testing.B) {
-	r := runner()
-	var res experiments.Table2Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = r.Table2IndexSize()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	res := result[experiments.Table2Result](b, "table2")
 	var sum4K, n float64
 	for _, s := range res.Size4K {
 		sum4K += float64(s)
@@ -162,15 +124,7 @@ func BenchmarkTable2IndexSize(b *testing.B) {
 }
 
 func BenchmarkCollisionRates(b *testing.B) {
-	r := runner()
-	var res experiments.CollisionResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = r.CollisionRates()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	res := result[experiments.CollisionResult](b, "collisions")
 	b.ReportMetric(100*res.AvgLVM4K, "lvm-collisions-4K-%")
 	b.ReportMetric(100*res.AvgLVMTHP, "lvm-collisions-THP-%")
 	b.ReportMetric(100*res.AvgHash4K, "blake2-collisions-4K-%")
@@ -178,30 +132,14 @@ func BenchmarkCollisionRates(b *testing.B) {
 }
 
 func BenchmarkRetrainStats(b *testing.B) {
-	r := runner()
-	var res experiments.RetrainResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = r.RetrainStats()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	res := result[experiments.RetrainResult](b, "retrain")
 	b.ReportMetric(float64(res.Max), "max-retrain-events")
 	b.ReportMetric(res.Avg, "avg-retrain-events")
 	b.ReportMetric(100*res.AvgMgmt, "mgmt-overhead-%")
 }
 
 func BenchmarkMemoryOverhead(b *testing.B) {
-	r := runner()
-	var res experiments.MemoryOverheadResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = r.MemoryOverhead()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	res := result[experiments.MemoryOverheadResult](b, "memory")
 	var lvmSum, ecptSum float64
 	for name := range res.LVM {
 		lvmSum += float64(res.LVM[name])
@@ -212,15 +150,7 @@ func BenchmarkMemoryOverhead(b *testing.B) {
 }
 
 func BenchmarkFragmentationRobustness(b *testing.B) {
-	r := runner()
-	var res experiments.FragmentationResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = r.FragmentationRobustness()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	res := result[experiments.FragmentationResult](b, "fragmentation")
 	b.ReportMetric(100*(res.Speedups["fresh"]-1), "speedup-fresh-%")
 	b.ReportMetric(100*(res.Speedups["cap 256KB"]-1), "speedup-256KB-cap-%")
 	b.ReportMetric(100*(res.Speedups["FMFI 0.9"]-1), "speedup-FMFI0.9-%")
@@ -228,15 +158,7 @@ func BenchmarkFragmentationRobustness(b *testing.B) {
 }
 
 func BenchmarkWalkCacheMissRates(b *testing.B) {
-	r := runner()
-	var res experiments.WalkCacheResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = r.WalkCacheMissRates()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	res := result[experiments.WalkCacheResult](b, "walkcaches")
 	var tlbSum, pdeSum, lwcSum, n float64
 	for name := range res.L2TLBMiss {
 		tlbSum += res.L2TLBMiss[name]
@@ -250,15 +172,7 @@ func BenchmarkWalkCacheMissRates(b *testing.B) {
 }
 
 func BenchmarkPTWL1Connection(b *testing.B) {
-	r := runner()
-	var res experiments.PTWL1Result
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = r.PTWL1Connection()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	res := result[experiments.PTWL1Result](b, "ptwl1")
 	b.ReportMetric(100*(res.SpeedupL1-1), "lvm-speedup-PTW-L1-%")
 	b.ReportMetric(100*(res.SpeedupL2-1), "lvm-speedup-PTW-L2-%")
 	b.ReportMetric(100*res.RadixL1MPKIIncrease, "radix-L1-mpki-increase-%")
@@ -266,43 +180,19 @@ func BenchmarkPTWL1Connection(b *testing.B) {
 }
 
 func BenchmarkMultiTenancy(b *testing.B) {
-	r := runner()
-	var res experiments.MultiTenancyResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = r.MultiTenancy()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	res := result[experiments.MultiTenancyResult](b, "multitenancy")
 	b.ReportMetric(100*res.MaxDelta, "max-speedup-delta-%")
 }
 
 func BenchmarkTailLatency(b *testing.B) {
-	r := runner()
-	var res experiments.TailLatencyResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = r.TailLatency()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	res := result[experiments.TailLatencyResult](b, "tail")
 	b.ReportMetric(res.StaticP99, "p99-static-cycles")
 	b.ReportMetric(res.ChurnP99, "p99-churn-cycles")
 	b.ReportMetric(float64(res.ChurnOps), "churn-ops")
 }
 
 func BenchmarkHardwareArea(b *testing.B) {
-	r := runner()
-	var res experiments.HardwareResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = r.HardwareArea()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	res := result[experiments.HardwareResult](b, "hardware")
 	b.ReportMetric(res.Cmp.SizeX, "size-improvement-x")
 	b.ReportMetric(res.Cmp.AreaX, "area-improvement-x")
 	b.ReportMetric(res.Cmp.PowerX, "power-improvement-x")
@@ -310,15 +200,7 @@ func BenchmarkHardwareArea(b *testing.B) {
 }
 
 func BenchmarkPriorWork(b *testing.B) {
-	r := runner()
-	var res experiments.PriorWorkResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = r.PriorWork()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
+	res := result[experiments.PriorWorkResult](b, "priorwork")
 	b.ReportMetric(100*(res.LVM-1), "lvm-speedup-%")
 	b.ReportMetric(100*(res.ASAP-1), "asap-speedup-%")
 	b.ReportMetric(100*(res.Midgard-1), "midgard-speedup-%")

@@ -3,10 +3,12 @@
 // headline artifact: run it and compare against EXPERIMENTS.md.
 //
 // The pipeline is plan/execute: the selected experiments declare the
-// simulations they need, the scheduler dedupes that run matrix and
-// executes it on -j workers under a memory budget, and the tables are
-// rendered afterwards in registry order. Tables go to stdout and are
-// bit-for-bit identical at any -j; progress and timings go to stderr.
+// simulations they need and the bespoke measurements they take, the
+// scheduler dedupes that run matrix and executes it, measurements first,
+// on -j workers under a memory budget, and the tables are rendered
+// afterwards in registry order from what was executed. Tables go to stdout
+// and are bit-for-bit identical at any -j; progress and timings go to
+// stderr, one "running"/"done" (or "cached") line per run or measurement.
 //
 // Usage:
 //
@@ -14,11 +16,11 @@
 //	lvmbench -quick       # reduced scale (seconds)
 //	lvmbench -only fig9,table2
 //	lvmbench -j 8 -mem 64 # 8 workers under a 64 GiB simulated-memory budget
-//	lvmbench -list        # print the plan (experiments + run matrix + costs), no execution
+//	lvmbench -list        # print the plan (experiments, measurements, run matrix, costs), no execution
 //	lvmbench -quick -json out.json            # also write per-run metrics JSON
 //	lvmbench -quick -json out.json -timings   # include host wall-clock fields
 //	lvmbench -quick -cpuprofile cpu.pprof -memprofile mem.pprof
-//	lvmbench -cache ~/.cache/lvmbench         # persist run outputs; warm reruns skip sims
+//	lvmbench -cache ~/.cache/lvmbench         # persist runs and measurements; warm reruns skip them
 //
 // The -json document is schema-versioned and byte-identical at any -j
 // (unless -timings adds the machine-dependent host_seconds fields); CI
@@ -51,7 +53,7 @@ func main() {
 	list := flag.Bool("list", false, "print the selected experiments and deduped run matrix with estimated costs, then exit without executing")
 	jsonPath := flag.String("json", "", "write per-run metrics as schema-versioned JSON to this path")
 	timings := flag.Bool("timings", false, "include host wall-clock fields in -json output (breaks byte-identity across invocations)")
-	cacheDir := flag.String("cache", "", "persistent run-output cache directory; completed runs are stored there and warm sweeps skip their simulations")
+	cacheDir := flag.String("cache", "", "persistent run cache directory; completed runs and measurements are stored there and warm sweeps skip them")
 	warmup := flag.Int("warmup", 0, "fast-forward the first N accesses of every run through functional state before measuring (changes measured counters; part of the run key and config fingerprint)")
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this path")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile taken after the sweep to this path")
@@ -182,21 +184,29 @@ func writeRunsJSON(r *experiments.Runner, plan experiments.Plan, o options) erro
 }
 
 // printPlan renders the plan phase without executing or building anything:
-// the selected experiments in registry order and the deduped run matrix in
-// plan (first-appearance) order with each run's estimated scheduler cost.
+// the selected experiments in registry order, the measurements among them,
+// and the deduped run matrix in plan (first-appearance) order, each task
+// with the cost the scheduler will charge it.
 func printPlan(r *experiments.Runner, p experiments.Plan) error {
-	fmt.Printf("experiments (%d):\n", len(p.Experiments))
-	for _, e := range p.Experiments {
-		fmt.Printf("  %-14s %s\n", e.Key, e.Title)
-	}
-
-	costs, err := r.EstimateCosts(p)
+	measureCost, runCosts, err := r.EstimateCosts(p)
 	if err != nil {
 		return err
 	}
+	var measured []string
+	fmt.Printf("experiments (%d):\n", len(p.Experiments))
+	for _, e := range p.Experiments {
+		fmt.Printf("  %-14s %s\n", e.Key, e.Title)
+		if e.Measure != nil {
+			measured = append(measured, e.Key)
+		}
+	}
+	fmt.Printf("measurements (%d):\n", len(measured))
+	for _, key := range measured {
+		fmt.Printf("  %-28s %8.2f GiB\n", key, float64(measureCost)/(1<<30))
+	}
 	fmt.Printf("runs (%d deduped):\n", len(p.Runs))
 	for i, k := range p.Runs {
-		fmt.Printf("  %-28s %8.2f GiB\n", k.String(), float64(costs[i])/(1<<30))
+		fmt.Printf("  %-28s %8.2f GiB\n", k.String(), float64(runCosts[i])/(1<<30))
 	}
 	return nil
 }

@@ -123,25 +123,6 @@ func TestRadixIndexPanicsOnBadLevel(t *testing.T) {
 	RadixIndex(0, 0)
 }
 
-// RadixCoverage returns the number of base-page VPNs mapped beneath a single
-// entry at the given level (level 1 entry covers 1 page, level 2 covers
-// 512 pages = 2 MB, etc.).
-func RadixCoverage(level int) uint64 {
-	return 1 << uint((level-1)*RadixBitsPerLevel)
-}
-
-func TestRadixCoverage(t *testing.T) {
-	if RadixCoverage(1) != 1 {
-		t.Errorf("L1 coverage = %d", RadixCoverage(1))
-	}
-	if RadixCoverage(2) != 512 {
-		t.Errorf("L2 coverage = %d (one L2 entry maps 2MB)", RadixCoverage(2))
-	}
-	if RadixCoverage(4) != 512*512*512 {
-		t.Errorf("L4 coverage = %d", RadixCoverage(4))
-	}
-}
-
 func TestQuickRadixIndicesReconstructVPN(t *testing.T) {
 	f := func(raw uint64) bool {
 		v := VPN(raw & MaxVPN)

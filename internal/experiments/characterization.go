@@ -25,7 +25,7 @@ type CollisionResult struct {
 	Table           *stats.Table
 }
 
-// collisionHashBaseline is the persisted bespoke half of the §7.3
+// collisionHashBaseline is the measured bespoke half of the §7.3
 // collision study: collision rates of the Blake2 open-addressing table at
 // load 0.6, per workload, for 4 KB and THP translations.
 type collisionHashBaseline struct {
@@ -60,14 +60,14 @@ func (r *Runner) measureCollisionBaseline() (collisionHashBaseline, error) {
 	return res, nil
 }
 
-// CollisionRates reproduces §7.3's collision study: LVM vs a Blake2 hash
+// collisionRates reproduces §7.3's collision study: LVM vs a Blake2 hash
 // table at load factor 0.6. Paper: LVM 0.2%/0.6%, hash 22%/19%; extra
 // accesses per collision avg 2.36 under C_err = 3. LVM's side comes from
-// the cached run matrix; the hash baseline persists as an artifact.
-func (r *Runner) CollisionRates() (CollisionResult, error) {
-	base, err := artifactFor(r, "collisions.hash", r.measureCollisionBaseline)
+// the run matrix; the hash baseline is the experiment's measurement.
+func (r *Runner) collisionRates() (Result, error) {
+	base, err := measurementOf[collisionHashBaseline](r, "collisions")
 	if err != nil {
-		return CollisionResult{}, err
+		return Result{}, err
 	}
 	res := CollisionResult{
 		LVM4K: map[string]float64{}, LVMTHP: map[string]float64{},
@@ -79,7 +79,7 @@ func (r *Runner) CollisionRates() (CollisionResult, error) {
 		for _, name := range r.Cfg.Workloads {
 			lv, err := r.Run(name, oskernel.SchemeLVM, thp)
 			if err != nil {
-				return CollisionResult{}, err
+				return Result{}, err
 			}
 			label := "4KB"
 			var hc float64
@@ -105,7 +105,12 @@ func (r *Runner) CollisionRates() (CollisionResult, error) {
 	res.AvgHash4K, res.AvgHashTHP = stats.Mean(h4), stats.Mean(ht)
 	res.AvgExtraPerColl = stats.Mean(extra)
 	res.Table = tb
-	return res, nil
+	return Result{
+		Table: tb,
+		Summary: fmt.Sprintf("averages: LVM %.2f%%/%.2f%%, hash %.1f%%/%.1f%%, extra/coll %.2f",
+			100*res.AvgLVM4K, 100*res.AvgLVMTHP, 100*res.AvgHash4K, 100*res.AvgHashTHP, res.AvgExtraPerColl),
+		Raw: res,
+	}, nil
 }
 
 // entryFor builds a placeholder entry for the hash-table baseline (the
@@ -135,7 +140,7 @@ type RetrainResult struct {
 // management fraction scales run cycles up to this window.
 const paperWindowInstrs = 1e9
 
-// RetrainStats reproduces §7.3's retraining study. Two measurements per
+// retrainStats reproduces §7.3's retraining study. Two measurements per
 // workload, matching the paper's two methodologies:
 //
 //   - Retrain events: launch, then grow the heap by ~12% page by page
@@ -147,10 +152,10 @@ const paperWindowInstrs = 1e9
 //     execution window, the paper's simulated region of interest. Our
 //     traces sample fewer instructions, so run cycles are scaled up to
 //     that window at the workload's measured CPI.
-func (r *Runner) RetrainStats() (RetrainResult, error) {
-	growth, err := artifactFor(r, "retrain.growth", r.measureRetrainGrowth)
+func (r *Runner) retrainStats() (Result, error) {
+	growth, err := measurementOf[retrainGrowth](r, "retrain")
 	if err != nil {
-		return RetrainResult{}, err
+		return Result{}, err
 	}
 	res := RetrainResult{
 		Events:       growth.Events,
@@ -165,14 +170,14 @@ func (r *Runner) RetrainStats() (RetrainResult, error) {
 		// Management fraction over the paper's 1B-instruction window.
 		run4k, err := r.Run(name, oskernel.SchemeLVM, false)
 		if err != nil {
-			return RetrainResult{}, err
+			return Result{}, err
 		}
 		frac := mgmtFraction(growth.Mgmt4K[name], run4k.Sim)
 		res.MgmtFraction[name] = frac
 		fracs = append(fracs, frac)
 		runTHP, err := r.Run(name, oskernel.SchemeLVM, true)
 		if err != nil {
-			return RetrainResult{}, err
+			return Result{}, err
 		}
 		thpFrac := mgmtFraction(growth.MgmtTHP[name], runTHP.Sim)
 		res.MgmtTHP[name] = thpFrac
@@ -186,13 +191,18 @@ func (r *Runner) RetrainStats() (RetrainResult, error) {
 	res.Avg = stats.Mean(evs)
 	res.AvgMgmt = stats.Mean(fracs)
 	res.Table = tb
-	return res, nil
+	return Result{
+		Table: tb,
+		Summary: fmt.Sprintf("max events %d, avg %.1f, avg mgmt %.2f%%",
+			res.Max, res.Avg, 100*res.AvgMgmt),
+		Raw: res,
+	}, nil
 }
 
-// retrainGrowth is the persisted bespoke half of the retraining study:
+// retrainGrowth is the measured bespoke half of the retraining study:
 // retrain-class events and raw management cycles per workload from the
 // growth-phase launches. The management *fractions* are derived at render
-// time from these cycles and the cached run matrix.
+// time from these cycles and the run matrix.
 type retrainGrowth struct {
 	Events  map[string]uint64 `json:"events"`
 	Mgmt4K  map[string]uint64 `json:"mgmt_4k"`
@@ -263,10 +273,10 @@ type MemoryOverheadResult struct {
 	Table            *stats.Table
 }
 
-// MemoryOverhead reproduces §7.3: extra memory each structure uses beyond
+// memoryOverhead reproduces §7.3: extra memory each structure uses beyond
 // the 8-byte-per-translation minimum. Paper: LVM ≤ 1.3× minimum (e.g.
 // +12 MB at 20 GB); ECPT +27 MB.
-func (r *Runner) MemoryOverhead() (MemoryOverheadResult, error) {
+func (r *Runner) memoryOverhead() (Result, error) {
 	res := MemoryOverheadResult{
 		LVM: map[string]uint64{}, ECPT: map[string]uint64{}, Radix: map[string]uint64{},
 	}
@@ -274,21 +284,21 @@ func (r *Runner) MemoryOverhead() (MemoryOverheadResult, error) {
 	for _, name := range r.Cfg.Workloads {
 		lv, err := r.Run(name, oskernel.SchemeLVM, false)
 		if err != nil {
-			return MemoryOverheadResult{}, err
+			return Result{}, err
 		}
 		ec, err := r.Run(name, oskernel.SchemeECPT, false)
 		if err != nil {
-			return MemoryOverheadResult{}, err
+			return Result{}, err
 		}
 		rad, err := r.Run(name, oskernel.SchemeRadix, false)
 		if err != nil {
-			return MemoryOverheadResult{}, err
+			return Result{}, err
 		}
 		res.LVM[name], res.ECPT[name], res.Radix[name] = lv.OverheadBytes, ec.OverheadBytes, rad.OverheadBytes
 		tb.AddRow(name, byteLabel(lv.OverheadBytes), byteLabel(ec.OverheadBytes), byteLabel(rad.OverheadBytes))
 	}
 	res.Table = tb
-	return res, nil
+	return Result{Table: tb, Raw: res}, nil
 }
 
 // FragmentationResult carries §7.3's fragmentation robustness study.
@@ -355,21 +365,21 @@ func (r *Runner) measureFragmentation() (FragmentationResult, error) {
 	return res, nil
 }
 
-// FragmentationRobustness reproduces §7.3's fragmentation sweep: LVM with
+// fragmentationRobustness reproduces §7.3's fragmentation sweep: LVM with
 // contiguity capped at 256 KB and at FMFI 0.8/0.9 must keep its speedup
-// and LWC hit rate. The sweep is entirely bespoke, so the whole result
-// persists as a run-cache artifact.
-func (r *Runner) FragmentationRobustness() (FragmentationResult, error) {
-	res, err := artifactFor(r, "fragmentation", r.measureFragmentation)
+// and LWC hit rate. The sweep is entirely bespoke: the experiment's
+// measurement is the whole result.
+func (r *Runner) fragmentationRobustness() (Result, error) {
+	res, err := measurementOf[FragmentationResult](r, "fragmentation")
 	if err != nil {
-		return FragmentationResult{}, err
+		return Result{}, err
 	}
 	tb := stats.NewTable("environment", "lvm speedup vs radix", "lwc hit")
 	for _, label := range fragmentationLabels {
 		tb.AddRow(label, res.Speedups[label], pct(res.LWCHits[label]))
 	}
 	res.Table = tb
-	return res, nil
+	return Result{Table: tb, Raw: res}, nil
 }
 
 // WalkCacheResult carries §7.2's miss-rate characterization.
@@ -380,10 +390,10 @@ type WalkCacheResult struct {
 	Table      *stats.Table
 }
 
-// WalkCacheMissRates reproduces §7.2: L2 TLB miss rates (57.5–99.4%,
+// walkCacheMissRates reproduces §7.2: L2 TLB miss rates (57.5–99.4%,
 // scheme-independent), radix PMD-level PWC miss rates (59.7–99.6%), and
 // LVM LWC hit rates (> 99%).
-func (r *Runner) WalkCacheMissRates() (WalkCacheResult, error) {
+func (r *Runner) walkCacheMissRates() (Result, error) {
 	res := WalkCacheResult{
 		L2TLBMiss: map[string]float64{}, PWCPDEMiss: map[string]float64{}, LWCHit: map[string]float64{},
 	}
@@ -391,11 +401,11 @@ func (r *Runner) WalkCacheMissRates() (WalkCacheResult, error) {
 	for _, name := range r.Cfg.Workloads {
 		rad, err := r.Run(name, oskernel.SchemeRadix, false)
 		if err != nil {
-			return WalkCacheResult{}, err
+			return Result{}, err
 		}
 		lv, err := r.Run(name, oskernel.SchemeLVM, false)
 		if err != nil {
-			return WalkCacheResult{}, err
+			return Result{}, err
 		}
 		res.L2TLBMiss[name] = rad.Sim.L2TLBMiss
 		res.PWCPDEMiss[name] = rad.PWCPDEMissRate
@@ -403,7 +413,7 @@ func (r *Runner) WalkCacheMissRates() (WalkCacheResult, error) {
 		tb.AddRow(name, pct(rad.Sim.L2TLBMiss), pct(rad.PWCPDEMissRate), pct(lv.LWCHitRate))
 	}
 	res.Table = tb
-	return res, nil
+	return Result{Table: tb, Raw: res}, nil
 }
 
 // PTWL1Result carries §7.2's PTW-connection study.
@@ -464,20 +474,20 @@ func (r *Runner) measurePTWL1() (PTWL1Result, error) {
 	return res, nil
 }
 
-// PTWL1Connection reproduces §7.2's study: connecting page walkers to the
+// ptwl1Connection reproduces §7.2's study: connecting page walkers to the
 // L1 cache. Paper: LVM +11% (L1) vs +14% (L2); L1 MPKI rises 59% for
-// radix but only 38% for LVM. The study is entirely bespoke, so the whole
-// result persists as a run-cache artifact.
-func (r *Runner) PTWL1Connection() (PTWL1Result, error) {
-	res, err := artifactFor(r, "ptwl1", r.measurePTWL1)
+// radix but only 38% for LVM. The study is entirely bespoke: the
+// experiment's measurement is the whole result.
+func (r *Runner) ptwl1Connection() (Result, error) {
+	res, err := measurementOf[PTWL1Result](r, "ptwl1")
 	if err != nil {
-		return PTWL1Result{}, err
+		return Result{}, err
 	}
 	tb := stats.NewTable("config", "lvm speedup", "radix L1 MPKI", "lvm L1 MPKI")
 	tb.AddRow("PTW->L2", res.SpeedupL2, res.RadixL1MPKIAtL2, res.LVML1MPKIAtL2)
 	tb.AddRow("PTW->L1", res.SpeedupL1, res.RadixL1MPKIAtL1, res.LVML1MPKIAtL1)
 	res.Table = tb
-	return res, nil
+	return Result{Table: tb, Raw: res}, nil
 }
 
 // MultiTenancyResult carries §7.1's stacked-workload study.
@@ -488,7 +498,7 @@ type MultiTenancyResult struct {
 	Table         *stats.Table
 }
 
-// tenancyStacked is the persisted bespoke half of the multi-tenancy
+// tenancyStacked is the measured bespoke half of the multi-tenancy
 // study: cycles per "workload/scheme" measured on the shared system.
 type tenancyStacked struct {
 	Cycles map[string]float64 `json:"cycles"`
@@ -531,15 +541,15 @@ func (r *Runner) measureTenancyStacked() (tenancyStacked, error) {
 	return res, nil
 }
 
-// MultiTenancy reproduces §7.1's multi-tenant study: workloads run on
+// multiTenancy reproduces §7.1's multi-tenant study: workloads run on
 // separate cores (private caches/TLBs per Table 1) with their own address
 // spaces; per-workload speedups must match the solo runs. Solo numbers
-// come from the cached run matrix; the stacked launches persist as an
-// artifact.
-func (r *Runner) MultiTenancy() (MultiTenancyResult, error) {
-	stacked, err := artifactFor(r, "multitenancy.stacked", r.measureTenancyStacked)
+// come from the run matrix; the stacked launches are the experiment's
+// measurement.
+func (r *Runner) multiTenancy() (Result, error) {
+	stacked, err := measurementOf[tenancyStacked](r, "multitenancy")
 	if err != nil {
-		return MultiTenancyResult{}, err
+		return Result{}, err
 	}
 	stackedCycles := stacked.Cycles
 	res := MultiTenancyResult{Solo: map[string]float64{}, Stacked: map[string]float64{}}
@@ -548,11 +558,11 @@ func (r *Runner) MultiTenancy() (MultiTenancyResult, error) {
 	for _, name := range names {
 		soloBase, err := r.Run(name, oskernel.SchemeRadix, false)
 		if err != nil {
-			return MultiTenancyResult{}, err
+			return Result{}, err
 		}
 		soloLVM, err := r.Run(name, oskernel.SchemeLVM, false)
 		if err != nil {
-			return MultiTenancyResult{}, err
+			return Result{}, err
 		}
 		solo := speedup(soloBase.Sim.Cycles, soloLVM.Sim.Cycles)
 		stacked := speedup(stackedCycles[name+"/radix"], stackedCycles[name+"/lvm"])
@@ -567,7 +577,11 @@ func (r *Runner) MultiTenancy() (MultiTenancyResult, error) {
 		tb.AddRow(name, solo, stacked, d)
 	}
 	res.Table = tb
-	return res, nil
+	return Result{
+		Table:   tb,
+		Summary: fmt.Sprintf("max delta: %.3f", res.MaxDelta),
+		Raw:     res,
+	}, nil
 }
 
 // PriorWorkResult carries the §7.5 comparisons.
@@ -579,16 +593,16 @@ type PriorWorkResult struct {
 	Table         *stats.Table
 }
 
-// PriorWork reproduces §7.5: ASAP (slower than ECPT and LVM from prefetch
+// priorWork reproduces §7.5: ASAP (slower than ECPT and LVM from prefetch
 // traffic), Midgard (+3% over radix; LVM ahead), and FPT (close behind LVM
 // when unfragmented, degrading to radix under fragmentation).
-func (r *Runner) PriorWork() (PriorWorkResult, error) {
+func (r *Runner) priorWork() (Result, error) {
 	var res PriorWorkResult
 	tb := stats.NewTable("scheme", "speedup vs radix")
 	name := translationBoundWorkload(r.Cfg)
 	rad, err := r.Run(name, oskernel.SchemeRadix, false)
 	if err != nil {
-		return PriorWorkResult{}, err
+		return Result{}, err
 	}
 	base := rad.Sim.Cycles
 	for _, sc := range []struct {
@@ -603,17 +617,17 @@ func (r *Runner) PriorWork() (PriorWorkResult, error) {
 	} {
 		out, err := r.Run(name, sc.scheme, false)
 		if err != nil {
-			return PriorWorkResult{}, err
+			return Result{}, err
 		}
 		*sc.dst = speedup(base, out.Sim.Cycles)
 	}
 
 	// FPT under heavy fragmentation: 2MB table allocations fail. The
-	// bespoke run persists as an artifact (raw cycles, so the speedup can
-	// be re-derived against the cached radix run).
-	frag, err := artifactFor(r, "priorwork.fragfpt", r.measureFPTFragmented)
+	// bespoke run is the experiment's measurement (raw cycles, so the
+	// speedup is derived against the radix run of the matrix).
+	frag, err := measurementOf[priorWorkFragmented](r, "priorwork")
 	if err != nil {
-		return PriorWorkResult{}, err
+		return Result{}, err
 	}
 	res.FPTFragmented = speedup(base, frag.Cycles)
 
@@ -624,10 +638,10 @@ func (r *Runner) PriorWork() (PriorWorkResult, error) {
 	tb.AddRow("fpt", res.FPT)
 	tb.AddRow("fpt (fragmented)", res.FPTFragmented)
 	res.Table = tb
-	return res, nil
+	return Result{Table: tb, Raw: res}, nil
 }
 
-// priorWorkFragmented is the persisted bespoke half of the §7.5 study:
+// priorWorkFragmented is the measured bespoke half of the §7.5 study:
 // FPT's cycles on a heavily fragmented memory.
 type priorWorkFragmented struct {
 	Cycles float64 `json:"cycles"`

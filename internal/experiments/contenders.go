@@ -29,12 +29,12 @@ type ContendersResult struct {
 	Table       *stats.Table
 }
 
-// Contenders runs the speculative-scheme comparison: every workload under
+// contenders runs the speculative-scheme comparison: every workload under
 // radix, LVM, Victima, and Revelator (4 KB pages). The verify-overlap model
 // is what differentiates the newcomers — Victima's store fill and
 // Revelator's radix verify walk are charged as max(verify, access), so the
 // comparison isolates how much of the walk each scheme actually hides.
-func (r *Runner) Contenders() (ContendersResult, error) {
+func (r *Runner) contenders() (Result, error) {
 	res := ContendersResult{
 		Speedup:     map[string]float64{},
 		MMUPct:      map[string]float64{},
@@ -44,13 +44,13 @@ func (r *Runner) Contenders() (ContendersResult, error) {
 	for _, name := range r.Cfg.Workloads {
 		rad, err := r.Run(name, oskernel.SchemeRadix, false)
 		if err != nil {
-			return ContendersResult{}, err
+			return Result{}, err
 		}
 		base := rad.Sim.Cycles
 		for _, scheme := range contenderSchemes {
 			out, err := r.Run(name, scheme, false)
 			if err != nil {
-				return ContendersResult{}, err
+				return Result{}, err
 			}
 			key := name + "/" + string(scheme)
 			sp := speedup(base, out.Sim.Cycles)
@@ -67,5 +67,5 @@ func (r *Runner) Contenders() (ContendersResult, error) {
 		}
 	}
 	res.Table = tb
-	return res, nil
+	return Result{Table: tb, Raw: res}, nil
 }

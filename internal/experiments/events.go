@@ -11,15 +11,15 @@ import (
 // EventKind names one progress event of the experiment pipeline.
 type EventKind int
 
+// The Run* kinds report plan tasks: a simulation, named by Key, or an
+// experiment's measurement, named by Experiment.
 const (
-	RunStart        EventKind = iota + 1 // a simulation was admitted to a worker
-	RunDone                              // a simulation finished (Err on failure)
+	RunStart        EventKind = iota + 1 // a task was admitted to a worker
+	RunDone                              // a task finished (Err on failure)
 	RunCached                            // restored from the run cache: no RunStart/RunDone
-	RunHostMem                           // Mem holds a completed run's host-memory sample
+	RunHostMem                           // Mem holds a completed task's host-memory sample
 	ExperimentStart                      // before an experiment's compute phase
 	ExperimentDone                       // after it (Err on failure)
-	ArtifactCached                       // a compute-phase measurement loaded from the run cache
-	ArtifactStored                       // a compute-phase measurement persisted to it
 )
 
 // An Event is one progress report: Kind says what happened, and only the
@@ -29,13 +29,12 @@ const (
 // sinks should keep events off any stream that is compared across runs.
 type Event struct {
 	Kind EventKind
-	// Key is the run of every Run* event.
+	// Key is the run of a Run* event about a simulation.
 	Key RunKey
-	// Experiment is the key of an Experiment* event; Title is set on
+	// Experiment is the key of an Experiment* event, and of a Run* event
+	// about that experiment's measurement; Title is set on
 	// ExperimentStart.
 	Experiment, Title string
-	// Artifact names the measurement of an Artifact* event.
-	Artifact string
 	// Seconds is the host wall-clock time of a RunDone or ExperimentDone.
 	Seconds float64
 	// Err is the failure of a RunDone or ExperimentDone.
@@ -69,23 +68,32 @@ type WriterSink struct {
 // NewWriterSink creates a sink writing progress lines to w.
 func NewWriterSink(w io.Writer) *WriterSink { return &WriterSink{w: w} }
 
+// task names the run or measurement of a Run* event.
+func (e Event) task() string {
+	if e.Experiment != "" {
+		return e.Experiment
+	}
+	return e.Key.String()
+}
+
 // Emit writes e's line; an unknown kind writes nothing.
 func (s *WriterSink) Emit(e Event) {
+	task := e.task()
 	var line string
 	switch e.Kind {
 	case RunStart:
-		line = fmt.Sprintf("  running %s...", e.Key)
+		line = fmt.Sprintf("  running %s...", task)
 	case RunDone:
 		if e.Err != nil {
-			line = fmt.Sprintf("  FAILED  %s after %.1fs: %v", e.Key, e.Seconds, e.Err)
+			line = fmt.Sprintf("  FAILED  %s after %.1fs: %v", task, e.Seconds, e.Err)
 		} else {
-			line = fmt.Sprintf("  done    %s in %.1fs", e.Key, e.Seconds)
+			line = fmt.Sprintf("  done    %s in %.1fs", task, e.Seconds)
 		}
 	case RunCached:
-		line = fmt.Sprintf("  cached  %s", e.Key)
+		line = fmt.Sprintf("  cached  %s", task)
 	case RunHostMem:
 		line = fmt.Sprintf("  mem     %s: %.1f MiB allocated, %.1f MiB heap in use",
-			e.Key, float64(e.Mem.AllocBytes)/(1<<20), float64(e.Mem.HeapInuseBytes)/(1<<20))
+			task, float64(e.Mem.AllocBytes)/(1<<20), float64(e.Mem.HeapInuseBytes)/(1<<20))
 	case ExperimentStart:
 		line = fmt.Sprintf("== %s: %s", e.Experiment, e.Title)
 	case ExperimentDone:
@@ -94,10 +102,6 @@ func (s *WriterSink) Emit(e Event) {
 		} else {
 			line = fmt.Sprintf("== %s computed in %.1fs", e.Experiment, e.Seconds)
 		}
-	case ArtifactCached:
-		line = fmt.Sprintf("  cached  artifact %s", e.Artifact)
-	case ArtifactStored:
-		line = fmt.Sprintf("  stored  artifact %s", e.Artifact)
 	default:
 		return
 	}

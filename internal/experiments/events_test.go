@@ -20,13 +20,17 @@ const writerSinkGolden = `== fig9: Figure 9 — walk latency
   FAILED  gups/radix thp=true warmup=50000 after 0.2s: launch: out of memory
   mem     mem$/lvm thp=false: 3.0 MiB allocated, 1.5 MiB heap in use
   cached  bfs/ecpt thp=false
-  cached  artifact tail
-  stored  artifact frag
+  running fragmentation...
+  done    fragmentation in 3.1s
+  mem     fragmentation: 2.0 MiB allocated, 1.0 MiB heap in use
+  FAILED  tail after 0.4s: launch: out of memory
+  cached  ptwl1
 == fig9 computed in 12.3s
 == table2 FAILED after 0.1s: run gups/radix thp=true: launch: out of memory
 `
 
-// driveEveryEvent sends one of each progress event, in the golden's order.
+// driveEveryEvent sends one of each progress event, for a run and for a
+// measurement, in the golden's order.
 func driveEveryEvent(s *WriterSink) {
 	ok := RunKey{Workload: "mem$", Scheme: oskernel.SchemeLVM}
 	bad := RunKey{Workload: "gups", Scheme: oskernel.SchemeRadix, THP: true, Warmup: 50000}
@@ -40,8 +44,11 @@ func driveEveryEvent(s *WriterSink) {
 		{Kind: RunDone, Key: bad, Seconds: 0.2, Err: errors.New("launch: out of memory")},
 		{Kind: RunHostMem, Key: ok, Mem: sched.MemSample{AllocBytes: 3 << 20, HeapInuseBytes: 3 << 19}},
 		{Kind: RunCached, Key: hit},
-		{Kind: ArtifactCached, Artifact: "tail"},
-		{Kind: ArtifactStored, Artifact: "frag"},
+		{Kind: RunStart, Experiment: "fragmentation"},
+		{Kind: RunDone, Experiment: "fragmentation", Seconds: 3.1},
+		{Kind: RunHostMem, Experiment: "fragmentation", Mem: sched.MemSample{AllocBytes: 2 << 20, HeapInuseBytes: 1 << 20}},
+		{Kind: RunDone, Experiment: "tail", Seconds: 0.4, Err: errors.New("launch: out of memory")},
+		{Kind: RunCached, Experiment: "ptwl1"},
 		{Kind: ExperimentDone, Experiment: "fig9", Seconds: 12.3},
 		{Kind: ExperimentDone, Experiment: "table2", Seconds: 0.1, Err: errors.New("run gups/radix thp=true: launch: out of memory")},
 		{}, // an unknown kind renders nothing

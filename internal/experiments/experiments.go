@@ -3,17 +3,20 @@
 //
 //  1. Plan: each experiment is a declarative registry entry (Registry)
 //     whose Requires phase enumerates the (workload, scheme, THP)
-//     simulations it needs as RunKeys.
-//  2. Execute: the scheduler (ExecutePlan, built on internal/experiments/
-//     sched) dedupes the RunKeys across all selected experiments, runs
-//     them on a bounded worker pool under a memory budget, merges the
-//     outputs in deterministic key order, and only then invokes each
-//     experiment's compute phase over the cached runs.
+//     simulations it needs as RunKeys, and whose optional Measure takes a
+//     bespoke measurement no RunKey describes.
+//  2. Execute: ExecutePlan, built on internal/experiments/sched, dedupes
+//     the RunKeys across all selected experiments and executes them and
+//     the measurements as tasks of one bounded worker pool under a memory
+//     budget, merges the results in deterministic task order, and only
+//     then invokes each experiment's Compute, which reads and renders.
 //
-// Output is bit-for-bit identical at any worker count, and every failure
-// on the workload-build/launch/run path propagates as a wrapped error
-// naming its RunKey — never a panic. Progress reporting is injected via
-// the Sink interface (quiet by default; cmd/lvmbench streams to stderr).
+// ExecutePlan is the only place an experiment simulates. Output is
+// bit-for-bit identical at any worker count and whether a task ran or was
+// restored from the run cache, and every failure on the
+// workload-build/launch/run path propagates as a wrapped error naming its
+// task — never a panic. Progress reporting is injected via the Sink
+// interface (quiet by default; cmd/lvmbench streams to stderr).
 package experiments
 
 import (
@@ -21,7 +24,6 @@ import (
 	"runtime"
 	"sync"
 
-	"lvm/internal/experiments/sched"
 	"lvm/internal/oskernel"
 	"lvm/internal/phys"
 	"lvm/internal/sim"
@@ -130,20 +132,17 @@ type RunOutput struct {
 	HostSeconds float64
 }
 
-// Runner executes and caches simulations. The caches are safe for the
-// scheduler's concurrent workers; the compute phases run sequentially.
+// Runner holds one sweep's workloads and the results of the plan tasks it
+// executed: run outputs and measurements. ExecutePlan fills it on the
+// scheduler's worker pool; the compute phases then only read it.
 type Runner struct {
 	Cfg  Config
 	sink Sink
 
-	// arts, when non-nil, persists the bespoke compute-phase measurements
-	// (artifactFor) alongside the run outputs. Set before ExecutePlan's
-	// sequential compute phase; never touched by scheduler workers.
-	arts *RunCache
-
 	mu   sync.Mutex
-	runs map[RunKey]*RunOutput         // guarded by mu
-	wls  map[string]*workload.Workload // guarded by mu
+	runs map[RunKey]*RunOutput     // guarded by mu
+	meas map[string]measurement    // guarded by mu
+	wls  map[string]*builtWorkload // guarded by mu
 }
 
 // NewRunner creates a runner. Progress reporting defaults to NopSink
@@ -153,7 +152,8 @@ func NewRunner(cfg Config) *Runner {
 		Cfg:  cfg,
 		sink: NopSink{},
 		runs: make(map[RunKey]*RunOutput),
-		wls:  make(map[string]*workload.Workload),
+		meas: make(map[string]measurement),
+		wls:  make(map[string]*builtWorkload),
 	}
 }
 
@@ -165,57 +165,67 @@ func (r *Runner) SetSink(s Sink) {
 	r.sink = s
 }
 
-// Workload builds (and caches) a workload.
+// builtWorkload is one workload's build, shared by every task that needs it.
+type builtWorkload struct {
+	once sync.Once
+	w    *workload.Workload
+	err  error
+}
+
+// Workload builds (once) and returns the named workload. Concurrent callers
+// of one name wait for a single build, and r.mu is not held while it runs,
+// so workers building different workloads do not wait on each other.
 func (r *Runner) Workload(name string) (*workload.Workload, error) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if w, ok := r.wls[name]; ok {
-		return w, nil
+	b, ok := r.wls[name]
+	if !ok {
+		b = &builtWorkload{}
+		r.wls[name] = b
 	}
-	w, err := workload.Build(name, r.Cfg.Params)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %w", err)
-	}
-	r.wls[name] = w
-	return w, nil
-}
-
-// runBytes sizes simulated physical memory for one run of w. It doubles as
-// the scheduler's memory-budget cost for the run: admission is bounded by
-// the summed simulated footprint of in-flight simulations.
-func (r *Runner) runBytes(w *workload.Workload) uint64 {
-	return r.costFromFootprint(w.FootprintBytes())
-}
-
-// costFromFootprint is the shared footprint→physical-memory formula behind
-// both runBytes (built workloads) and EstimateCosts (estimated footprints);
-// keeping them one function is what makes the costs lvmbench -list prints
-// equal the costs the scheduler charges.
-func (r *Runner) costFromFootprint(fp uint64) uint64 {
-	return r.Cfg.RunCostBytes(fp)
-}
-
-// EstimateCosts returns each plan run's CostBytes — the simulated physical
-// memory the scheduler will charge it — computed from the workload-footprint
-// estimator, so no workload is built. The estimates are exact (the
-// estimator reproduces the builders' sizing formulas), which is what lets
-// lvmbench -list print a plan's costs without building anything.
-func (r *Runner) EstimateCosts(p Plan) ([]uint64, error) {
-	costs := make([]uint64, len(p.Runs))
-	est := make(map[string]uint64)
-	for i, k := range p.Runs {
-		e, ok := est[k.Workload]
-		if !ok {
-			fp, err := workload.EstimateFootprintBytes(k.Workload, r.Cfg.Params)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: estimating cost of %s: %w", k, err)
-			}
-			e = r.costFromFootprint(fp)
-			est[k.Workload] = e
+	r.mu.Unlock()
+	b.once.Do(func() {
+		b.w, b.err = workload.Build(name, r.Cfg.Params)
+		if b.err != nil {
+			b.err = fmt.Errorf("build %s: %w", name, b.err)
 		}
-		costs[i] = e
+	})
+	return b.w, b.err
+}
+
+// EstimateCosts returns the scheduler's cost of the plan's tasks — the
+// simulated physical memory each holds while in flight — computed from the
+// workload-footprint estimator, so no workload is built. runs[i] is the
+// cost of p.Runs[i]; every measurement costs measure, the largest run cost
+// among the sweep's workloads. The estimates are exact (the estimator
+// reproduces the builders' sizing formulas), which is what lets lvmbench
+// -list print the costs the scheduler charges without building anything.
+func (r *Runner) EstimateCosts(p Plan) (measure uint64, runs []uint64, err error) {
+	est := make(map[string]uint64)
+	cost := func(name string) (uint64, error) {
+		if c, ok := est[name]; ok {
+			return c, nil
+		}
+		fp, err := workload.EstimateFootprintBytes(name, r.Cfg.Params)
+		if err != nil {
+			return 0, err
+		}
+		est[name] = r.Cfg.RunCostBytes(fp)
+		return est[name], nil
 	}
-	return costs, nil
+	runs = make([]uint64, len(p.Runs))
+	for i, k := range p.Runs {
+		if runs[i], err = cost(k.Workload); err != nil {
+			return 0, nil, fmt.Errorf("estimating cost of %s: %w", k, err)
+		}
+	}
+	for _, name := range r.Cfg.Workloads {
+		c, err := cost(name)
+		if err != nil {
+			return 0, nil, fmt.Errorf("estimating cost of %s: %w", name, err)
+		}
+		measure = max(measure, c)
+	}
+	return measure, runs, nil
 }
 
 // RunCostBytes is the footprint→physical-memory sizing formula for one run:
@@ -230,74 +240,7 @@ func (c Config) RunCostBytes(fp uint64) uint64 {
 	return fp + fp/2 + c.PhysSlackBytes
 }
 
-// BuildWorkloads builds the named workloads that are not already cached,
-// in parallel on the scheduler's worker pool. Results are registered in
-// first-appearance order regardless of which build finished when, so the
-// runner's observable state never depends on scheduling; build failures
-// come back wrapped, naming the workload.
-func (r *Runner) BuildWorkloads(names []string, workers int) error {
-	var missing []string
-	r.mu.Lock()
-	for _, n := range names {
-		if _, ok := r.wls[n]; !ok {
-			missing = append(missing, n)
-		}
-	}
-	r.mu.Unlock()
-	if len(missing) == 0 {
-		return nil
-	}
-	tasks := make([]sched.Task[string], len(missing))
-	for i, n := range missing {
-		tasks[i] = sched.Task[string]{Key: n}
-	}
-	outs, err := sched.Run(tasks, sched.Options{Workers: workers}, func(name string) (*workload.Workload, error) {
-		w, err := workload.Build(name, r.Cfg.Params)
-		if err != nil {
-			return nil, fmt.Errorf("build %s: %w", name, err)
-		}
-		return w, nil
-	})
-	r.mu.Lock()
-	for i, n := range missing {
-		if outs[i] != nil {
-			r.wls[n] = outs[i]
-		}
-	}
-	r.mu.Unlock()
-	if err != nil {
-		return fmt.Errorf("experiments: %w", err)
-	}
-	return nil
-}
-
-// installRun stores a completed (or cache-restored) output under its key.
-func (r *Runner) installRun(key RunKey, out *RunOutput) {
-	r.mu.Lock()
-	r.runs[key] = out
-	r.mu.Unlock()
-}
-
-// restoreRun reports whether key's output is in the runner, first
-// installing it from c (nil for none) when the run cache holds it; a
-// restore emits RunCached. ExecuteRuns skips the runs it reports done.
-func (r *Runner) restoreRun(key RunKey, c *RunCache) (bool, error) {
-	if _, ok := r.lookupRun(key); ok {
-		return true, nil
-	}
-	if c == nil {
-		return false, nil
-	}
-	out, hit, err := c.Load(key)
-	if err != nil || !hit {
-		return false, err
-	}
-	r.installRun(key, out)
-	r.sink.Emit(Event{Kind: RunCached, Key: key})
-	return true, nil
-}
-
-// lookupRun returns the cached output for key, if present.
+// lookupRun returns the executed output for key, if present.
 func (r *Runner) lookupRun(key RunKey) (*RunOutput, bool) {
 	r.mu.Lock()
 	out, ok := r.runs[key]
@@ -307,7 +250,7 @@ func (r *Runner) lookupRun(key RunKey) (*RunOutput, bool) {
 
 // physFor sizes simulated physical memory for a workload.
 func (r *Runner) physFor(w *workload.Workload) *phys.Memory {
-	return phys.New(r.runBytes(w))
+	return phys.New(r.Cfg.RunCostBytes(w.FootprintBytes()))
 }
 
 // newScaledSystem creates the OS layer with the sweep's proportionally
@@ -351,30 +294,21 @@ func (c Config) NewRunMachine(w *workload.Workload, scheme oskernel.Scheme, thp 
 	return sys, p, sim.New(cfg, sys.Walker()), nil
 }
 
-// Run returns the cached simulation for one configuration, executing it
-// in-line on a miss. Failures anywhere on the build/launch/run path come
-// back as a wrapped error naming the RunKey.
+// Run returns the output of one run the plan executed. A run the plan did
+// not execute is an error naming it: nothing simulates outside ExecutePlan.
 func (r *Runner) Run(name string, scheme oskernel.Scheme, thp bool) (*RunOutput, error) {
 	key := RunKey{Workload: name, Scheme: scheme, THP: thp, Warmup: r.Cfg.Warmup}
-	r.mu.Lock()
-	out, ok := r.runs[key]
-	r.mu.Unlock()
-	if ok {
-		return out, nil
+	out, ok := r.lookupRun(key)
+	if !ok {
+		return nil, fmt.Errorf("experiments: run %s not in the plan", key)
 	}
-	out, err := r.execute(key)
-	if err != nil {
-		return nil, err
-	}
-	r.mu.Lock()
-	r.runs[key] = out
-	r.mu.Unlock()
 	return out, nil
 }
 
-// execute performs one simulation without touching the run cache; it is
-// the unit of work the scheduler hands to its workers.
-func (r *Runner) execute(key RunKey) (*RunOutput, error) {
+// simulate performs one run; it is the unit of work a run task hands to a
+// scheduler worker. Failures anywhere on the build/launch/run path come
+// back as a wrapped error naming the RunKey.
+func (r *Runner) simulate(key RunKey) (*RunOutput, error) {
 	w, err := r.Workload(key.Workload)
 	if err != nil {
 		return nil, fmt.Errorf("run %s: %w", key, err)

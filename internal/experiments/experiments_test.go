@@ -23,16 +23,23 @@ func skipSweep(t *testing.T) {
 	}
 }
 
-func quickRunner() *Runner {
-	return NewRunner(Quick())
-}
-
-func TestFig2Shape(t *testing.T) {
-	r := quickRunner()
-	res, err := r.Fig2GapCoverage()
+// quickResults executes the experiments named by keys on a fresh Quick
+// runner and returns their raw results in registry order.
+func quickResults(t *testing.T, keys ...string) []any {
+	t.Helper()
+	res, err := NewRunner(Quick()).Execute(ExecOptions{Workers: 2}, keys...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	raw := make([]any, len(res))
+	for i := range res {
+		raw[i] = res[i].Raw
+	}
+	return raw
+}
+
+func TestFig2Shape(t *testing.T) {
+	res := quickResults(t, "fig2")[0].(Fig2Result)
 	if res.Min < 0.78 {
 		t.Errorf("minimum gap coverage %.3f < 0.78 (Fig. 2)", res.Min)
 	}
@@ -42,11 +49,7 @@ func TestFig2Shape(t *testing.T) {
 }
 
 func TestFig3Shape(t *testing.T) {
-	r := quickRunner()
-	res, err := r.Fig3Contiguity()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quickResults(t, "fig3")[0].(Fig3Result)
 	small := res.Fraction[256<<10]
 	big := res.Fraction[256<<20]
 	if small < 0.15 {
@@ -59,11 +62,8 @@ func TestFig3Shape(t *testing.T) {
 
 func TestFig9Through12Shape(t *testing.T) {
 	skipSweep(t)
-	r := quickRunner()
-	f9, err := r.Fig9Speedups()
-	if err != nil {
-		t.Fatal(err)
-	}
+	raw := quickResults(t, "fig9", "fig10", "fig11", "fig12")
+	f9, f10, f11, f12 := raw[0].(Fig9Result), raw[1].(Fig10Result), raw[2].(Fig11Result), raw[3].(Fig12Result)
 	if f9.AvgLVM4K <= 1.0 {
 		t.Errorf("LVM 4K geomean speedup = %.3f, must exceed 1 (Fig. 9)", f9.AvgLVM4K)
 	}
@@ -75,10 +75,6 @@ func TestFig9Through12Shape(t *testing.T) {
 		t.Errorf("LVM %.3f too far from ideal %.3f", f9.AvgLVM4K, f9.AvgIdeal4K)
 	}
 
-	f10, err := r.Fig10MMUOverhead()
-	if err != nil {
-		t.Fatal(err)
-	}
 	if f10.AvgLVM4K >= 1.0 {
 		t.Errorf("LVM MMU overhead ratio = %.3f, must be < 1 (Fig. 10)", f10.AvgLVM4K)
 	}
@@ -87,10 +83,6 @@ func TestFig9Through12Shape(t *testing.T) {
 			f10.LVMWalkReduction4K, f10.ECPTWalkReduction4K)
 	}
 
-	f11, err := r.Fig11WalkTraffic()
-	if err != nil {
-		t.Fatal(err)
-	}
 	if f11.AvgLVM4K >= 1.0 {
 		t.Errorf("LVM walk traffic ratio = %.3f, must be < 1 (Fig. 11)", f11.AvgLVM4K)
 	}
@@ -101,10 +93,6 @@ func TestFig9Through12Shape(t *testing.T) {
 		t.Errorf("LVM traffic vs ideal = %.3f, paper within 1%%", f11.LVMvsIdeal)
 	}
 
-	f12, err := r.Fig12CacheMPKI()
-	if err != nil {
-		t.Fatal(err)
-	}
 	if f12.AvgLVML2 > 1.10 || f12.AvgLVML3 > 1.10 {
 		t.Errorf("LVM MPKI ratios %.3f/%.3f, paper within ~1%%", f12.AvgLVML2, f12.AvgLVML3)
 	}
@@ -115,11 +103,7 @@ func TestFig9Through12Shape(t *testing.T) {
 
 func TestTable2Shape(t *testing.T) {
 	skipSweep(t)
-	r := quickRunner()
-	res, err := r.Table2IndexSize()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quickResults(t, "table2")[0].(Table2Result)
 	for name, size := range res.Size4K {
 		if size <= 0 || size > 4096 {
 			t.Errorf("%s: index size %dB out of the paper's ballpark", name, size)
@@ -141,11 +125,7 @@ func TestTable2Shape(t *testing.T) {
 
 func TestCollisionShape(t *testing.T) {
 	skipSweep(t)
-	r := quickRunner()
-	res, err := r.CollisionRates()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quickResults(t, "collisions")[0].(CollisionResult)
 	if res.AvgLVM4K > 0.02 {
 		t.Errorf("LVM 4K collision rate %.4f, paper 0.002", res.AvgLVM4K)
 	}
@@ -158,11 +138,7 @@ func TestCollisionShape(t *testing.T) {
 }
 
 func TestHardwareShape(t *testing.T) {
-	r := quickRunner()
-	res, err := r.HardwareArea()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quickResults(t, "hardware")[0].(HardwareResult)
 	if res.Cmp.SizeX < 2 || res.Cmp.AreaX < 1 || res.Cmp.PowerX < 1 {
 		t.Errorf("hardware ratios off: %+v", res.Cmp)
 	}
@@ -170,11 +146,7 @@ func TestHardwareShape(t *testing.T) {
 
 func TestPriorWorkShape(t *testing.T) {
 	skipSweep(t)
-	r := quickRunner()
-	res, err := r.PriorWork()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quickResults(t, "priorwork")[0].(PriorWorkResult)
 	if res.LVM < res.ASAP-0.02 {
 		t.Errorf("LVM (%.3f) must not trail ASAP (%.3f) (§7.5.1)", res.LVM, res.ASAP)
 	}
@@ -186,9 +158,22 @@ func TestPriorWorkShape(t *testing.T) {
 	}
 }
 
+// TestRunCaching reads runs back from the runner: a run the plan executed
+// comes back as the same output on every read, and Execute does not run it
+// again.
 func TestRunCaching(t *testing.T) {
 	skipSweep(t)
-	r := quickRunner()
+	r := NewRunner(jsonSweepConfig())
+	sink := &countingSink{}
+	r.SetSink(sink)
+	for range 2 {
+		if _, err := r.Execute(ExecOptions{Workers: 2}, "walkcaches"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := len(jsonSweepConfig().Workloads) * 2; len(sink.started) != want {
+		t.Errorf("two executions started %d runs, want %d", len(sink.started), want)
+	}
 	a, err := r.Run("bfs", "radix", false)
 	if err != nil {
 		t.Fatal(err)
@@ -204,11 +189,7 @@ func TestRunCaching(t *testing.T) {
 
 func TestTailLatencyShape(t *testing.T) {
 	skipSweep(t)
-	r := quickRunner()
-	res, err := r.TailLatency()
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := quickResults(t, "tail")[0].(TailLatencyResult)
 	if res.ChurnOps == 0 {
 		t.Fatal("no churn injected")
 	}

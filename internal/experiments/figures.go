@@ -52,14 +52,13 @@ func (r *Runner) measureFig2() (Fig2Result, error) {
 	return res, nil
 }
 
-// Fig2GapCoverage reproduces Figure 2: the fraction of adjacent mapped-VPN
+// fig2GapCoverage reproduces Figure 2: the fraction of adjacent mapped-VPN
 // pairs with gap = 1 across all application profiles. Paper: minimum 78%.
-// The measured data is a pure function of the config and is persisted as a
-// run-cache artifact; cold and warm sweeps render from the same struct.
-func (r *Runner) Fig2GapCoverage() (Fig2Result, error) {
-	res, err := artifactFor(r, "fig2.coverage", r.measureFig2)
+// The coverage is the experiment's measurement (measureFig2).
+func (r *Runner) fig2GapCoverage() (Result, error) {
+	res, err := measurementOf[Fig2Result](r, "fig2")
 	if err != nil {
-		return Fig2Result{}, err
+		return Result{}, err
 	}
 	tb := stats.NewTable("profile", "gap=1 coverage")
 	var names []string
@@ -77,7 +76,11 @@ func (r *Runner) Fig2GapCoverage() (Fig2Result, error) {
 		tb.AddRow("wl:"+name, pct(res.Coverage["wl:"+name]))
 	}
 	res.Table = tb
-	return res, nil
+	return Result{
+		Table:   tb,
+		Summary: fmt.Sprintf("minimum coverage: %.1f%%", 100*res.Min),
+		Raw:     res,
+	}, nil
 }
 
 // Fig3Result carries the contiguity study data.
@@ -110,13 +113,13 @@ func (r *Runner) measureFig3() (Fig3Result, error) {
 	return res, nil
 }
 
-// Fig3Contiguity reproduces Figure 3: the median fraction of free memory
+// fig3Contiguity reproduces Figure 3: the median fraction of free memory
 // immediately allocatable as a contiguous block, on a datacenter-aged
 // buddy allocator. Paper: hundreds-of-MB ≈ 0, ~30% at 256 KB.
-func (r *Runner) Fig3Contiguity() (Fig3Result, error) {
-	res, err := artifactFor(r, "fig3", r.measureFig3)
+func (r *Runner) fig3Contiguity() (Result, error) {
+	res, err := measurementOf[Fig3Result](r, "fig3")
 	if err != nil {
-		return Fig3Result{}, err
+		return Result{}, err
 	}
 	tb := stats.NewTable("block size", "fraction of free memory")
 	for _, o := range fig3Orders {
@@ -124,7 +127,7 @@ func (r *Runner) Fig3Contiguity() (Fig3Result, error) {
 		tb.AddRow(byteLabel(size), pct(res.Fraction[size]))
 	}
 	res.Table = tb
-	return res, nil
+	return Result{Table: tb, Raw: res}, nil
 }
 
 func byteLabel(b uint64) string {
@@ -156,10 +159,10 @@ type Fig9Result struct {
 	Table                   *stats.Table
 }
 
-// Fig9Speedups reproduces Figure 9: end-to-end speedups relative to radix,
+// fig9Speedups reproduces Figure 9: end-to-end speedups relative to radix,
 // for 4 KB pages and THP. Paper: LVM +5–26% (avg 14%) at 4 KB, +2–27%
 // (avg 7%) with THP; ≥ ECPT; within 1% of ideal.
-func (r *Runner) Fig9Speedups() (Fig9Result, error) {
+func (r *Runner) fig9Speedups() (Result, error) {
 	var res Fig9Result
 	tb := stats.NewTable("workload", "pages", "ecpt", "lvm", "ideal")
 	for _, thp := range []bool{false, true} {
@@ -167,19 +170,19 @@ func (r *Runner) Fig9Speedups() (Fig9Result, error) {
 		for _, name := range r.Cfg.Workloads {
 			rad, err := r.Run(name, oskernel.SchemeRadix, thp)
 			if err != nil {
-				return Fig9Result{}, err
+				return Result{}, err
 			}
 			ec, err := r.Run(name, oskernel.SchemeECPT, thp)
 			if err != nil {
-				return Fig9Result{}, err
+				return Result{}, err
 			}
 			lv, err := r.Run(name, oskernel.SchemeLVM, thp)
 			if err != nil {
-				return Fig9Result{}, err
+				return Result{}, err
 			}
 			id, err := r.Run(name, oskernel.SchemeIdeal, thp)
 			if err != nil {
-				return Fig9Result{}, err
+				return Result{}, err
 			}
 			base := rad.Sim.Cycles
 			row := SpeedupRow{
@@ -213,7 +216,7 @@ func (r *Runner) Fig9Speedups() (Fig9Result, error) {
 	tb.AddRow("GEOMEAN", "4KB", res.AvgECPT4K, res.AvgLVM4K, res.AvgIdeal4K)
 	tb.AddRow("GEOMEAN", "THP", res.AvgECPTTHP, res.AvgLVMTHP, res.AvgIdealTHP)
 	res.Table = tb
-	return res, nil
+	return Result{Table: tb, Raw: res}, nil
 }
 
 // Fig10Result carries the MMU-overhead data.
@@ -227,8 +230,8 @@ type Fig10Result struct {
 	Table                                     *stats.Table
 }
 
-// Fig10MMUOverhead reproduces Figure 10: MMU overhead relative to radix.
-func (r *Runner) Fig10MMUOverhead() (Fig10Result, error) {
+// fig10MMUOverhead reproduces Figure 10: MMU overhead relative to radix.
+func (r *Runner) fig10MMUOverhead() (Result, error) {
 	res := Fig10Result{
 		ECPT4K: map[string]float64{}, LVM4K: map[string]float64{},
 		ECPTTHP: map[string]float64{}, LVMTHP: map[string]float64{},
@@ -239,15 +242,15 @@ func (r *Runner) Fig10MMUOverhead() (Fig10Result, error) {
 		for _, name := range r.Cfg.Workloads {
 			base, err := r.Run(name, oskernel.SchemeRadix, thp)
 			if err != nil {
-				return Fig10Result{}, err
+				return Result{}, err
 			}
 			ec, err := r.Run(name, oskernel.SchemeECPT, thp)
 			if err != nil {
-				return Fig10Result{}, err
+				return Result{}, err
 			}
 			lv, err := r.Run(name, oskernel.SchemeLVM, thp)
 			if err != nil {
-				return Fig10Result{}, err
+				return Result{}, err
 			}
 			relE := ec.Sim.MMUCycles() / base.Sim.MMUCycles()
 			relL := lv.Sim.MMUCycles() / base.Sim.MMUCycles()
@@ -276,7 +279,13 @@ func (r *Runner) Fig10MMUOverhead() (Fig10Result, error) {
 		}
 	}
 	res.Table = tb
-	return res, nil
+	return Result{
+		Table: tb,
+		Summary: fmt.Sprintf("LVM walk-cycle reduction: %.1f%% (4KB), %.1f%% (THP); ECPT: %.1f%%, %.1f%%",
+			100*res.LVMWalkReduction4K, 100*res.LVMWalkReductionTHP,
+			100*res.ECPTWalkReduction4K, 100*res.ECPTWalkReductionTHP),
+		Raw: res,
+	}, nil
 }
 
 // Fig11Result carries the walk-traffic data.
@@ -290,9 +299,9 @@ type Fig11Result struct {
 	Table      *stats.Table
 }
 
-// Fig11WalkTraffic reproduces Figure 11: memory requests from page walks,
+// fig11WalkTraffic reproduces Figure 11: memory requests from page walks,
 // relative to radix. Paper: LVM −43%/−34%; ECPT 1.7×/2.1×.
-func (r *Runner) Fig11WalkTraffic() (Fig11Result, error) {
+func (r *Runner) fig11WalkTraffic() (Result, error) {
 	res := Fig11Result{
 		LVM4K: map[string]float64{}, ECPT4K: map[string]float64{},
 		LVMTHP: map[string]float64{}, ECPTTHP: map[string]float64{},
@@ -304,19 +313,19 @@ func (r *Runner) Fig11WalkTraffic() (Fig11Result, error) {
 		for _, name := range r.Cfg.Workloads {
 			rad, err := r.Run(name, oskernel.SchemeRadix, thp)
 			if err != nil {
-				return Fig11Result{}, err
+				return Result{}, err
 			}
 			lvr, err := r.Run(name, oskernel.SchemeLVM, thp)
 			if err != nil {
-				return Fig11Result{}, err
+				return Result{}, err
 			}
 			ecr, err := r.Run(name, oskernel.SchemeECPT, thp)
 			if err != nil {
-				return Fig11Result{}, err
+				return Result{}, err
 			}
 			idr, err := r.Run(name, oskernel.SchemeIdeal, thp)
 			if err != nil {
-				return Fig11Result{}, err
+				return Result{}, err
 			}
 			base := float64(rad.Sim.WalkRefs)
 			lv := float64(lvr.Sim.WalkRefs)
@@ -344,7 +353,12 @@ func (r *Runner) Fig11WalkTraffic() (Fig11Result, error) {
 	}
 	res.LVMvsIdeal = stats.Mean(vsIdeal)
 	res.Table = tb
-	return res, nil
+	return Result{
+		Table: tb,
+		Summary: fmt.Sprintf("averages: LVM %.2fx / %.2fx, ECPT %.2fx / %.2fx; LVM vs ideal %.3fx",
+			res.AvgLVM4K, res.AvgLVMTHP, res.AvgECPT4K, res.AvgECPTTHP, res.LVMvsIdeal),
+		Raw: res,
+	}, nil
 }
 
 // Fig12Result carries the cache-MPKI data.
@@ -355,9 +369,9 @@ type Fig12Result struct {
 	Table                                    *stats.Table
 }
 
-// Fig12CacheMPKI reproduces Figure 12: L2/L3 MPKI relative to radix.
+// fig12CacheMPKI reproduces Figure 12: L2/L3 MPKI relative to radix.
 // Paper: LVM within ~1%; ECPT +44% L2 / +40% L3.
-func (r *Runner) Fig12CacheMPKI() (Fig12Result, error) {
+func (r *Runner) fig12CacheMPKI() (Result, error) {
 	res := Fig12Result{
 		LVML2: map[string]float64{}, LVML3: map[string]float64{},
 		ECPTL2: map[string]float64{}, ECPTL3: map[string]float64{},
@@ -367,15 +381,15 @@ func (r *Runner) Fig12CacheMPKI() (Fig12Result, error) {
 	for _, name := range r.Cfg.Workloads {
 		base, err := r.Run(name, oskernel.SchemeRadix, false)
 		if err != nil {
-			return Fig12Result{}, err
+			return Result{}, err
 		}
 		lv, err := r.Run(name, oskernel.SchemeLVM, false)
 		if err != nil {
-			return Fig12Result{}, err
+			return Result{}, err
 		}
 		ec, err := r.Run(name, oskernel.SchemeECPT, false)
 		if err != nil {
-			return Fig12Result{}, err
+			return Result{}, err
 		}
 		res.LVML2[name] = lv.Sim.L2MPKI / base.Sim.L2MPKI
 		res.LVML3[name] = lv.Sim.L3MPKI / base.Sim.L3MPKI
@@ -390,7 +404,12 @@ func (r *Runner) Fig12CacheMPKI() (Fig12Result, error) {
 	res.AvgLVML2, res.AvgLVML3 = stats.Mean(l2s), stats.Mean(l3s)
 	res.AvgECPTL2, res.AvgECPTL3 = stats.Mean(e2s), stats.Mean(e3s)
 	res.Table = tb
-	return res, nil
+	return Result{
+		Table: tb,
+		Summary: fmt.Sprintf("averages: LVM L2 %.3f L3 %.3f; ECPT L2 %.3f L3 %.3f",
+			res.AvgLVML2, res.AvgLVML3, res.AvgECPTL2, res.AvgECPTL3),
+		Raw: res,
+	}, nil
 }
 
 // Table2Result carries the index-size data.
@@ -427,12 +446,11 @@ func (r *Runner) measureTable2Scaling() (map[uint64]int, error) {
 	return sizes, nil
 }
 
-// Table2IndexSize reproduces Table 2 plus the scaling study: steady-state
+// table2IndexSize reproduces Table 2 plus the scaling study: steady-state
 // index sizes in bytes. Paper: 96–128 B (4K), 112–192 B (THP), constant
-// across memcached 32→240 GB. The per-workload rows come from the cached
-// run matrix; the bespoke scaling launches persist as a run-cache
-// artifact.
-func (r *Runner) Table2IndexSize() (Table2Result, error) {
+// across memcached 32→240 GB. The per-workload rows come from the run
+// matrix; the scaling launches are the experiment's measurement.
+func (r *Runner) table2IndexSize() (Result, error) {
 	res := Table2Result{
 		Size4K: map[string]int{}, SizeTHP: map[string]int{},
 		Peak: map[string]int{},
@@ -441,20 +459,20 @@ func (r *Runner) Table2IndexSize() (Table2Result, error) {
 	for _, name := range r.Cfg.Workloads {
 		a, err := r.Run(name, oskernel.SchemeLVM, false)
 		if err != nil {
-			return Table2Result{}, err
+			return Result{}, err
 		}
 		b, err := r.Run(name, oskernel.SchemeLVM, true)
 		if err != nil {
-			return Table2Result{}, err
+			return Result{}, err
 		}
 		res.Size4K[name] = a.IndexBytes
 		res.SizeTHP[name] = b.IndexBytes
 		res.Peak[name] = a.IndexPeakBytes
 		tb.AddRow(name, a.IndexBytes, b.IndexBytes, a.IndexPeakBytes, a.IndexDepth, pct(a.LWCHitRate))
 	}
-	scaling, err := artifactFor(r, "table2.scaling", r.measureTable2Scaling)
+	scaling, err := measurementOf[map[uint64]int](r, "table2")
 	if err != nil {
-		return Table2Result{}, err
+		return Result{}, err
 	}
 	res.ScalingSizes = scaling
 	for _, scale := range table2Scales {
@@ -462,7 +480,7 @@ func (r *Runner) Table2IndexSize() (Table2Result, error) {
 		tb.AddRow(fmt.Sprintf("mem$ @%s", byteLabel(size)), scaling[size], "-", "-", "-", "-")
 	}
 	res.Table = tb
-	return res, nil
+	return Result{Table: tb, Raw: res}, nil
 }
 
 // HardwareResult carries the §7.4 data.
@@ -471,15 +489,15 @@ type HardwareResult struct {
 	Table *stats.Table
 }
 
-// HardwareArea reproduces §7.4: area/power/size of LVM's hardware vs
+// hardwareArea reproduces §7.4: area/power/size of LVM's hardware vs
 // radix's PWC. Paper: 3.0× size, 1.5× area, 1.9× power; walker
 // 0.000637 mm²; LWC 0.00364 mm², 0.588 mW.
-func (r *Runner) HardwareArea() (HardwareResult, error) {
+func (r *Runner) hardwareArea() (Result, error) {
 	c := hwarea.Compare()
 	tb := stats.NewTable("structure", "payload bytes", "area mm2", "leakage mW")
 	tb.AddRow("LVM LWC", c.LWC.DataBytes(), fmt.Sprintf("%.5f", c.LWC.AreaMM2()), fmt.Sprintf("%.3f", c.LWC.LeakageMW()))
 	tb.AddRow("Radix PWC", c.PWC.DataBytes(), fmt.Sprintf("%.5f", c.PWC.AreaMM2()), fmt.Sprintf("%.3f", c.PWC.LeakageMW()))
 	tb.AddRow("LVM walker", "-", fmt.Sprintf("%.6f", c.WalkerMM), "-")
 	tb.AddRow("improvement", fmt.Sprintf("%.1fx", c.SizeX), fmt.Sprintf("%.1fx", c.AreaX), fmt.Sprintf("%.1fx", c.PowerX))
-	return HardwareResult{Cmp: c, Table: tb}, nil
+	return Result{Table: tb, Raw: HardwareResult{Cmp: c, Table: tb}}, nil
 }

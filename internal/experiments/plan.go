@@ -1,7 +1,10 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"runtime"
 
 	"lvm/internal/experiments/sched"
 	"lvm/internal/wallclock"
@@ -9,7 +12,8 @@ import (
 
 // A Plan is the declarative first phase of the pipeline: the experiments
 // to compute, and the deduplicated simulations they require in a
-// deterministic (first-appearance) order.
+// deterministic (first-appearance) order. The experiments with a Measure
+// add one measurement task each.
 type Plan struct {
 	Experiments []Experiment
 	Runs        []RunKey
@@ -50,110 +54,60 @@ type ExecOptions struct {
 	// Workers is the number of simulation worker goroutines (min 1).
 	Workers int
 	// MemBudgetBytes caps the summed simulated footprint of in-flight
-	// runs (0 means DefaultMemBudgetBytes; see sched.Options).
+	// tasks (0 means DefaultMemBudgetBytes; see sched.Options).
 	MemBudgetBytes uint64
-	// Cache, when non-nil, is consulted before simulating (hits skip the
-	// simulation entirely) and updated with every newly computed run.
+	// Cache, when non-nil, is consulted before each task (hits skip it
+	// entirely) and updated with every newly executed one.
 	Cache *RunCache
 }
 
-// ExecuteRuns runs the pipeline's execute phase: skip the runs already
-// computed or restorable from the run cache, build the workloads the
-// remainder needs in parallel, execute them on the worker pool, and merge
-// the outputs into the runner in plan order. The runner's state after
-// ExecuteRuns is bit-for-bit independent of worker count and of the
-// cold/warm split; only the Sink's progress stream reflects scheduling.
-func (r *Runner) ExecuteRuns(p Plan, opt ExecOptions) error {
-	if opt.MemBudgetBytes == 0 {
-		opt.MemBudgetBytes = DefaultMemBudgetBytes
-	}
-
-	// Drop runs already in memory (a warm runner), then runs restorable
-	// from the persistent cache. What remains is the pending set that
-	// actually simulates.
-	var pending []int
-	for i, k := range p.Runs {
-		done, err := r.restoreRun(k, opt.Cache)
-		if err != nil {
-			return fmt.Errorf("experiments: %w", err)
-		}
-		if !done {
-			pending = append(pending, i)
-		}
-	}
-	if len(pending) == 0 {
-		return nil
-	}
-
-	// Build the workloads the pending runs need — and only those — on the
-	// worker pool, in deterministic first-appearance order.
-	var names []string
-	seenWl := make(map[string]bool)
-	for _, i := range pending {
-		if k := p.Runs[i]; !seenWl[k.Workload] {
-			seenWl[k.Workload] = true
-			names = append(names, k.Workload)
-		}
-	}
-	if err := r.BuildWorkloads(names, opt.Workers); err != nil {
-		return err
-	}
-
-	tasks := make([]sched.Task[RunKey], len(pending))
-	for ti, i := range pending {
-		w, err := r.Workload(p.Runs[i].Workload)
-		if err != nil {
-			return err
-		}
-		tasks[ti] = sched.Task[RunKey]{Key: p.Runs[i], CostBytes: r.runBytes(w)}
-	}
-	schedOpt := sched.Options{
-		Workers:     opt.Workers,
-		BudgetBytes: opt.MemBudgetBytes,
-		// Correct footprint estimates with the observed host-memory samples
-		// as the sweep progresses; admission-only, so results and ordering
-		// stay byte-identical.
-		CostModel: sched.NewCostModel(),
-		ObserveMem: func(ti int, s sched.MemSample) {
-			r.sink.Emit(Event{Kind: RunHostMem, Key: p.Runs[pending[ti]], Mem: s})
-		},
-	}
-	outs, err := sched.Run(tasks, schedOpt, r.execute)
-	if err != nil {
-		return fmt.Errorf("experiments: %w", err)
-	}
-	// Merge in plan order — a fixed, deterministic key order independent
-	// of which worker finished when.
-	r.mu.Lock()
-	for ti, i := range pending {
-		r.runs[p.Runs[i]] = outs[ti]
-	}
-	r.mu.Unlock()
-	if opt.Cache != nil {
-		for ti, i := range pending {
-			if err := opt.Cache.Store(p.Runs[i], outs[ti]); err != nil {
-				return fmt.Errorf("experiments: %w", err)
-			}
-		}
-	}
-	return nil
+// A measurement is one experiment's Measure result as compact JSON, and
+// where it came from, for errors.
+type measurement struct {
+	payload []byte
+	from    string
 }
 
-// ExecutePlan runs the full pipeline: the execute phase over the whole run
-// matrix (ExecuteRuns), then each experiment's compute phase sequentially.
-// The returned results — tables, summaries, and raw structs — are
-// bit-for-bit identical at any worker count and whether the runs were
-// simulated here or restored from a run cache.
-func (r *Runner) ExecutePlan(p Plan, opt ExecOptions) ([]Result, error) {
-	if opt.Cache != nil {
-		// Let the compute phase's bespoke measurements persist their
-		// artifacts alongside the run outputs.
-		r.SetArtifactCache(opt.Cache)
-	}
-	if err := r.ExecuteRuns(p, opt); err != nil {
+// A task is one unit of the execute phase: the measurement of exp when it
+// is non-nil, else the simulation of run.
+type task struct {
+	exp *Experiment
+	run RunKey
+}
+
+// taskResult is what one task leaves behind: a run's output, or a
+// measurement's JSON and host time.
+type taskResult struct {
+	run     *RunOutput
+	payload []byte
+	seconds float64
+}
+
+// Execute selects the experiments named by keys (every experiment when
+// none is given), plans them and executes the plan. Runs and measurements
+// already in the runner are not executed again, so repeated calls share
+// one sweep's work.
+func (r *Runner) Execute(opt ExecOptions, keys ...string) ([]Result, error) {
+	exps, err := Select(keys...)
+	if err != nil {
 		return nil, err
 	}
+	return r.ExecutePlan(NewPlan(r.Cfg, exps), opt)
+}
 
+// ExecutePlan runs the pipeline. The execute phase skips the tasks already
+// in the runner or restorable from the run cache, builds the workloads the
+// pending runs need, and executes the pending measurements (first, in
+// registry order) and runs (in plan order) on one worker pool; it merges
+// and stores their results in that order. Then each experiment's Compute
+// renders its result from what the runner holds. The returned results —
+// tables, summaries, and raw structs — are bit-for-bit identical at any
+// worker count and whether the tasks ran here or were restored from a run
+// cache; only the Sink's progress stream reflects scheduling.
+func (r *Runner) ExecutePlan(p Plan, opt ExecOptions) ([]Result, error) {
+	if err := r.executeTasks(p, opt); err != nil {
+		return nil, fmt.Errorf("experiments: %w", err)
+	}
 	results := make([]Result, 0, len(p.Experiments))
 	for _, e := range p.Experiments {
 		r.sink.Emit(Event{Kind: ExperimentStart, Experiment: e.Key, Title: e.Title})
@@ -167,4 +121,193 @@ func (r *Runner) ExecutePlan(p Plan, opt ExecOptions) ([]Result, error) {
 		results = append(results, res)
 	}
 	return results, nil
+}
+
+// executeTasks is ExecutePlan's execute phase.
+func (r *Runner) executeTasks(p Plan, opt ExecOptions) error {
+	if opt.MemBudgetBytes == 0 {
+		opt.MemBudgetBytes = DefaultMemBudgetBytes
+	}
+	measureCost, runCosts, err := r.EstimateCosts(p)
+	if err != nil {
+		return err
+	}
+	var pending []sched.Task[task]
+	for i := range p.Experiments {
+		if e := &p.Experiments[i]; e.Measure != nil {
+			pending = append(pending, sched.Task[task]{Key: task{exp: e}, CostBytes: measureCost})
+		}
+	}
+	for i, k := range p.Runs {
+		pending = append(pending, sched.Task[task]{Key: task{run: k}, CostBytes: runCosts[i]})
+	}
+	// Drop tasks already in memory (a warm runner), then tasks restorable
+	// from the persistent cache. What remains actually executes.
+	tasks := pending[:0]
+	for _, t := range pending {
+		done, err := r.restore(t.Key, opt.Cache)
+		if err != nil {
+			return err
+		}
+		if !done {
+			tasks = append(tasks, t)
+		}
+	}
+	if len(tasks) == 0 {
+		return nil
+	}
+
+	// Build the workloads the pending runs need — and only those — on the
+	// worker pool before any task starts; a measurement builds what else
+	// it needs through the same once-per-workload cache.
+	var names []sched.Task[string]
+	seen := make(map[string]bool)
+	for _, t := range tasks {
+		if name := t.Key.run.Workload; t.Key.exp == nil && !seen[name] {
+			seen[name] = true
+			names = append(names, sched.Task[string]{Key: name})
+		}
+	}
+	if _, err := sched.Run(names, sched.Options{Workers: opt.Workers}, r.Workload); err != nil {
+		return err
+	}
+
+	schedOpt := sched.Options{
+		Workers:     opt.Workers,
+		BudgetBytes: opt.MemBudgetBytes,
+		// Correct footprint estimates with the observed host-memory samples
+		// as the sweep progresses; admission-only, so results and ordering
+		// stay byte-identical.
+		CostModel: sched.NewCostModel(),
+		ObserveMem: func(ti int, s sched.MemSample) {
+			e := Event{Kind: RunHostMem, Key: tasks[ti].Key.run, Mem: s}
+			if x := tasks[ti].Key.exp; x != nil {
+				e.Experiment = x.Key
+			}
+			r.sink.Emit(e)
+		},
+	}
+	outs, err := sched.Run(tasks, schedOpt, r.executeTask)
+	if err != nil {
+		return err
+	}
+	// Merge and store in task order — a fixed, deterministic order
+	// independent of which worker finished when.
+	r.mu.Lock()
+	for i, t := range tasks {
+		if t.Key.exp != nil {
+			r.meas[t.Key.exp.Key] = measurement{payload: outs[i].payload, from: "measurement " + t.Key.exp.Key}
+		} else {
+			r.runs[t.Key.run] = outs[i].run
+		}
+	}
+	r.mu.Unlock()
+	if opt.Cache == nil {
+		return nil
+	}
+	for i, t := range tasks {
+		if t.Key.exp != nil {
+			err = opt.Cache.Store(t.Key.exp.Key, json.RawMessage(outs[i].payload), outs[i].seconds)
+		} else {
+			err = opt.Cache.storeRun(t.Key.run, outs[i].run)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// executeTask runs one task on a scheduler worker.
+func (r *Runner) executeTask(t task) (taskResult, error) {
+	if t.exp == nil {
+		out, err := r.simulate(t.run)
+		return taskResult{run: out}, err
+	}
+	key := t.exp.Key
+	r.sink.Emit(Event{Kind: RunStart, Experiment: key})
+	sw := wallclock.Start()
+	v, err := t.exp.Measure(r)
+	var payload []byte
+	if err == nil {
+		payload, err = json.Marshal(v)
+	}
+	if err != nil {
+		err = fmt.Errorf("measure %s: %w", key, err)
+	}
+	secs := sw.Seconds()
+	r.sink.Emit(Event{Kind: RunDone, Experiment: key, Seconds: secs, Err: err})
+	// Measurements simulate on memories as large as runs do; let the GC
+	// reclaim them before the worker takes its next task.
+	runtime.GC()
+	return taskResult{payload: payload, seconds: secs}, err
+}
+
+// restore reports whether t's result is in the runner, first installing it
+// from c (nil for none) when the run cache holds it; a restore emits
+// RunCached.
+func (r *Runner) restore(t task, c *RunCache) (bool, error) {
+	var ran bool
+	r.mu.Lock()
+	if t.exp != nil {
+		_, ran = r.meas[t.exp.Key]
+	} else {
+		_, ran = r.runs[t.run]
+	}
+	r.mu.Unlock()
+	if ran {
+		return true, nil
+	}
+	if c == nil {
+		return false, nil
+	}
+	if t.exp == nil {
+		out, hit, err := c.loadRun(t.run)
+		if err != nil || !hit {
+			return false, err
+		}
+		r.mu.Lock()
+		r.runs[t.run] = out
+		r.mu.Unlock()
+		r.sink.Emit(Event{Kind: RunCached, Key: t.run})
+		return true, nil
+	}
+	key := t.exp.Key
+	var raw json.RawMessage
+	_, hit, err := c.Load(key, &raw)
+	if err != nil || !hit {
+		return false, err
+	}
+	var payload bytes.Buffer
+	if err := json.Compact(&payload, raw); err != nil {
+		return false, fmt.Errorf("run cache: %s: corrupt entry %s: %w", key, c.path(key), err)
+	}
+	r.mu.Lock()
+	r.meas[key] = measurement{payload: payload.Bytes(), from: fmt.Sprintf("run cache: %s: entry %s", key, c.path(key))}
+	r.mu.Unlock()
+	r.sink.Emit(Event{Kind: RunCached, Experiment: key})
+	return true, nil
+}
+
+// measurementOf decodes the measurement of experiment key that the plan
+// executed; a measurement the plan did not execute is an error naming it.
+// The payload must be exactly what json.Marshal writes for the T it
+// decodes to, on the cold pass and the warm one alike, so both render from
+// the same bytes, and a field missing, stray or renamed in a restored entry
+// is an error naming the entry, never a zero in a table.
+func measurementOf[T any](r *Runner, key string) (T, error) {
+	var v T
+	r.mu.Lock()
+	m, ok := r.meas[key]
+	r.mu.Unlock()
+	if !ok {
+		return v, fmt.Errorf("measurement %s not in the plan", key)
+	}
+	if err := json.Unmarshal(m.payload, &v); err != nil {
+		return v, fmt.Errorf("%s: %w", m.from, err)
+	}
+	if canon, err := json.Marshal(v); err != nil || !bytes.Equal(canon, m.payload) {
+		return v, fmt.Errorf("%s is not in the form Store writes", m.from)
+	}
+	return v, nil
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"lvm/internal/oskernel"
@@ -104,17 +105,39 @@ func TestExecutePlanDeterministic(t *testing.T) {
 func TestRunErrorNamesKey(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.PhysBytes = 1 << 20 // 256 pages: no workload fits
-	r := NewRunner(cfg)
-	_, err := r.Run("gups", oskernel.SchemeLVM, false)
+	key := RunKey{Workload: "gups", Scheme: oskernel.SchemeLVM}
+	_, err := NewRunner(cfg).ExecutePlan(Plan{Runs: []RunKey{key}}, ExecOptions{Workers: 1})
 	if err == nil {
 		t.Fatal("launch into 1MB of memory succeeded")
 	}
 	if !errors.Is(err, phys.ErrNoMemory) {
 		t.Errorf("error does not wrap phys.ErrNoMemory: %v", err)
 	}
-	want := RunKey{Workload: "gups", Scheme: oskernel.SchemeLVM}.String()
-	if !strings.Contains(err.Error(), want) {
-		t.Errorf("error %q does not name the run %q", err, want)
+	if !strings.Contains(err.Error(), key.String()) {
+		t.Errorf("error %q does not name the run %q", err, key)
+	}
+}
+
+// Reading a run or a measurement the plan did not execute is an error
+// naming it: nothing simulates outside ExecutePlan.
+func TestReadOutsidePlanNamesTask(t *testing.T) {
+	r := NewRunner(tinyConfig())
+	if _, err := r.Run("gups", oskernel.SchemeLVM, false); err == nil || !strings.Contains(err.Error(), "gups/lvm thp=false not in the plan") {
+		t.Errorf("Run outside the plan: %v", err)
+	}
+	if _, err := measurementOf[FragmentationResult](r, "fragmentation"); err == nil || !strings.Contains(err.Error(), "measurement fragmentation not in the plan") {
+		t.Errorf("measurement outside the plan: %v", err)
+	}
+	fig2 := Registry()[0]
+	fig2.Measure = nil // a plan that leaves fig2's measurement out
+	if _, err := r.ExecutePlan(Plan{Experiments: []Experiment{fig2}}, ExecOptions{}); err == nil || !strings.Contains(err.Error(), "measurement fig2 not in the plan") {
+		t.Errorf("fig2 computed without its measurement: %v", err)
+	}
+	r.mu.Lock()
+	built := len(r.wls)
+	r.mu.Unlock()
+	if built != 0 {
+		t.Errorf("reads outside the plan built %d workloads", built)
 	}
 }
 
@@ -140,8 +163,8 @@ func TestExecutePlanPropagatesErrors(t *testing.T) {
 }
 
 func TestRunUnknownWorkload(t *testing.T) {
-	r := NewRunner(tinyConfig())
-	_, err := r.Run("nope", oskernel.SchemeLVM, false)
+	plan := Plan{Runs: []RunKey{{Workload: "nope", Scheme: oskernel.SchemeLVM}}}
+	_, err := NewRunner(tinyConfig()).ExecutePlan(plan, ExecOptions{Workers: 1})
 	if err == nil {
 		t.Fatal("unknown workload succeeded")
 	}
@@ -179,7 +202,7 @@ func TestContendersPlanWithoutBuilding(t *testing.T) {
 	}
 
 	r := NewRunner(cfg)
-	costs, err := r.EstimateCosts(p)
+	_, costs, err := r.EstimateCosts(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,24 +228,36 @@ func TestContendersPlanWithoutBuilding(t *testing.T) {
 
 func TestEstimateCostsMatchRunBytes(t *testing.T) {
 	// -list prints the scheduler's costs only if the estimates are exactly
-	// the costs a runner that builds the workloads computes.
+	// the costs of the built workloads: each run's, and for every
+	// measurement the largest among the sweep's workloads.
 	cfg := jsonSweepConfig()
 	r := NewRunner(cfg)
 	p := jsonSweepPlan(cfg)
-	costs, err := r.EstimateCosts(p)
+	measure, costs, err := r.EstimateCosts(p)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var largest uint64
+	for _, name := range cfg.Workloads {
+		w, err := r.Workload(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		largest = max(largest, cfg.RunCostBytes(w.FootprintBytes()))
+	}
+	if measure != largest {
+		t.Errorf("measurement cost %d, largest built run cost %d", measure, largest)
 	}
 	for i, k := range p.Runs {
 		w, err := r.Workload(k.Workload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if costs[i] != r.runBytes(w) {
-			t.Errorf("%s: estimated cost %d, built cost %d", k, costs[i], r.runBytes(w))
+		if built := cfg.RunCostBytes(w.FootprintBytes()); costs[i] != built {
+			t.Errorf("%s: estimated cost %d, built cost %d", k, costs[i], built)
 		}
 	}
-	if _, err := r.EstimateCosts(Plan{Runs: []RunKey{{Workload: "nope", Scheme: oskernel.SchemeLVM}}}); err == nil {
+	if _, _, err := r.EstimateCosts(Plan{Runs: []RunKey{{Workload: "nope", Scheme: oskernel.SchemeLVM}}}); err == nil {
 		t.Error("unknown workload estimated without error")
 	}
 }
@@ -259,5 +294,34 @@ func TestSelectUnknownKey(t *testing.T) {
 	}
 	if len(exps) != 2 || exps[0].Key != "fig9" || exps[1].Key != "table2" {
 		t.Errorf("selection wrong: %d entries", len(exps))
+	}
+}
+
+// Measurements call Runner.Workload from scheduler workers: concurrent
+// callers of one name must share a single build, and callers of different
+// names must not wait on each other's builds under the runner's lock.
+func TestWorkloadBuildsOnce(t *testing.T) {
+	r := NewRunner(tinyConfig())
+	names := []string{"bfs", "gups", "bfs", "mem$", "gups", "bfs", "mem$", "gups"}
+	got := make([]*workload.Workload, len(names))
+	var wg sync.WaitGroup
+	for i, name := range names {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w, err := r.Workload(name)
+			if err != nil {
+				t.Error(err)
+			}
+			got[i] = w
+		}()
+	}
+	wg.Wait()
+	first := map[string]*workload.Workload{}
+	for i, name := range names {
+		if w, ok := first[name]; ok && w != got[i] {
+			t.Errorf("%s built twice", name)
+		}
+		first[name] = got[i]
 	}
 }

@@ -9,22 +9,31 @@ import (
 )
 
 // An Experiment is one declarative registry entry: the simulations it
-// needs (Requires) and the pure computation over their outputs (Compute).
-// Keeping the two phases separate is what lets the scheduler dedupe and
-// parallelize the run matrix across every selected experiment before any
-// table is rendered.
+// needs (Requires), the bespoke measurement it takes (Measure), and the
+// rendering of its result from both (Compute). Keeping the phases separate
+// is what lets the scheduler dedupe and parallelize every selected
+// experiment's work on one pool before any table is rendered.
 type Experiment struct {
 	// Key is the stable identifier used by lvmbench's -only flag.
 	Key string
 	// Title is the banner line, including the paper's headline claim.
 	Title string
 	// Requires enumerates the simulations the compute phase will read.
-	// Experiments that only run bespoke one-off simulations (for example
-	// the fragmentation sweep) return nil and simulate inside Compute.
 	Requires func(cfg Config) []RunKey
-	// Compute derives the experiment's result from the runner's cached
-	// runs. It must be deterministic given the run outputs.
+	// Measure, when set, takes the experiment's bespoke measurement — a
+	// study no RunKey describes, such as the fragmentation sweep. It runs
+	// as one task of the execute phase, concurrently with other tasks, and
+	// its result is kept and cached as JSON under the experiment's key.
+	Measure func(r *Runner) (any, error)
+	// Compute derives the experiment's result from the runs and the
+	// measurement the plan executed. It only reads and renders: it must
+	// not simulate, and it must be deterministic given those results.
 	Compute func(r *Runner) (Result, error)
+}
+
+// measure adapts a typed measurement to Experiment.Measure.
+func measure[T any](f func(*Runner) (T, error)) func(*Runner) (any, error) {
+	return func(r *Runner) (any, error) { return f(r) }
 }
 
 // Result is one experiment's rendered output plus its raw numbers.
@@ -93,30 +102,16 @@ func Registry() []Experiment {
 
 	return []Experiment{
 		{
-			Key:   "fig2",
-			Title: "Figure 2: virtual memory gap coverage (paper: min 78%)",
-			Compute: func(r *Runner) (Result, error) {
-				res, err := r.Fig2GapCoverage()
-				if err != nil {
-					return Result{}, err
-				}
-				return Result{
-					Table:   res.Table,
-					Summary: fmt.Sprintf("minimum coverage: %.1f%%", 100*res.Min),
-					Raw:     res,
-				}, nil
-			},
+			Key:     "fig2",
+			Title:   "Figure 2: virtual memory gap coverage (paper: min 78%)",
+			Measure: measure((*Runner).measureFig2),
+			Compute: (*Runner).fig2GapCoverage,
 		},
 		{
-			Key:   "fig3",
-			Title: "Figure 3: contiguous free memory on an aged server (paper: ~30% at 256KB, ~0 at 100s of MB)",
-			Compute: func(r *Runner) (Result, error) {
-				res, err := r.Fig3Contiguity()
-				if err != nil {
-					return Result{}, err
-				}
-				return Result{Table: res.Table, Raw: res}, nil
-			},
+			Key:     "fig3",
+			Title:   "Figure 3: contiguous free memory on an aged server (paper: ~30% at 256KB, ~0 at 100s of MB)",
+			Measure: measure((*Runner).measureFig3),
+			Compute: (*Runner).fig3Contiguity,
 		},
 		{
 			Key:   "fig9",
@@ -124,13 +119,7 @@ func Registry() []Experiment {
 			Requires: func(cfg Config) []RunKey {
 				return cross(cfg.Workloads, speedupSchemes, false, true)
 			},
-			Compute: func(r *Runner) (Result, error) {
-				res, err := r.Fig9Speedups()
-				if err != nil {
-					return Result{}, err
-				}
-				return Result{Table: res.Table, Raw: res}, nil
-			},
+			Compute: (*Runner).fig9Speedups,
 		},
 		{
 			Key:   "fig10",
@@ -138,19 +127,7 @@ func Registry() []Experiment {
 			Requires: func(cfg Config) []RunKey {
 				return cross(cfg.Workloads, mmuSchemes, false, true)
 			},
-			Compute: func(r *Runner) (Result, error) {
-				res, err := r.Fig10MMUOverhead()
-				if err != nil {
-					return Result{}, err
-				}
-				return Result{
-					Table: res.Table,
-					Summary: fmt.Sprintf("LVM walk-cycle reduction: %.1f%% (4KB), %.1f%% (THP); ECPT: %.1f%%, %.1f%%",
-						100*res.LVMWalkReduction4K, 100*res.LVMWalkReductionTHP,
-						100*res.ECPTWalkReduction4K, 100*res.ECPTWalkReductionTHP),
-					Raw: res,
-				}, nil
-			},
+			Compute: (*Runner).fig10MMUOverhead,
 		},
 		{
 			Key:   "fig11",
@@ -158,18 +135,7 @@ func Registry() []Experiment {
 			Requires: func(cfg Config) []RunKey {
 				return cross(cfg.Workloads, speedupSchemes, false, true)
 			},
-			Compute: func(r *Runner) (Result, error) {
-				res, err := r.Fig11WalkTraffic()
-				if err != nil {
-					return Result{}, err
-				}
-				return Result{
-					Table: res.Table,
-					Summary: fmt.Sprintf("averages: LVM %.2fx / %.2fx, ECPT %.2fx / %.2fx; LVM vs ideal %.3fx",
-						res.AvgLVM4K, res.AvgLVMTHP, res.AvgECPT4K, res.AvgECPTTHP, res.LVMvsIdeal),
-					Raw: res,
-				}, nil
-			},
+			Compute: (*Runner).fig11WalkTraffic,
 		},
 		{
 			Key:   "fig12",
@@ -177,18 +143,7 @@ func Registry() []Experiment {
 			Requires: func(cfg Config) []RunKey {
 				return cross(cfg.Workloads, mmuSchemes, false)
 			},
-			Compute: func(r *Runner) (Result, error) {
-				res, err := r.Fig12CacheMPKI()
-				if err != nil {
-					return Result{}, err
-				}
-				return Result{
-					Table: res.Table,
-					Summary: fmt.Sprintf("averages: LVM L2 %.3f L3 %.3f; ECPT L2 %.3f L3 %.3f",
-						res.AvgLVML2, res.AvgLVML3, res.AvgECPTL2, res.AvgECPTL3),
-					Raw: res,
-				}, nil
-			},
+			Compute: (*Runner).fig12CacheMPKI,
 		},
 		{
 			Key:   "table2",
@@ -196,13 +151,8 @@ func Registry() []Experiment {
 			Requires: func(cfg Config) []RunKey {
 				return cross(cfg.Workloads, lvmOnly, false, true)
 			},
-			Compute: func(r *Runner) (Result, error) {
-				res, err := r.Table2IndexSize()
-				if err != nil {
-					return Result{}, err
-				}
-				return Result{Table: res.Table, Raw: res}, nil
-			},
+			Measure: measure((*Runner).measureTable2Scaling),
+			Compute: (*Runner).table2IndexSize,
 		},
 		{
 			Key:   "collisions",
@@ -210,18 +160,8 @@ func Registry() []Experiment {
 			Requires: func(cfg Config) []RunKey {
 				return cross(cfg.Workloads, lvmOnly, false, true)
 			},
-			Compute: func(r *Runner) (Result, error) {
-				res, err := r.CollisionRates()
-				if err != nil {
-					return Result{}, err
-				}
-				return Result{
-					Table: res.Table,
-					Summary: fmt.Sprintf("averages: LVM %.2f%%/%.2f%%, hash %.1f%%/%.1f%%, extra/coll %.2f",
-						100*res.AvgLVM4K, 100*res.AvgLVMTHP, 100*res.AvgHash4K, 100*res.AvgHashTHP, res.AvgExtraPerColl),
-					Raw: res,
-				}, nil
-			},
+			Measure: measure((*Runner).measureCollisionBaseline),
+			Compute: (*Runner).collisionRates,
 		},
 		{
 			Key:   "retrain",
@@ -229,18 +169,8 @@ func Registry() []Experiment {
 			Requires: func(cfg Config) []RunKey {
 				return cross(cfg.Workloads, lvmOnly, false, true)
 			},
-			Compute: func(r *Runner) (Result, error) {
-				res, err := r.RetrainStats()
-				if err != nil {
-					return Result{}, err
-				}
-				return Result{
-					Table: res.Table,
-					Summary: fmt.Sprintf("max events %d, avg %.1f, avg mgmt %.2f%%",
-						res.Max, res.Avg, 100*res.AvgMgmt),
-					Raw: res,
-				}, nil
-			},
+			Measure: measure((*Runner).measureRetrainGrowth),
+			Compute: (*Runner).retrainStats,
 		},
 		{
 			Key:   "memory",
@@ -248,24 +178,13 @@ func Registry() []Experiment {
 			Requires: func(cfg Config) []RunKey {
 				return cross(cfg.Workloads, mmuSchemes, false)
 			},
-			Compute: func(r *Runner) (Result, error) {
-				res, err := r.MemoryOverhead()
-				if err != nil {
-					return Result{}, err
-				}
-				return Result{Table: res.Table, Raw: res}, nil
-			},
+			Compute: (*Runner).memoryOverhead,
 		},
 		{
-			Key:   "fragmentation",
-			Title: "§7.3 fragmentation robustness (paper: performance flat, LWC hit >99%)",
-			Compute: func(r *Runner) (Result, error) {
-				res, err := r.FragmentationRobustness()
-				if err != nil {
-					return Result{}, err
-				}
-				return Result{Table: res.Table, Raw: res}, nil
-			},
+			Key:     "fragmentation",
+			Title:   "§7.3 fragmentation robustness (paper: performance flat, LWC hit >99%)",
+			Measure: measure((*Runner).measureFragmentation),
+			Compute: (*Runner).fragmentationRobustness,
 		},
 		{
 			Key:   "walkcaches",
@@ -273,24 +192,13 @@ func Registry() []Experiment {
 			Requires: func(cfg Config) []RunKey {
 				return cross(cfg.Workloads, []oskernel.Scheme{oskernel.SchemeRadix, oskernel.SchemeLVM}, false)
 			},
-			Compute: func(r *Runner) (Result, error) {
-				res, err := r.WalkCacheMissRates()
-				if err != nil {
-					return Result{}, err
-				}
-				return Result{Table: res.Table, Raw: res}, nil
-			},
+			Compute: (*Runner).walkCacheMissRates,
 		},
 		{
-			Key:   "ptwl1",
-			Title: "§7.2 PTW connected to L1 vs L2 (paper: +11% vs +14%; L1 MPKI +59% radix vs +38% LVM)",
-			Compute: func(r *Runner) (Result, error) {
-				res, err := r.PTWL1Connection()
-				if err != nil {
-					return Result{}, err
-				}
-				return Result{Table: res.Table, Raw: res}, nil
-			},
+			Key:     "ptwl1",
+			Title:   "§7.2 PTW connected to L1 vs L2 (paper: +11% vs +14%; L1 MPKI +59% radix vs +38% LVM)",
+			Measure: measure((*Runner).measurePTWL1),
+			Compute: (*Runner).ptwl1Connection,
 		},
 		{
 			Key:   "multitenancy",
@@ -298,39 +206,19 @@ func Registry() []Experiment {
 			Requires: func(cfg Config) []RunKey {
 				return cross(tenancyNames(cfg), []oskernel.Scheme{oskernel.SchemeRadix, oskernel.SchemeLVM}, false)
 			},
-			Compute: func(r *Runner) (Result, error) {
-				res, err := r.MultiTenancy()
-				if err != nil {
-					return Result{}, err
-				}
-				return Result{
-					Table:   res.Table,
-					Summary: fmt.Sprintf("max delta: %.3f", res.MaxDelta),
-					Raw:     res,
-				}, nil
-			},
+			Measure: measure((*Runner).measureTenancyStacked),
+			Compute: (*Runner).multiTenancy,
 		},
 		{
-			Key:   "tail",
-			Title: "§7.3 memcached tail latency under LVM management churn (paper: p99 unaffected)",
-			Compute: func(r *Runner) (Result, error) {
-				res, err := r.TailLatency()
-				if err != nil {
-					return Result{}, err
-				}
-				return Result{Table: res.Table, Raw: res}, nil
-			},
+			Key:     "tail",
+			Title:   "§7.3 memcached tail latency under LVM management churn (paper: p99 unaffected)",
+			Measure: measure((*Runner).measureTail),
+			Compute: (*Runner).tailLatency,
 		},
 		{
-			Key:   "hardware",
-			Title: "§7.4 hardware area/power (paper: 3.0x size, 1.5x area, 1.9x power; walker 0.000637mm²)",
-			Compute: func(r *Runner) (Result, error) {
-				res, err := r.HardwareArea()
-				if err != nil {
-					return Result{}, err
-				}
-				return Result{Table: res.Table, Raw: res}, nil
-			},
+			Key:     "hardware",
+			Title:   "§7.4 hardware area/power (paper: 3.0x size, 1.5x area, 1.9x power; walker 0.000637mm²)",
+			Compute: (*Runner).hardwareArea,
 		},
 		{
 			Key:   "priorwork",
@@ -338,13 +226,8 @@ func Registry() []Experiment {
 			Requires: func(cfg Config) []RunKey {
 				return cross([]string{translationBoundWorkload(cfg)}, priorSchemes, false)
 			},
-			Compute: func(r *Runner) (Result, error) {
-				res, err := r.PriorWork()
-				if err != nil {
-					return Result{}, err
-				}
-				return Result{Table: res.Table, Raw: res}, nil
-			},
+			Measure: measure((*Runner).measureFPTFragmented),
+			Compute: (*Runner).priorWork,
 		},
 		{
 			// Appended after the paper's evaluation so every pre-existing
@@ -355,13 +238,7 @@ func Registry() []Experiment {
 			Requires: func(cfg Config) []RunKey {
 				return cross(cfg.Workloads, contenderSchemes, false)
 			},
-			Compute: func(r *Runner) (Result, error) {
-				res, err := r.Contenders()
-				if err != nil {
-					return Result{}, err
-				}
-				return Result{Table: res.Table, Raw: res}, nil
-			},
+			Compute: (*Runner).contenders,
 		},
 	}
 }

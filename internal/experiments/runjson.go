@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"lvm/internal/metrics"
-	"lvm/internal/oskernel"
 )
 
 // RunJSONSchemaVersion identifies the lvmbench -json layout. Bump it when
@@ -39,20 +38,6 @@ type runDoc struct {
 	Warmup      int         `json:"warmup,omitempty"`
 	Metrics     metrics.Set `json:"metrics"`
 	HostSeconds float64     `json:"host_seconds,omitempty"`
-}
-
-// keyDoc is a RunKey on the wire.
-type keyDoc struct {
-	Workload string `json:"workload"`
-	Scheme   string `json:"scheme"`
-	THP      bool   `json:"thp"`
-	Warmup   int    `json:"warmup,omitempty"`
-}
-
-func keyToDoc(k RunKey) keyDoc { return keyDoc{k.Workload, string(k.Scheme), k.THP, k.Warmup} }
-
-func (d keyDoc) key() RunKey {
-	return RunKey{Workload: d.Workload, Scheme: oskernel.Scheme(d.Scheme), THP: d.THP, Warmup: d.Warmup}
 }
 
 type runsDoc struct {

@@ -85,15 +85,15 @@ func (r *Runner) measureTail() (TailLatencyResult, error) {
 	return res, nil
 }
 
-// TailLatency reproduces §7.3's memcached tail study: request latencies
+// tailLatency reproduces §7.3's memcached tail study: request latencies
 // are measured with the OS continuously mapping and unmapping pages (the
 // LVM maintenance path) between requests; p99 must be unaffected. The
-// study is entirely bespoke, so the whole result persists as a run-cache
-// artifact.
-func (r *Runner) TailLatency() (TailLatencyResult, error) {
-	res, err := artifactFor(r, "tail", r.measureTail)
+// study is entirely bespoke: the experiment's measurement is the whole
+// result.
+func (r *Runner) tailLatency() (Result, error) {
+	res, err := measurementOf[TailLatencyResult](r, "tail")
 	if err != nil {
-		return TailLatencyResult{}, err
+		return Result{}, err
 	}
 
 	tb := stats.NewTable("run", "p50 cycles", "p99 cycles")
@@ -101,5 +101,5 @@ func (r *Runner) TailLatency() (TailLatencyResult, error) {
 	tb.AddRow("with LVM mgmt churn", res.ChurnP50, res.ChurnP99)
 	tb.AddRow("churn ops", res.ChurnOps, fmt.Sprintf("%d mgmt cycles", res.MgmtCyclesCharged))
 	res.Table = tb
-	return res, nil
+	return Result{Table: tb, Raw: res}, nil
 }

@@ -82,32 +82,6 @@ func TestFloor(t *testing.T) {
 	}
 }
 
-// Round returns q rounded to the nearest integer, half away from zero.
-func (q Q) Round() int64 {
-	if q >= 0 {
-		return int64((q + One/2) >> FracBits)
-	}
-	return -int64((-q + One/2) >> FracBits)
-}
-
-func TestRound(t *testing.T) {
-	cases := []struct {
-		in   float64
-		want int64
-	}{
-		{1.4, 1},
-		{1.5, 2},
-		{-1.4, -1},
-		{-1.5, -2},
-		{0, 0},
-	}
-	for _, c := range cases {
-		if got := FromFloat(c.in).Round(); got != c.want {
-			t.Errorf("Round(%v) = %d want %d", c.in, got, c.want)
-		}
-	}
-}
-
 func TestMulBasic(t *testing.T) {
 	cases := []struct {
 		a, b, want float64

@@ -125,13 +125,3 @@ func TestLookupBinaryHugePages(t *testing.T) {
 		}
 	}
 }
-
-func TestUsedPages(t *testing.T) {
-	m := phys.New(16 << 20)
-	tb, _ := New(m, 256, phys.MaxOrder)
-	tb.Set(0, pte.Tagged{Tag: 1, Entry: pte.New(1, addr.Page4K)})
-	tb.Set(1, pte.Tagged{Tag: 512, Entry: pte.New(512, addr.Page2M)})
-	if got := tb.UsedPages(); got != 513 {
-		t.Errorf("used pages = %d want 513", got)
-	}
-}

@@ -213,18 +213,17 @@ var stdlibCallbacks = map[string]bool{
 // reachKeep lists functions that stay although nothing outside tests
 // reaches them, each with its reason. They are roots, so what they call
 // stays too. A function only another package's tests use cannot move into
-// a _test.go file, and neither can one an external test package (package
-// x_test) uses: the loader type-checks those against x without its
-// _test.go files.
+// a _test.go file.
 var reachKeep = map[lint.FuncID]string{
 	"lvm/internal/lint/linttest.Run": "the golden-file harness every analyzer test runs through",
 	"(*lvm/internal/sim.CPU).RunIntervals": "the standalone windowed run that the Session and " +
 		"lvmd tests check served windows against",
 	"(*lvm/internal/gapped.Table).Extents": "internal/core's fragmentation test counts a leaf " +
 		"table's contiguous runs with it",
-	"(*lvm/internal/lvmd.Server).Stats":       "lvmd's admission tests watch queue depth and load through it",
-	"(*lvm/internal/lvmd.Server).KillSession": "lvmd's kill tests abort a session daemon-side with it",
-	"(*lvm/internal/lvmd.Client).Kill":        "lvmd's kill tests send a client kill frame with it",
+	"(*lvm/internal/experiments/sched.Admission).Stats": "lvmd's admission tests watch queue " +
+		"depth and load through it",
+	"(*lvm/internal/experiments.Runner).Execute": "the root lvm API's experiment entry point " +
+		"(lvm.NewExperiments(cfg).Execute); the root benchmarks run through it",
 }
 
 // TestEveryFunctionIsReached finds dead code with the lint call graph.

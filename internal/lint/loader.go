@@ -120,12 +120,77 @@ func (l *Loader) importModule(path string) (*types.Package, error) {
 	if err != nil {
 		return nil, err
 	}
-	pkg, _, err := l.check(path, files, nil)
+	pkg, _, err := l.check(l, path, files)
 	if err != nil {
 		return nil, err
 	}
 	l.cache[path] = pkg
 	return pkg, nil
+}
+
+// testImporter resolves the imports of x's external test package (package
+// x_test) the way cmd/go does: x is x's test variant, in-package _test.go
+// files included, so helpers an export_test.go file adds resolve; and
+// every module package that imports x, directly or not, is checked again
+// against that variant, so the test package sees one x.T, not two.
+type testImporter struct {
+	l *Loader
+	x string
+	// pkgs holds x's test variant and the dependents checked against it.
+	pkgs map[string]*types.Package
+	// dependsOnX memoizes whether a module package imports x, directly or
+	// not.
+	dependsOnX map[string]bool
+}
+
+func (ti *testImporter) Import(path string) (*types.Package, error) {
+	if pkg, ok := ti.pkgs[path]; ok {
+		return pkg, nil
+	}
+	dep, err := ti.depends(path)
+	if err != nil {
+		return nil, err
+	}
+	if !dep {
+		return ti.l.Import(path)
+	}
+	files, err := ti.l.parseDir(ti.l.dirFor(path), goFilesOnly)
+	if err != nil {
+		return nil, err
+	}
+	pkg, _, err := ti.l.check(ti, path, files)
+	if err != nil {
+		return nil, err
+	}
+	ti.pkgs[path] = pkg
+	return pkg, nil
+}
+
+// depends reports whether path is a module package that imports x,
+// directly or not.
+func (ti *testImporter) depends(path string) (bool, error) {
+	if path != ti.l.modPath && !strings.HasPrefix(path, ti.l.modPath+"/") {
+		return false, nil
+	}
+	if dep, ok := ti.dependsOnX[path]; ok {
+		return dep, nil
+	}
+	bp, err := ti.l.buildPackage(ti.l.dirFor(path))
+	if err != nil {
+		return false, err
+	}
+	dep := false
+	for _, imp := range bp.Imports {
+		if imp == ti.x {
+			dep = true
+			break
+		}
+		if dep, err = ti.depends(imp); dep || err != nil {
+			break
+		}
+	}
+	ti.dependsOnX[path] = dep
+	return dep, err
 }
 
 type fileClass int
@@ -136,9 +201,9 @@ const (
 	xTestsOnly                      // XTestGoFiles
 )
 
-// parseDir parses the requested class of files in dir, honoring build tags
-// via go/build.
-func (l *Loader) parseDir(dir string, class fileClass) ([]*ast.File, error) {
+// buildPackage lists the files and imports of the package in dir, honoring
+// build tags via go/build.
+func (l *Loader) buildPackage(dir string) (*build.Package, error) {
 	ctx := build.Default
 	ctx.Dir = l.modRoot
 	bp, err := ctx.ImportDir(dir, 0)
@@ -150,6 +215,15 @@ func (l *Loader) parseDir(dir string, class fileClass) ([]*ast.File, error) {
 		if bp == nil {
 			bp = &build.Package{Dir: dir}
 		}
+	}
+	return bp, nil
+}
+
+// parseDir parses the requested class of files in dir.
+func (l *Loader) parseDir(dir string, class fileClass) ([]*ast.File, error) {
+	bp, err := l.buildPackage(dir)
+	if err != nil {
+		return nil, err
 	}
 	var names []string
 	switch class {
@@ -172,15 +246,13 @@ func (l *Loader) parseDir(dir string, class fileClass) ([]*ast.File, error) {
 	return files, nil
 }
 
-// check type-checks files as package path, returning the types.Package and
-// filled Info.
-func (l *Loader) check(path string, files []*ast.File, info *types.Info) (*types.Package, *types.Info, error) {
-	if info == nil {
-		info = newInfo()
-	}
+// check type-checks files as package path, resolving its imports through
+// imp, and returns the types.Package and filled Info.
+func (l *Loader) check(imp types.Importer, path string, files []*ast.File) (*types.Package, *types.Info, error) {
+	info := newInfo()
 	var errs []error
 	conf := types.Config{
-		Importer: l,
+		Importer: imp,
 		Error:    func(err error) { errs = append(errs, err) },
 	}
 	pkg, err := conf.Check(path, l.Fset, files, info)
@@ -206,18 +278,21 @@ func newInfo() *types.Info {
 
 // LoadDir loads the package rooted at dir for analysis, under import path
 // asPath (which analyzers use for scoping). It returns the package including
-// in-package test files, plus — when present — the external test package.
+// in-package test files, plus — when present — the external test package,
+// type-checked against the former (see testImporter).
 func (l *Loader) LoadDir(dir, asPath string) ([]*Package, error) {
 	var out []*Package
 	files, err := l.parseDir(dir, withInPkgTests)
 	if err != nil {
 		return nil, err
 	}
+	ti := &testImporter{l: l, x: asPath, pkgs: map[string]*types.Package{}, dependsOnX: map[string]bool{}}
 	if len(files) > 0 {
-		pkg, info, err := l.check(asPath, files, nil)
+		pkg, info, err := l.check(l, asPath, files)
 		if err != nil {
 			return nil, err
 		}
+		ti.pkgs[asPath] = pkg
 		out = append(out, &Package{
 			PkgPath: asPath, Dir: dir,
 			Fset: l.Fset, Files: files, Types: pkg, Info: info,
@@ -228,7 +303,7 @@ func (l *Loader) LoadDir(dir, asPath string) ([]*Package, error) {
 		return nil, err
 	}
 	if len(xfiles) > 0 {
-		pkg, info, err := l.check(asPath+"_test", xfiles, nil)
+		pkg, info, err := l.check(ti, asPath+"_test", xfiles)
 		if err != nil {
 			return nil, err
 		}

@@ -93,12 +93,6 @@ func hello(fp string) message {
 // exactly like a client crash.
 func (c *Client) Close() error { return c.w.Close() }
 
-// Kill asks the daemon to abort the in-flight session. Safe from any
-// goroutine; the session's Wait returns ErrKilled.
-func (c *Client) Kill() error {
-	return c.w.Send(message{Type: msgKill})
-}
-
 // Open starts a session. The caller then drives it with Send (stream
 // sessions) and collects it with WaitAdmitted/Wait.
 func (c *Client) Open(open OpenRequest) error {

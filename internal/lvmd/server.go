@@ -45,15 +45,6 @@ type workloadOnce struct {
 	err  error
 }
 
-// ServerStats is a point-in-time load view.
-type ServerStats struct {
-	// Admission is the byte semaphore's state (in-use charge, queue depth,
-	// correction factor).
-	Admission sched.AdmissionStats
-	// Sessions is the number of open sessions (admitted or queued).
-	Sessions int
-}
-
 // session is one connection's server-side state. The handling goroutine
 // owns the simulation; the read-loop goroutine only feeds trace chunks and
 // turns client drops or kill frames into cancellation.
@@ -173,27 +164,6 @@ func (srv *Server) Close() {
 		s.w.Close()
 	}
 	srv.wg.Wait()
-}
-
-// Stats snapshots current load.
-func (srv *Server) Stats() ServerStats {
-	srv.mu.Lock()
-	n := len(srv.sessions)
-	srv.mu.Unlock()
-	return ServerStats{Admission: srv.adm.Stats(), Sessions: n}
-}
-
-// KillSession aborts the identified open session server-side, as if its
-// client had sent a kill frame. Unknown IDs report an error.
-func (srv *Server) KillSession(id uint64) error {
-	srv.mu.Lock()
-	s := srv.sessions[id]
-	srv.mu.Unlock()
-	if s == nil {
-		return fmt.Errorf("lvmd: kill of unknown session %d", id)
-	}
-	s.abort(reasonKilled)
-	return nil
 }
 
 // workload returns the named workload, building it at most once across all

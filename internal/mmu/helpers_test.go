@@ -48,20 +48,11 @@ func (c *lruCache[K]) invalidate(key K) {
 	}
 }
 
-// FlushNode drops one node (the OS does this after retraining, §5.2).
-func (c *LWC) FlushNode(asid uint16, level, offset int) {
-	c.lru.invalidate(lwcKey{asid, level, offset})
-}
-
 // Hits returns the hit count.
 func (c *LWC) Hits() uint64 { return c.hits.Value() }
 
 // Misses returns the miss count.
 func (c *LWC) Misses() uint64 { return c.misses.Value() }
-
-// SizeBytes returns the SRAM capacity implied by the configuration: 16
-// bytes of model per entry (plus tags, accounted in internal/hwarea).
-func (c *LWC) SizeBytes() int { return c.lru.capacity * 16 }
 
 // Invalidate drops one prefix (on unmap of upper-level structures).
 func (c *PWC) Invalidate(asid uint16, prefix uint64) {

@@ -363,19 +363,6 @@ func TestLWCEviction(t *testing.T) {
 	}
 }
 
-func TestLWCFlushNode(t *testing.T) {
-	c := NewLWC(16)
-	c.Insert(1, 1, 0)
-	c.Insert(1, 2, 3)
-	c.FlushNode(1, 2, 3)
-	if c.Lookup(1, 2, 3) {
-		t.Error("flushed node hit (stale model after retrain)")
-	}
-	if !c.Lookup(1, 1, 0) {
-		t.Error("unrelated node flushed")
-	}
-}
-
 func TestLWCFlushASID(t *testing.T) {
 	c := NewLWC(16)
 	c.Insert(1, 1, 0)
@@ -386,12 +373,6 @@ func TestLWCFlushASID(t *testing.T) {
 	}
 	if !c.Lookup(2, 1, 0) {
 		t.Error("other ASID flushed")
-	}
-}
-
-func TestLWCSizeBytes(t *testing.T) {
-	if got := NewLWC(16).SizeBytes(); got != 256 {
-		t.Errorf("16-entry LWC = %d bytes, want 256 (16×16B models)", got)
 	}
 }
 

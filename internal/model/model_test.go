@@ -103,38 +103,6 @@ func TestResidualBoundsContainTruth(t *testing.T) {
 	}
 }
 
-// FitEndpoints fits a line through the first and last (key, position)
-// pairs: the exactly linear relationship between a node's key range and
-// its evenly divided children (paper §4.3.2).
-func FitEndpoints(loKey, hiKey uint64, loPos, hiPos float64) Linear {
-	if hiKey == loKey {
-		return Linear{Slope: 0, Intercept: loPos}
-	}
-	slope := (hiPos - loPos) / (float64(hiKey) - float64(loKey))
-	return Linear{
-		Slope:     slope,
-		Intercept: loPos - slope*float64(loKey),
-	}
-}
-
-func TestFitEndpoints(t *testing.T) {
-	l := FitEndpoints(100, 200, 0, 10)
-	if math.Abs(l.Predict(100)) > 1e-12 {
-		t.Errorf("predict(100) = %v", l.Predict(100))
-	}
-	if math.Abs(l.Predict(200)-10) > 1e-12 {
-		t.Errorf("predict(200) = %v", l.Predict(200))
-	}
-	if math.Abs(l.Predict(150)-5) > 1e-12 {
-		t.Errorf("predict(150) = %v", l.Predict(150))
-	}
-	// Degenerate range.
-	l = FitEndpoints(5, 5, 3, 9)
-	if l.Slope != 0 || l.Intercept != 3 {
-		t.Errorf("degenerate endpoints = %+v", l)
-	}
-}
-
 func TestQuantizeRoundTrip(t *testing.T) {
 	l := Linear{Slope: 0.01, Intercept: -1}
 	s, b := l.Quantize()

@@ -68,18 +68,6 @@ func TestKernelUnsupportedScheme(t *testing.T) {
 	}
 }
 
-// IsKernelVPN reports whether a VPN belongs to the kernel half.
-func IsKernelVPN(v addr.VPN) bool { return v >= KernelBaseVPN }
-
-func TestIsKernelVPN(t *testing.T) {
-	if IsKernelVPN(0x1000) {
-		t.Error("user VPN classified as kernel")
-	}
-	if !IsKernelVPN(KernelBaseVPN + 5) {
-		t.Error("kernel VPN not recognized")
-	}
-}
-
 // coreMapping1G builds a 1 GB mapping for tests.
 func coreMapping1G(base addr.VPN) core.Mapping {
 	return core.Mapping{VPN: base, Entry: pte.New(0x40000, addr.Page1G)}

@@ -74,88 +74,6 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-// Histogram is a fixed-bucket histogram for small integer observations such
-// as "extra memory accesses per collision".
-type Histogram struct {
-	buckets []uint64
-	total   uint64
-	sum     uint64
-}
-
-// NewHistogram creates a histogram with buckets 0..max (observations above
-// max land in the last bucket).
-func NewHistogram(max int) *Histogram {
-	return &Histogram{buckets: make([]uint64, max+1)}
-}
-
-// Observe records one observation.
-func (h *Histogram) Observe(v int) {
-	if v < 0 {
-		v = 0
-	}
-	if v >= len(h.buckets) {
-		v = len(h.buckets) - 1
-	}
-	h.buckets[v]++
-	h.total++
-	h.sum += uint64(v)
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.total }
-
-// Mean returns the mean observation.
-func (h *Histogram) Mean() float64 { return Ratio(h.sum, h.total) }
-
-// Bucket returns the count in bucket v.
-func (h *Histogram) Bucket(v int) uint64 {
-	if v < 0 || v >= len(h.buckets) {
-		return 0
-	}
-	return h.buckets[v]
-}
-
-// MaxObserved returns the largest non-empty bucket index.
-func (h *Histogram) MaxObserved() int {
-	for i := len(h.buckets) - 1; i >= 0; i-- {
-		if h.buckets[i] > 0 {
-			return i
-		}
-	}
-	return 0
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(3)
-	for _, v := range []int{0, 1, 1, 2, 3, 9, -1} {
-		h.Observe(v)
-	}
-	if h.Count() != 7 {
-		t.Errorf("count = %d", h.Count())
-	}
-	if h.Bucket(1) != 2 {
-		t.Errorf("bucket 1 = %d", h.Bucket(1))
-	}
-	if h.Bucket(3) != 2 { // 3 and clamped 9
-		t.Errorf("bucket 3 = %d", h.Bucket(3))
-	}
-	if h.Bucket(0) != 2 { // 0 and clamped -1
-		t.Errorf("bucket 0 = %d", h.Bucket(0))
-	}
-	if h.MaxObserved() != 3 {
-		t.Errorf("max observed = %d", h.MaxObserved())
-	}
-}
-
-func TestHistogramMean(t *testing.T) {
-	h := NewHistogram(10)
-	h.Observe(2)
-	h.Observe(4)
-	if h.Mean() != 3 {
-		t.Errorf("mean = %v", h.Mean())
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("workload", "speedup")
 	tb.AddRow("bfs", 1.14)

@@ -77,30 +77,6 @@ func TestInvalidate(t *testing.T) {
 	}
 }
 
-// FlushASID drops every translation of one address space.
-func (t *TLB) FlushASID(asid uint16) {
-	for _, set := range t.sets {
-		for i := range set {
-			if set[i].asid == asid {
-				set[i].valid = false
-			}
-		}
-	}
-}
-
-func TestFlushASID(t *testing.T) {
-	tl := New(64, 4, addr.Page4K)
-	tl.Insert(1, 100, pte.New(1, addr.Page4K))
-	tl.Insert(2, 200, pte.New(2, addr.Page4K))
-	tl.FlushASID(1)
-	if _, ok := tl.Lookup(1, 100); ok {
-		t.Error("flushed ASID hit")
-	}
-	if _, ok := tl.Lookup(2, 200); !ok {
-		t.Error("other ASID lost")
-	}
-}
-
 // NewHierarchy builds the Table-1 TLB configuration: L1 64-entry 4-way per
 // size (4K and 2M), L2 2048 entries per size. Table 1 specifies 12-way L2
 // associativity; 8-way keeps set counts powers of two — at 2048 entries the

@@ -12,9 +12,10 @@
 //     spaces, physical memory with a buddy allocator, THP policy, and every
 //     baseline page-table scheme the paper compares against (radix, elastic
 //     cuckoo, ideal, FPT, ASAP, Midgard).
-//   - The evaluation stack (Simulate, NewExperiments): the trace-driven
-//     timing simulator and the harness that regenerates every table and
-//     figure of the paper's evaluation.
+//   - The evaluation stack (Simulate, NewExperiments(cfg).Execute): the
+//     trace-driven timing simulator and the harness that regenerates every
+//     table and figure of the paper's evaluation, running every simulation
+//     and bespoke measurement on one worker pool before it renders.
 //
 // Quick start:
 //

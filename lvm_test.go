@@ -88,3 +88,21 @@ func TestWorkloadNames(t *testing.T) {
 		t.Errorf("want the nine Figure-9 workloads, got %v", lvm.WorkloadNames())
 	}
 }
+
+// The experiment harness is driven through its one entry point: select
+// by key, plan and execute, and repeated calls reuse what ran.
+func TestExperimentsExecute(t *testing.T) {
+	e := lvm.NewExperiments(lvm.QuickExperiments())
+	for range 2 {
+		res, err := e.Execute(lvm.ExperimentOptions{Workers: 1}, "hardware")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res) != 1 || res[0].Key != "hardware" || res[0].Render() == "" {
+			t.Fatalf("Execute(hardware) = %+v", res)
+		}
+	}
+	if _, err := e.Execute(lvm.ExperimentOptions{}, "nope"); err == nil {
+		t.Error("unknown experiment key accepted")
+	}
+}

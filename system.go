@@ -93,13 +93,18 @@ func WorkloadNames() []string { return workload.SpeedupNames() }
 
 // Experiment harness.
 type (
-	// Experiments regenerates the paper's tables and figures.
+	// Experiments regenerates the paper's tables and figures: its Execute
+	// method selects experiments by key, plans them and executes the plan.
 	Experiments = experiments.Runner
 	// ExperimentConfig sizes the experiment sweep.
 	ExperimentConfig = experiments.Config
+	// ExperimentOptions bounds one Execute call: worker count, memory
+	// budget and an optional run cache.
+	ExperimentOptions = experiments.ExecOptions
 )
 
-// NewExperiments creates the harness.
+// NewExperiments creates the harness. Repeated Execute calls on one
+// harness reuse the runs and measurements it already holds.
 func NewExperiments(cfg ExperimentConfig) *Experiments { return experiments.NewRunner(cfg) }
 
 // DefaultExperiments is the full-scale sweep configuration.
