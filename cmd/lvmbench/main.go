@@ -49,7 +49,7 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced workload scale")
 	only := flag.String("only", "", "comma-separated experiment keys: "+strings.Join(experiments.Keys(), ", "))
 	workers := flag.Int("j", runtime.NumCPU(), "simulation worker goroutines")
-	memGiB := flag.Uint64("mem", 0, "memory budget in GiB bounding the summed simulated footprint of in-flight runs (0 = default 32)")
+	memGiB := flag.Uint64("mem", 0, "memory budget in GiB bounding the summed simulated footprint of in-flight runs and measurements (0 = default 32)")
 	list := flag.Bool("list", false, "print the selected experiments and deduped run matrix with estimated costs, then exit without executing")
 	jsonPath := flag.String("json", "", "write per-run metrics as schema-versioned JSON to this path")
 	timings := flag.Bool("timings", false, "include host wall-clock fields in -json output (breaks byte-identity across invocations)")
@@ -188,21 +188,21 @@ func writeRunsJSON(r *experiments.Runner, plan experiments.Plan, o options) erro
 // and the deduped run matrix in plan (first-appearance) order, each task
 // with the cost the scheduler will charge it.
 func printPlan(r *experiments.Runner, p experiments.Plan) error {
-	measureCost, runCosts, err := r.EstimateCosts(p)
+	measureCosts, runCosts, err := r.EstimateCosts(p)
 	if err != nil {
 		return err
 	}
-	var measured []string
+	var measured []int
 	fmt.Printf("experiments (%d):\n", len(p.Experiments))
-	for _, e := range p.Experiments {
+	for i, e := range p.Experiments {
 		fmt.Printf("  %-14s %s\n", e.Key, e.Title)
 		if e.Measure != nil {
-			measured = append(measured, e.Key)
+			measured = append(measured, i)
 		}
 	}
 	fmt.Printf("measurements (%d):\n", len(measured))
-	for _, key := range measured {
-		fmt.Printf("  %-28s %8.2f GiB\n", key, float64(measureCost)/(1<<30))
+	for _, i := range measured {
+		fmt.Printf("  %-28s %8.2f GiB\n", p.Experiments[i].Key, float64(measureCosts[i])/(1<<30))
 	}
 	fmt.Printf("runs (%d deduped):\n", len(p.Runs))
 	for i, k := range p.Runs {

@@ -11,6 +11,7 @@ import (
 	"lvm/internal/sim"
 	"lvm/internal/stats"
 	"lvm/internal/vas"
+	"lvm/internal/workload"
 )
 
 // CollisionResult carries the §7.3 collision comparison.
@@ -32,6 +33,10 @@ type collisionHashBaseline struct {
 	Hash4K  map[string]float64 `json:"hash_4k"`
 	HashTHP map[string]float64 `json:"hash_thp"`
 }
+
+// noPhysBytes is the cost of a measurement that simulates no physical
+// memory.
+func noPhysBytes(Config) (uint64, error) { return 0, nil }
 
 // measureCollisionBaseline inserts every workload's translations into an
 // open-addressing Blake2 table at load 0.6 and records collision rates.
@@ -64,11 +69,7 @@ func (r *Runner) measureCollisionBaseline() (collisionHashBaseline, error) {
 // table at load factor 0.6. Paper: LVM 0.2%/0.6%, hash 22%/19%; extra
 // accesses per collision avg 2.36 under C_err = 3. LVM's side comes from
 // the run matrix; the hash baseline is the experiment's measurement.
-func (r *Runner) collisionRates() (Result, error) {
-	base, err := measurementOf[collisionHashBaseline](r, "collisions")
-	if err != nil {
-		return Result{}, err
-	}
+func (r *Runner) collisionRates(base collisionHashBaseline) (Result, error) {
 	res := CollisionResult{
 		LVM4K: map[string]float64{}, LVMTHP: map[string]float64{},
 		Hash4K: base.Hash4K, HashTHP: base.HashTHP,
@@ -152,11 +153,7 @@ const paperWindowInstrs = 1e9
 //     execution window, the paper's simulated region of interest. Our
 //     traces sample fewer instructions, so run cycles are scaled up to
 //     that window at the workload's measured CPI.
-func (r *Runner) retrainStats() (Result, error) {
-	growth, err := measurementOf[retrainGrowth](r, "retrain")
-	if err != nil {
-		return Result{}, err
-	}
+func (r *Runner) retrainStats(growth retrainGrowth) (Result, error) {
 	res := RetrainResult{
 		Events:       growth.Events,
 		MgmtFraction: map[string]float64{},
@@ -207,6 +204,20 @@ type retrainGrowth struct {
 	Events  map[string]uint64 `json:"events"`
 	Mgmt4K  map[string]uint64 `json:"mgmt_4k"`
 	MgmtTHP map[string]uint64 `json:"mgmt_thp"`
+}
+
+// largestRunBytes is the largest run cost among the sweep's workloads: the
+// cost of a measurement that launches them one at a time.
+func largestRunBytes(cfg Config) (uint64, error) {
+	var most uint64
+	for _, name := range cfg.Workloads {
+		c, err := cfg.estimatedRunBytes(name)
+		if err != nil {
+			return 0, err
+		}
+		most = max(most, c)
+	}
+	return most, nil
 }
 
 // measureRetrainGrowth launches each workload, grows its heap ~12% past
@@ -314,6 +325,19 @@ type FragmentationResult struct {
 // order; measureFragmentation's preparation steps follow the same order.
 var fragmentationLabels = []string{"fresh", "cap 256KB", "FMFI 0.8", "FMFI 0.9"}
 
+// agedPhysBytes sizes an aged memory for a workload of footprint fp.
+// Fragmented memories need headroom: aged memories keep 25% free, so size
+// at 4× footprint.
+func (c Config) agedPhysBytes(fp uint64) uint64 { return 4*fp + c.PhysSlackBytes }
+
+// agedBytes is the cost of a measurement on aged memories for the
+// translation-bound workload, made one at a time (fragmentation,
+// priorwork).
+func agedBytes(cfg Config) (uint64, error) {
+	fp, err := workload.EstimateFootprintBytes(translationBoundWorkload(cfg), cfg.Params)
+	return cfg.agedPhysBytes(fp), err
+}
+
 // measureFragmentation runs the bespoke radix/LVM pairs on memories aged
 // to each fragmentation level.
 func (r *Runner) measureFragmentation() (FragmentationResult, error) {
@@ -336,9 +360,7 @@ func (r *Runner) measureFragmentation() (FragmentationResult, error) {
 	for i, label := range fragmentationLabels {
 		prep := preps[i]
 		run := func(scheme oskernel.Scheme) (cycles, hit float64, err error) {
-			// Fragmented memories need headroom: aged memories keep 25%
-			// free, so size at 4× footprint.
-			mem := phys.New(4*w.FootprintBytes() + r.Cfg.PhysSlackBytes)
+			mem := phys.New(r.Cfg.agedPhysBytes(w.FootprintBytes()))
 			prep(mem)
 			sys, _, err := launchScaled(mem, scheme, w.Space, false)
 			if err != nil {
@@ -369,11 +391,7 @@ func (r *Runner) measureFragmentation() (FragmentationResult, error) {
 // contiguity capped at 256 KB and at FMFI 0.8/0.9 must keep its speedup
 // and LWC hit rate. The sweep is entirely bespoke: the experiment's
 // measurement is the whole result.
-func (r *Runner) fragmentationRobustness() (Result, error) {
-	res, err := measurementOf[FragmentationResult](r, "fragmentation")
-	if err != nil {
-		return Result{}, err
-	}
+func (r *Runner) fragmentationRobustness(res FragmentationResult) (Result, error) {
 	tb := stats.NewTable("environment", "lvm speedup vs radix", "lwc hit")
 	for _, label := range fragmentationLabels {
 		tb.AddRow(label, res.Speedups[label], pct(res.LWCHits[label]))
@@ -428,6 +446,11 @@ type PTWL1Result struct {
 	Table                            *stats.Table `json:"-"`
 }
 
+// ptwl1Bytes is measurePTWL1's cost: its four launches, one at a time.
+func ptwl1Bytes(cfg Config) (uint64, error) {
+	return cfg.estimatedRunBytes(translationBoundWorkload(cfg))
+}
+
 // measurePTWL1 runs the four bespoke configurations (radix/LVM × walker
 // into L2/L1) and derives the study's scalars.
 func (r *Runner) measurePTWL1() (PTWL1Result, error) {
@@ -478,11 +501,7 @@ func (r *Runner) measurePTWL1() (PTWL1Result, error) {
 // L1 cache. Paper: LVM +11% (L1) vs +14% (L2); L1 MPKI rises 59% for
 // radix but only 38% for LVM. The study is entirely bespoke: the
 // experiment's measurement is the whole result.
-func (r *Runner) ptwl1Connection() (Result, error) {
-	res, err := measurementOf[PTWL1Result](r, "ptwl1")
-	if err != nil {
-		return Result{}, err
-	}
+func (r *Runner) ptwl1Connection(res PTWL1Result) (Result, error) {
 	tb := stats.NewTable("config", "lvm speedup", "radix L1 MPKI", "lvm L1 MPKI")
 	tb.AddRow("PTW->L2", res.SpeedupL2, res.RadixL1MPKIAtL2, res.LVML1MPKIAtL2)
 	tb.AddRow("PTW->L1", res.SpeedupL1, res.RadixL1MPKIAtL1, res.LVML1MPKIAtL1)
@@ -504,6 +523,20 @@ type tenancyStacked struct {
 	Cycles map[string]float64 `json:"cycles"`
 }
 
+// tenancyBytes is measureTenancyStacked's cost: one shared memory for all
+// tenants per scheme, the schemes one at a time.
+func tenancyBytes(cfg Config) (uint64, error) {
+	var total uint64
+	for _, name := range tenancyNames(cfg) {
+		fp, err := workload.EstimateFootprintBytes(name, cfg.Params)
+		if err != nil {
+			return 0, err
+		}
+		total += fp
+	}
+	return cfg.RunCostBytes(total), nil
+}
+
 // measureTenancyStacked launches the tenant workloads into one shared
 // OS/phys memory per scheme, each on its own core, and measures cycles.
 func (r *Runner) measureTenancyStacked() (tenancyStacked, error) {
@@ -518,7 +551,7 @@ func (r *Runner) measureTenancyStacked() (tenancyStacked, error) {
 			}
 			total += w.FootprintBytes()
 		}
-		mem := phys.New(total + total/2 + r.Cfg.PhysSlackBytes)
+		mem := phys.New(r.Cfg.RunCostBytes(total))
 		sys := newScaledSystem(mem, scheme)
 		for i, name := range names {
 			w, err := r.Workload(name)
@@ -546,11 +579,7 @@ func (r *Runner) measureTenancyStacked() (tenancyStacked, error) {
 // spaces; per-workload speedups must match the solo runs. Solo numbers
 // come from the run matrix; the stacked launches are the experiment's
 // measurement.
-func (r *Runner) multiTenancy() (Result, error) {
-	stacked, err := measurementOf[tenancyStacked](r, "multitenancy")
-	if err != nil {
-		return Result{}, err
-	}
+func (r *Runner) multiTenancy(stacked tenancyStacked) (Result, error) {
 	stackedCycles := stacked.Cycles
 	res := MultiTenancyResult{Solo: map[string]float64{}, Stacked: map[string]float64{}}
 	tb := stats.NewTable("workload", "solo speedup", "stacked speedup", "delta")
@@ -596,7 +625,7 @@ type PriorWorkResult struct {
 // priorWork reproduces §7.5: ASAP (slower than ECPT and LVM from prefetch
 // traffic), Midgard (+3% over radix; LVM ahead), and FPT (close behind LVM
 // when unfragmented, degrading to radix under fragmentation).
-func (r *Runner) priorWork() (Result, error) {
+func (r *Runner) priorWork(frag priorWorkFragmented) (Result, error) {
 	var res PriorWorkResult
 	tb := stats.NewTable("scheme", "speedup vs radix")
 	name := translationBoundWorkload(r.Cfg)
@@ -625,10 +654,6 @@ func (r *Runner) priorWork() (Result, error) {
 	// FPT under heavy fragmentation: 2MB table allocations fail. The
 	// bespoke run is the experiment's measurement (raw cycles, so the
 	// speedup is derived against the radix run of the matrix).
-	frag, err := measurementOf[priorWorkFragmented](r, "priorwork")
-	if err != nil {
-		return Result{}, err
-	}
 	res.FPTFragmented = speedup(base, frag.Cycles)
 
 	tb.AddRow("lvm", res.LVM)
@@ -655,7 +680,7 @@ func (r *Runner) measureFPTFragmented() (priorWorkFragmented, error) {
 	if err != nil {
 		return priorWorkFragmented{}, err
 	}
-	mem := phys.New(4*w.FootprintBytes() + r.Cfg.PhysSlackBytes)
+	mem := phys.New(r.Cfg.agedPhysBytes(w.FootprintBytes()))
 	mem.Fragment(r.Cfg.Params.Seed, phys.DatacenterFragmentation)
 	mem.SetContiguityCap(6)
 	sys, _, err := launchScaled(mem, oskernel.SchemeFPT, w.Space, false)

@@ -139,10 +139,11 @@ type Runner struct {
 	Cfg  Config
 	sink Sink
 
+	wls *workload.Cache
+
 	mu   sync.Mutex
-	runs map[RunKey]*RunOutput     // guarded by mu
-	meas map[string]measurement    // guarded by mu
-	wls  map[string]*builtWorkload // guarded by mu
+	runs map[RunKey]*RunOutput  // guarded by mu
+	meas map[string]measurement // guarded by mu
 }
 
 // NewRunner creates a runner. Progress reporting defaults to NopSink
@@ -151,9 +152,9 @@ func NewRunner(cfg Config) *Runner {
 	return &Runner{
 		Cfg:  cfg,
 		sink: NopSink{},
+		wls:  workload.NewCache(cfg.Params),
 		runs: make(map[RunKey]*RunOutput),
 		meas: make(map[string]measurement),
-		wls:  make(map[string]*builtWorkload),
 	}
 }
 
@@ -165,67 +166,56 @@ func (r *Runner) SetSink(s Sink) {
 	r.sink = s
 }
 
-// builtWorkload is one workload's build, shared by every task that needs it.
-type builtWorkload struct {
-	once sync.Once
-	w    *workload.Workload
-	err  error
-}
-
-// Workload builds (once) and returns the named workload. Concurrent callers
-// of one name wait for a single build, and r.mu is not held while it runs,
-// so workers building different workloads do not wait on each other.
+// Workload returns the named workload, built once per runner (see
+// workload.Cache): the tasks on the worker pool share each build.
 func (r *Runner) Workload(name string) (*workload.Workload, error) {
-	r.mu.Lock()
-	b, ok := r.wls[name]
-	if !ok {
-		b = &builtWorkload{}
-		r.wls[name] = b
+	w, err := r.wls.Get(name)
+	if err != nil {
+		return nil, fmt.Errorf("build %s: %w", name, err)
 	}
-	r.mu.Unlock()
-	b.once.Do(func() {
-		b.w, b.err = workload.Build(name, r.Cfg.Params)
-		if b.err != nil {
-			b.err = fmt.Errorf("build %s: %w", name, b.err)
-		}
-	})
-	return b.w, b.err
+	return w, nil
 }
 
 // EstimateCosts returns the scheduler's cost of the plan's tasks — the
 // simulated physical memory each holds while in flight — computed from the
-// workload-footprint estimator, so no workload is built. runs[i] is the
-// cost of p.Runs[i]; every measurement costs measure, the largest run cost
-// among the sweep's workloads. The estimates are exact (the estimator
+// workload-footprint estimator, so no workload is built. measures[i] is
+// the cost of p.Experiments[i]'s measurement (zero without one) and
+// runs[i] the cost of p.Runs[i]. The estimates are exact (the estimator
 // reproduces the builders' sizing formulas), which is what lets lvmbench
 // -list print the costs the scheduler charges without building anything.
-func (r *Runner) EstimateCosts(p Plan) (measure uint64, runs []uint64, err error) {
-	est := make(map[string]uint64)
-	cost := func(name string) (uint64, error) {
-		if c, ok := est[name]; ok {
-			return c, nil
+func (r *Runner) EstimateCosts(p Plan) (measures, runs []uint64, err error) {
+	measures = make([]uint64, len(p.Experiments))
+	for i, e := range p.Experiments {
+		if e.MeasureBytes == nil {
+			continue
 		}
-		fp, err := workload.EstimateFootprintBytes(name, r.Cfg.Params)
-		if err != nil {
-			return 0, err
+		if measures[i], err = e.MeasureBytes(r.Cfg); err != nil {
+			return nil, nil, fmt.Errorf("estimating cost of measurement %s: %w", e.Key, err)
 		}
-		est[name] = r.Cfg.RunCostBytes(fp)
-		return est[name], nil
 	}
+	est := make(map[string]uint64)
 	runs = make([]uint64, len(p.Runs))
 	for i, k := range p.Runs {
-		if runs[i], err = cost(k.Workload); err != nil {
-			return 0, nil, fmt.Errorf("estimating cost of %s: %w", k, err)
+		c, ok := est[k.Workload]
+		if !ok {
+			if c, err = r.Cfg.estimatedRunBytes(k.Workload); err != nil {
+				return nil, nil, fmt.Errorf("estimating cost of %s: %w", k, err)
+			}
+			est[k.Workload] = c
 		}
+		runs[i] = c
 	}
-	for _, name := range r.Cfg.Workloads {
-		c, err := cost(name)
-		if err != nil {
-			return 0, nil, fmt.Errorf("estimating cost of %s: %w", name, err)
-		}
-		measure = max(measure, c)
+	return measures, runs, nil
+}
+
+// estimatedRunBytes is the cost of a run of the named workload, from its
+// estimated footprint.
+func (c Config) estimatedRunBytes(name string) (uint64, error) {
+	fp, err := workload.EstimateFootprintBytes(name, c.Params)
+	if err != nil {
+		return 0, err
 	}
-	return measure, runs, nil
+	return c.RunCostBytes(fp), nil
 }
 
 // RunCostBytes is the footprint→physical-memory sizing formula for one run:

@@ -55,11 +55,7 @@ func (r *Runner) measureFig2() (Fig2Result, error) {
 // fig2GapCoverage reproduces Figure 2: the fraction of adjacent mapped-VPN
 // pairs with gap = 1 across all application profiles. Paper: minimum 78%.
 // The coverage is the experiment's measurement (measureFig2).
-func (r *Runner) fig2GapCoverage() (Result, error) {
-	res, err := measurementOf[Fig2Result](r, "fig2")
-	if err != nil {
-		return Result{}, err
-	}
+func (r *Runner) fig2GapCoverage(res Fig2Result) (Result, error) {
 	tb := stats.NewTable("profile", "gap=1 coverage")
 	var names []string
 	for name := range res.Coverage {
@@ -94,6 +90,12 @@ type Fig3Result struct {
 // fig3Orders are the block-size orders Figure 3 samples, in print order.
 var fig3Orders = []int{0, 2, 4, 6, 8, 9, 11, 13, 16, 18}
 
+// fig3ServerBytes is the memory of each aged server of Figure 3.
+const fig3ServerBytes = 2 << 30
+
+// fig3Bytes is measureFig3's cost: it ages one server at a time.
+func fig3Bytes(Config) (uint64, error) { return fig3ServerBytes, nil }
+
 // measureFig3 ages five servers and averages their contiguous-free
 // fractions per block size.
 func (r *Runner) measureFig3() (Fig3Result, error) {
@@ -101,7 +103,7 @@ func (r *Runner) measureFig3() (Fig3Result, error) {
 	const servers = 5
 	sums := make([]float64, len(fig3Orders))
 	for s := 0; s < servers; s++ {
-		mem := phys.New(2 << 30)
+		mem := phys.New(fig3ServerBytes)
 		mem.Fragment(r.Cfg.Params.Seed+int64(s), phys.DatacenterFragmentation)
 		for i, o := range fig3Orders {
 			sums[i] += mem.ContiguousFreeFraction(o)
@@ -116,11 +118,7 @@ func (r *Runner) measureFig3() (Fig3Result, error) {
 // fig3Contiguity reproduces Figure 3: the median fraction of free memory
 // immediately allocatable as a contiguous block, on a datacenter-aged
 // buddy allocator. Paper: hundreds-of-MB ≈ 0, ~30% at 256 KB.
-func (r *Runner) fig3Contiguity() (Result, error) {
-	res, err := measurementOf[Fig3Result](r, "fig3")
-	if err != nil {
-		return Result{}, err
-	}
+func (r *Runner) fig3Contiguity(res Fig3Result) (Result, error) {
 	tb := stats.NewTable("block size", "fraction of free memory")
 	for _, o := range fig3Orders {
 		size := phys.BlockBytes(o)
@@ -425,14 +423,33 @@ type Table2Result struct {
 // for the scaling launches, in print order.
 var table2Scales = []uint64{1, 2, 4}
 
+// table2ScalingParams sizes memcached for one scaling launch.
+func table2ScalingParams(p workload.Params, scale uint64) workload.Params {
+	p.MemcachedBytes = p.MemcachedBytes / 4 * scale
+	return p
+}
+
+// table2ScalingBytes is measureTable2Scaling's cost: the launches run one
+// at a time, so the largest of their memories.
+func table2ScalingBytes(cfg Config) (uint64, error) {
+	var most uint64
+	for _, scale := range table2Scales {
+		fp, err := workload.EstimateFootprintBytes("mem$", table2ScalingParams(cfg.Params, scale))
+		if err != nil {
+			return 0, err
+		}
+		most = max(most, cfg.RunCostBytes(fp))
+	}
+	return most, nil
+}
+
 // measureTable2Scaling launches memcached at growing footprints through
 // the scaled-HW launch path and records the steady-state index size per
 // footprint. The index must not grow with the footprint.
 func (r *Runner) measureTable2Scaling() (map[uint64]int, error) {
 	sizes := map[uint64]int{}
 	for _, scale := range table2Scales {
-		p := r.Cfg.Params
-		p.MemcachedBytes = p.MemcachedBytes / 4 * scale
+		p := table2ScalingParams(r.Cfg.Params, scale)
 		w, err := workload.Build("mem$", p)
 		if err != nil {
 			return nil, fmt.Errorf("table2 scaling @%s: %w", byteLabel(p.MemcachedBytes), err)
@@ -450,7 +467,7 @@ func (r *Runner) measureTable2Scaling() (map[uint64]int, error) {
 // index sizes in bytes. Paper: 96–128 B (4K), 112–192 B (THP), constant
 // across memcached 32→240 GB. The per-workload rows come from the run
 // matrix; the scaling launches are the experiment's measurement.
-func (r *Runner) table2IndexSize() (Result, error) {
+func (r *Runner) table2IndexSize(scaling map[uint64]int) (Result, error) {
 	res := Table2Result{
 		Size4K: map[string]int{}, SizeTHP: map[string]int{},
 		Peak: map[string]int{},
@@ -469,10 +486,6 @@ func (r *Runner) table2IndexSize() (Result, error) {
 		res.SizeTHP[name] = b.IndexBytes
 		res.Peak[name] = a.IndexPeakBytes
 		tb.AddRow(name, a.IndexBytes, b.IndexBytes, a.IndexPeakBytes, a.IndexDepth, pct(a.LWCHitRate))
-	}
-	scaling, err := measurementOf[map[uint64]int](r, "table2")
-	if err != nil {
-		return Result{}, err
 	}
 	res.ScalingSizes = scaling
 	for _, scale := range table2Scales {

@@ -43,7 +43,7 @@ func NewPlan(cfg Config, exps []Experiment) Plan {
 }
 
 // DefaultMemBudgetBytes bounds the summed simulated physical memory of
-// in-flight runs. Host memory per run is a fraction of the simulated size
+// in-flight tasks, runs and measurements. Host memory per run is a fraction of the simulated size
 // (page tables plus allocator metadata, not data pages), so this default
 // keeps a full-scale sweep comfortably inside a 16 GB machine while still
 // admitting several multi-GB runs at once.
@@ -128,14 +128,14 @@ func (r *Runner) executeTasks(p Plan, opt ExecOptions) error {
 	if opt.MemBudgetBytes == 0 {
 		opt.MemBudgetBytes = DefaultMemBudgetBytes
 	}
-	measureCost, runCosts, err := r.EstimateCosts(p)
+	measureCosts, runCosts, err := r.EstimateCosts(p)
 	if err != nil {
 		return err
 	}
 	var pending []sched.Task[task]
 	for i := range p.Experiments {
 		if e := &p.Experiments[i]; e.Measure != nil {
-			pending = append(pending, sched.Task[task]{Key: task{exp: e}, CostBytes: measureCost})
+			pending = append(pending, sched.Task[task]{Key: task{exp: e}, CostBytes: measureCosts[i]})
 		}
 	}
 	for i, k := range p.Runs {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"lvm/internal/oskernel"
@@ -121,7 +120,7 @@ func TestRunErrorNamesKey(t *testing.T) {
 // Reading a run or a measurement the plan did not execute is an error
 // naming it: nothing simulates outside ExecutePlan.
 func TestReadOutsidePlanNamesTask(t *testing.T) {
-	r := NewRunner(tinyConfig())
+	r := withoutBuilds(NewRunner(tinyConfig()))
 	if _, err := r.Run("gups", oskernel.SchemeLVM, false); err == nil || !strings.Contains(err.Error(), "gups/lvm thp=false not in the plan") {
 		t.Errorf("Run outside the plan: %v", err)
 	}
@@ -133,12 +132,13 @@ func TestReadOutsidePlanNamesTask(t *testing.T) {
 	if _, err := r.ExecutePlan(Plan{Experiments: []Experiment{fig2}}, ExecOptions{}); err == nil || !strings.Contains(err.Error(), "measurement fig2 not in the plan") {
 		t.Errorf("fig2 computed without its measurement: %v", err)
 	}
-	r.mu.Lock()
-	built := len(r.wls)
-	r.mu.Unlock()
-	if built != 0 {
-		t.Errorf("reads outside the plan built %d workloads", built)
-	}
+}
+
+// withoutBuilds takes r's workload cache away, so any workload build
+// through r panics: for tests that check a phase builds nothing.
+func withoutBuilds(r *Runner) *Runner {
+	r.wls = nil
+	return r
 }
 
 func TestExecutePlanPropagatesErrors(t *testing.T) {
@@ -201,7 +201,7 @@ func TestContendersPlanWithoutBuilding(t *testing.T) {
 		}
 	}
 
-	r := NewRunner(cfg)
+	r := withoutBuilds(NewRunner(cfg))
 	_, costs, err := r.EstimateCosts(p)
 	if err != nil {
 		t.Fatal(err)
@@ -218,43 +218,63 @@ func TestContendersPlanWithoutBuilding(t *testing.T) {
 		perWL[k.Workload] = costs[i]
 	}
 
-	r.mu.Lock()
-	built := len(r.wls)
-	r.mu.Unlock()
-	if built != 0 {
-		t.Errorf("planning built %d workloads; -list must not build any", built)
-	}
 }
 
 func TestEstimateCostsMatchRunBytes(t *testing.T) {
 	// -list prints the scheduler's costs only if the estimates are exactly
-	// the costs of the built workloads: each run's, and for every
-	// measurement the largest among the sweep's workloads.
+	// the simulated memory of the built workloads: each run's, and each
+	// measurement's largest memory held at once.
 	cfg := jsonSweepConfig()
 	r := NewRunner(cfg)
-	p := jsonSweepPlan(cfg)
-	measure, costs, err := r.EstimateCosts(p)
+	p := NewPlan(cfg, Registry())
+	measures, costs, err := r.EstimateCosts(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var largest uint64
-	for _, name := range cfg.Workloads {
-		w, err := r.Workload(name)
+	built := func(name string, params workload.Params) uint64 {
+		t.Helper()
+		w, err := workload.Build(name, params)
 		if err != nil {
 			t.Fatal(err)
 		}
-		largest = max(largest, cfg.RunCostBytes(w.FootprintBytes()))
+		return w.FootprintBytes()
 	}
-	if measure != largest {
-		t.Errorf("measurement cost %d, largest built run cost %d", measure, largest)
+	var largest, tenants uint64
+	for _, name := range cfg.Workloads {
+		largest = max(largest, cfg.RunCostBytes(built(name, cfg.Params)))
+	}
+	for _, name := range tenancyNames(cfg) {
+		tenants += built(name, cfg.Params)
+	}
+	var scaling uint64
+	for _, scale := range table2Scales {
+		scaling = max(scaling, cfg.RunCostBytes(built("mem$", table2ScalingParams(cfg.Params, scale))))
+	}
+	bound := built(translationBoundWorkload(cfg), cfg.Params)
+	want := map[string]uint64{
+		"fig2":          0,
+		"fig3":          fig3ServerBytes,
+		"table2":        scaling,
+		"collisions":    0,
+		"retrain":       largest,
+		"fragmentation": cfg.agedPhysBytes(bound),
+		"ptwl1":         cfg.RunCostBytes(bound),
+		"multitenancy":  cfg.RunCostBytes(tenants),
+		"tail":          cfg.RunCostBytes(built("mem$", cfg.Params)),
+		"priorwork":     cfg.agedPhysBytes(bound),
+	}
+	for i, e := range p.Experiments {
+		w, ok := want[e.Key]
+		if ok != (e.Measure != nil) {
+			t.Errorf("%s: measured %t, has an expected measurement cost %t", e.Key, e.Measure != nil, ok)
+		}
+		if measures[i] != w {
+			t.Errorf("%s: estimated measurement cost %d, built cost %d", e.Key, measures[i], w)
+		}
 	}
 	for i, k := range p.Runs {
-		w, err := r.Workload(k.Workload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if built := cfg.RunCostBytes(w.FootprintBytes()); costs[i] != built {
-			t.Errorf("%s: estimated cost %d, built cost %d", k, costs[i], built)
+		if want := cfg.RunCostBytes(built(k.Workload, cfg.Params)); costs[i] != want {
+			t.Errorf("%s: estimated cost %d, built cost %d", k, costs[i], want)
 		}
 	}
 	if _, _, err := r.EstimateCosts(Plan{Runs: []RunKey{{Workload: "nope", Scheme: oskernel.SchemeLVM}}}); err == nil {
@@ -294,34 +314,5 @@ func TestSelectUnknownKey(t *testing.T) {
 	}
 	if len(exps) != 2 || exps[0].Key != "fig9" || exps[1].Key != "table2" {
 		t.Errorf("selection wrong: %d entries", len(exps))
-	}
-}
-
-// Measurements call Runner.Workload from scheduler workers: concurrent
-// callers of one name must share a single build, and callers of different
-// names must not wait on each other's builds under the runner's lock.
-func TestWorkloadBuildsOnce(t *testing.T) {
-	r := NewRunner(tinyConfig())
-	names := []string{"bfs", "gups", "bfs", "mem$", "gups", "bfs", "mem$", "gups"}
-	got := make([]*workload.Workload, len(names))
-	var wg sync.WaitGroup
-	for i, name := range names {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w, err := r.Workload(name)
-			if err != nil {
-				t.Error(err)
-			}
-			got[i] = w
-		}()
-	}
-	wg.Wait()
-	first := map[string]*workload.Workload{}
-	for i, name := range names {
-		if w, ok := first[name]; ok && w != got[i] {
-			t.Errorf("%s built twice", name)
-		}
-		first[name] = got[i]
 	}
 }

@@ -24,16 +24,34 @@ type Experiment struct {
 	// study no RunKey describes, such as the fragmentation sweep. It runs
 	// as one task of the execute phase, concurrently with other tasks, and
 	// its result is kept and cached as JSON under the experiment's key.
+	// Set it, MeasureBytes and Compute together with measured.
 	Measure func(r *Runner) (any, error)
+	// MeasureBytes is the most simulated physical memory Measure holds at
+	// once: its charge against the execute phase's memory budget. It is
+	// computed from the footprint estimator, so planning builds nothing.
+	MeasureBytes func(cfg Config) (uint64, error)
 	// Compute derives the experiment's result from the runs and the
 	// measurement the plan executed. It only reads and renders: it must
 	// not simulate, and it must be deterministic given those results.
 	Compute func(r *Runner) (Result, error)
 }
 
-// measure adapts a typed measurement to Experiment.Measure.
-func measure[T any](f func(*Runner) (T, error)) func(*Runner) (any, error) {
-	return func(r *Runner) (any, error) { return f(r) }
+// measured gives e a bespoke measurement taken by measure and charged
+// bytes, and a Compute that reads the measurement back under e.Key and
+// renders it with render. The key is bound here once, so a measurement
+// is always read under the key it was stored under.
+func measured[T any](e Experiment, bytes func(Config) (uint64, error), measure func(*Runner) (T, error),
+	render func(*Runner, T) (Result, error)) Experiment {
+	e.Measure = func(r *Runner) (any, error) { return measure(r) }
+	e.MeasureBytes = bytes
+	e.Compute = func(r *Runner) (Result, error) {
+		v, err := measurementOf[T](r, e.Key)
+		if err != nil {
+			return Result{}, err
+		}
+		return render(r, v)
+	}
+	return e
 }
 
 // Result is one experiment's rendered output plus its raw numbers.
@@ -101,18 +119,14 @@ func Registry() []Experiment {
 	lvmOnly := []oskernel.Scheme{oskernel.SchemeLVM}
 
 	return []Experiment{
-		{
-			Key:     "fig2",
-			Title:   "Figure 2: virtual memory gap coverage (paper: min 78%)",
-			Measure: measure((*Runner).measureFig2),
-			Compute: (*Runner).fig2GapCoverage,
-		},
-		{
-			Key:     "fig3",
-			Title:   "Figure 3: contiguous free memory on an aged server (paper: ~30% at 256KB, ~0 at 100s of MB)",
-			Measure: measure((*Runner).measureFig3),
-			Compute: (*Runner).fig3Contiguity,
-		},
+		measured(Experiment{
+			Key:   "fig2",
+			Title: "Figure 2: virtual memory gap coverage (paper: min 78%)",
+		}, noPhysBytes, (*Runner).measureFig2, (*Runner).fig2GapCoverage),
+		measured(Experiment{
+			Key:   "fig3",
+			Title: "Figure 3: contiguous free memory on an aged server (paper: ~30% at 256KB, ~0 at 100s of MB)",
+		}, fig3Bytes, (*Runner).measureFig3, (*Runner).fig3Contiguity),
 		{
 			Key:   "fig9",
 			Title: "Figure 9: end-to-end speedups vs radix (paper: LVM avg +14% 4KB / +7% THP, within 1% of ideal)",
@@ -145,33 +159,27 @@ func Registry() []Experiment {
 			},
 			Compute: (*Runner).fig12CacheMPKI,
 		},
-		{
+		measured(Experiment{
 			Key:   "table2",
 			Title: "Table 2: learned index size (paper: 96-192B steady state, footprint-independent)",
 			Requires: func(cfg Config) []RunKey {
 				return cross(cfg.Workloads, lvmOnly, false, true)
 			},
-			Measure: measure((*Runner).measureTable2Scaling),
-			Compute: (*Runner).table2IndexSize,
-		},
-		{
+		}, table2ScalingBytes, (*Runner).measureTable2Scaling, (*Runner).table2IndexSize),
+		measured(Experiment{
 			Key:   "collisions",
 			Title: "§7.3 collision rates (paper: LVM 0.2%/0.6%; Blake2 hash 22%/19%; 2.36 extra accesses/collision)",
 			Requires: func(cfg Config) []RunKey {
 				return cross(cfg.Workloads, lvmOnly, false, true)
 			},
-			Measure: measure((*Runner).measureCollisionBaseline),
-			Compute: (*Runner).collisionRates,
-		},
-		{
+		}, noPhysBytes, (*Runner).measureCollisionBaseline, (*Runner).collisionRates),
+		measured(Experiment{
 			Key:   "retrain",
 			Title: "§7.3 retraining (paper: at most 3 events, avg 2; mgmt 1.17% avg / 1.91% peak, THP <0.01%)",
 			Requires: func(cfg Config) []RunKey {
 				return cross(cfg.Workloads, lvmOnly, false, true)
 			},
-			Measure: measure((*Runner).measureRetrainGrowth),
-			Compute: (*Runner).retrainStats,
-		},
+		}, largestRunBytes, (*Runner).measureRetrainGrowth, (*Runner).retrainStats),
 		{
 			Key:   "memory",
 			Title: "§7.3 memory consumption beyond 8B/translation (paper: LVM < ECPT)",
@@ -180,12 +188,10 @@ func Registry() []Experiment {
 			},
 			Compute: (*Runner).memoryOverhead,
 		},
-		{
-			Key:     "fragmentation",
-			Title:   "§7.3 fragmentation robustness (paper: performance flat, LWC hit >99%)",
-			Measure: measure((*Runner).measureFragmentation),
-			Compute: (*Runner).fragmentationRobustness,
-		},
+		measured(Experiment{
+			Key:   "fragmentation",
+			Title: "§7.3 fragmentation robustness (paper: performance flat, LWC hit >99%)",
+		}, agedBytes, (*Runner).measureFragmentation, (*Runner).fragmentationRobustness),
 		{
 			Key:   "walkcaches",
 			Title: "§7.2 TLB/PWC/LWC rates (paper: L2 TLB miss 57-99%, PDE miss 60-99%, LWC hit >99%)",
@@ -194,41 +200,33 @@ func Registry() []Experiment {
 			},
 			Compute: (*Runner).walkCacheMissRates,
 		},
-		{
-			Key:     "ptwl1",
-			Title:   "§7.2 PTW connected to L1 vs L2 (paper: +11% vs +14%; L1 MPKI +59% radix vs +38% LVM)",
-			Measure: measure((*Runner).measurePTWL1),
-			Compute: (*Runner).ptwl1Connection,
-		},
-		{
+		measured(Experiment{
+			Key:   "ptwl1",
+			Title: "§7.2 PTW connected to L1 vs L2 (paper: +11% vs +14%; L1 MPKI +59% radix vs +38% LVM)",
+		}, ptwl1Bytes, (*Runner).measurePTWL1, (*Runner).ptwl1Connection),
+		measured(Experiment{
 			Key:   "multitenancy",
 			Title: "§7.1 multi-tenancy (paper: speedups within 0.5% of solo)",
 			Requires: func(cfg Config) []RunKey {
 				return cross(tenancyNames(cfg), []oskernel.Scheme{oskernel.SchemeRadix, oskernel.SchemeLVM}, false)
 			},
-			Measure: measure((*Runner).measureTenancyStacked),
-			Compute: (*Runner).multiTenancy,
-		},
-		{
-			Key:     "tail",
-			Title:   "§7.3 memcached tail latency under LVM management churn (paper: p99 unaffected)",
-			Measure: measure((*Runner).measureTail),
-			Compute: (*Runner).tailLatency,
-		},
+		}, tenancyBytes, (*Runner).measureTenancyStacked, (*Runner).multiTenancy),
+		measured(Experiment{
+			Key:   "tail",
+			Title: "§7.3 memcached tail latency under LVM management churn (paper: p99 unaffected)",
+		}, tailBytes, (*Runner).measureTail, (*Runner).tailLatency),
 		{
 			Key:     "hardware",
 			Title:   "§7.4 hardware area/power (paper: 3.0x size, 1.5x area, 1.9x power; walker 0.000637mm²)",
 			Compute: (*Runner).hardwareArea,
 		},
-		{
+		measured(Experiment{
 			Key:   "priorwork",
 			Title: "§7.5 ASAP / Midgard / FPT comparison",
 			Requires: func(cfg Config) []RunKey {
 				return cross([]string{translationBoundWorkload(cfg)}, priorSchemes, false)
 			},
-			Measure: measure((*Runner).measureFPTFragmented),
-			Compute: (*Runner).priorWork,
-		},
+		}, agedBytes, (*Runner).measureFPTFragmented, (*Runner).priorWork),
 		{
 			// Appended after the paper's evaluation so every pre-existing
 			// experiment keeps its registry position (and therefore its row

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 )
 
@@ -146,7 +147,10 @@ func (c *RunCache) Store(name string, payload any, hostSeconds float64) error {
 }
 
 // loadRun restores key's output from c. A corrupt entry, or one whose
-// payload is not a run output, is an error naming the run and file.
+// payload is not a run output, is an error naming the run and file. The
+// payload must also be what Store writes for the output it decodes to:
+// a metrics list with a duplicated, reordered or mistyped metric passes
+// Load's byte check but would not be written back as is.
 func (c *RunCache) loadRun(key RunKey) (*RunOutput, bool, error) {
 	var doc runOutputDoc
 	secs, hit, err := c.Load(key.String(), &doc)
@@ -156,6 +160,9 @@ func (c *RunCache) loadRun(key RunKey) (*RunOutput, bool, error) {
 	out, err := decodeRunOutput(doc)
 	if err != nil {
 		return nil, false, fmt.Errorf("run cache: %s: corrupt entry %s: %w", key, c.path(key.String()), err)
+	}
+	if !reflect.DeepEqual(encodeRunOutput(out), doc) {
+		return nil, false, fmt.Errorf("run cache: %s: entry %s is not in the form Store writes", key, c.path(key.String()))
 	}
 	out.HostSeconds = secs
 	return out, true, nil

@@ -186,39 +186,82 @@ func TestRunCacheStaleEntryRejected(t *testing.T) {
 }
 
 // TestRunCacheNonCanonicalEntry refuses an entry that decodes cleanly but
-// is not what Store writes: the same entry re-indented, or with its
-// payload missing.
+// is not what Store writes: the same entry re-indented, with its payload
+// missing, or with a metrics list Store would never write (a duplicated
+// counter, which decoding would add up; metrics out of name order; a
+// counter carrying a float).
 func TestRunCacheNonCanonicalEntry(t *testing.T) {
 	c, err := NewRunCache(t.TempDir(), jsonSweepConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	key := testKey()
-	for name, edit := range map[string]func(map[string]json.RawMessage){
-		"compact":        func(map[string]json.RawMessage) {},
-		"missing output": func(e map[string]json.RawMessage) { delete(e, "payload") },
+	path := c.path(key.String())
+	rawEdit := func(edit func(map[string]json.RawMessage)) func(*testing.T) {
+		return func(t *testing.T) {
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var e map[string]json.RawMessage
+			if err := json.Unmarshal(b, &e); err != nil {
+				t.Fatal(err)
+			}
+			edit(e)
+			if b, err = json.Marshal(e); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	metricsEdit := func(edit func([]typedMetric) []typedMetric) func(*testing.T) {
+		return func(t *testing.T) {
+			rewriteEntry(t, path, &runOutputDoc{}, func(e *cacheEntry) {
+				doc := e.Payload.(*runOutputDoc)
+				doc.Sim.Metrics = edit(doc.Sim.Metrics)
+			})
+		}
+	}
+	counter := func(ms []typedMetric) int {
+		for i, m := range ms {
+			if m.Kind == "counter" {
+				return i
+			}
+		}
+		t.Fatal("no counter in the fake output")
+		return 0
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*testing.T)
+	}{
+		{"compact", rawEdit(func(map[string]json.RawMessage) {})},
+		{"missing output", rawEdit(func(e map[string]json.RawMessage) { delete(e, "payload") })},
+		{"duplicated counter", metricsEdit(func(ms []typedMetric) []typedMetric {
+			i := counter(ms)
+			return append(ms[:i+1:i+1], ms[i:]...)
+		})},
+		{"reordered metrics", metricsEdit(func(ms []typedMetric) []typedMetric {
+			ms[0], ms[1] = ms[1], ms[0]
+			return ms
+		})},
+		{"counter with float", metricsEdit(func(ms []typedMetric) []typedMetric {
+			ms[counter(ms)].Float = 0.5
+			return ms
+		})},
 	} {
-		if err := c.storeRun(key, fakeOutput(key, 1)); err != nil {
-			t.Fatal(err)
-		}
-		b, err := os.ReadFile(c.path(key.String()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var e map[string]json.RawMessage
-		if err := json.Unmarshal(b, &e); err != nil {
-			t.Fatal(err)
-		}
-		edit(e)
-		if b, err = json.Marshal(e); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(c.path(key.String()), b, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := c.loadRun(key); err == nil || !strings.Contains(err.Error(), "not in the form Store writes") {
-			t.Errorf("%s entry: Load returned %v", name, err)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			if err := c.storeRun(key, fakeOutput(key, 1)); err != nil {
+				t.Fatal(err)
+			}
+			tc.edit(t)
+			_, _, err := c.loadRun(key)
+			if err == nil || !strings.Contains(err.Error(), "not in the form Store writes") || !strings.Contains(err.Error(), path) {
+				t.Errorf("Load returned %v", err)
+			}
+		})
 	}
 }
 

@@ -24,6 +24,10 @@ type TailLatencyResult struct {
 	Table             *stats.Table `json:"-"`
 }
 
+// tailBytes is measureTail's cost: its two memcached launches, one at a
+// time.
+func tailBytes(cfg Config) (uint64, error) { return cfg.estimatedRunBytes("mem$") }
+
 // measureTail runs the quiescent and churning memcached simulations and
 // collects the study's percentiles and churn counters.
 func (r *Runner) measureTail() (TailLatencyResult, error) {
@@ -90,12 +94,7 @@ func (r *Runner) measureTail() (TailLatencyResult, error) {
 // LVM maintenance path) between requests; p99 must be unaffected. The
 // study is entirely bespoke: the experiment's measurement is the whole
 // result.
-func (r *Runner) tailLatency() (Result, error) {
-	res, err := measurementOf[TailLatencyResult](r, "tail")
-	if err != nil {
-		return Result{}, err
-	}
-
+func (r *Runner) tailLatency(res TailLatencyResult) (Result, error) {
 	tb := stats.NewTable("run", "p50 cycles", "p99 cycles")
 	tb.AddRow("static", res.StaticP50, res.StaticP99)
 	tb.AddRow("with LVM mgmt churn", res.ChurnP50, res.ChurnP99)

@@ -28,21 +28,14 @@ type Server struct {
 	quit  chan struct{} // closed by Close; cancels queued admissions
 
 	mu       sync.Mutex
-	ln       net.Listener             // guarded by mu
-	wls      map[string]*workloadOnce // guarded by mu
-	sessions map[uint64]*session      // guarded by mu
-	nextID   uint64                   // guarded by mu
-	closing  bool                     // guarded by mu
+	ln       net.Listener        // guarded by mu
+	sessions map[uint64]*session // guarded by mu
+	nextID   uint64              // guarded by mu
+	closing  bool                // guarded by mu
+
+	wls *workload.Cache
 
 	wg sync.WaitGroup
-}
-
-// workloadOnce deduplicates workload construction across sessions: the
-// first session naming a workload builds it, concurrent ones wait.
-type workloadOnce struct {
-	once sync.Once
-	w    *workload.Workload
-	err  error
 }
 
 // session is one connection's server-side state. The handling goroutine
@@ -95,8 +88,8 @@ func NewServer(cfg Config) (*Server, error) {
 		adm:      sched.NewAdmission(cfg.MemBudgetBytes, sched.NewCostModel()),
 		slots:    make(chan struct{}, cfg.Workers),
 		quit:     make(chan struct{}),
-		wls:      make(map[string]*workloadOnce),
 		sessions: make(map[uint64]*session),
+		wls:      workload.NewCache(cfg.Exp.Params),
 	}, nil
 }
 
@@ -166,22 +159,6 @@ func (srv *Server) Close() {
 	srv.wg.Wait()
 }
 
-// workload returns the named workload, building it at most once across all
-// sessions.
-func (srv *Server) workload(name string) (*workload.Workload, error) {
-	srv.mu.Lock()
-	wo := srv.wls[name]
-	if wo == nil {
-		wo = &workloadOnce{}
-		srv.wls[name] = wo
-	}
-	srv.mu.Unlock()
-	wo.once.Do(func() {
-		wo.w, wo.err = workload.Build(name, srv.cfg.Exp.Params)
-	})
-	return wo.w, wo.err
-}
-
 // register allocates a session identity; unregister retires it.
 func (srv *Server) register(w *wire.Conn[message]) (uint64, *session) {
 	srv.mu.Lock()
@@ -244,7 +221,7 @@ func (srv *Server) handle(conn net.Conn) {
 		return
 	}
 
-	wl, err := srv.workload(open.Workload)
+	wl, err := srv.wls.Get(open.Workload)
 	if err != nil {
 		w.Send(message{Type: msgError, Reason: err.Error()})
 		return

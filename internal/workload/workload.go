@@ -177,6 +177,33 @@ func sharedGraph(p Params) *Graph { return graphs.get(p, Kronecker) }
 // test for it with errors.Is through any number of wrapping layers.
 var ErrUnknown = errors.New("unknown workload")
 
+// A Cache builds each named workload at most once for one Params: the
+// first caller of a name builds it, concurrent callers of that name wait
+// for that one build, and builds of different names do not wait on each
+// other. The sweep runner and the lvmd daemon share workloads through it.
+type Cache struct {
+	p Params
+	m sync.Map // name -> *cacheEntry
+}
+
+type cacheEntry struct {
+	once sync.Once
+	w    *Workload
+	err  error
+}
+
+// NewCache returns an empty cache building with p.
+func NewCache(p Params) *Cache { return &Cache{p: p} }
+
+// Get returns the named workload, building it on first use. A failed
+// build is remembered: later callers get the same error.
+func (c *Cache) Get(name string) (*Workload, error) {
+	v, _ := c.m.LoadOrStore(name, new(cacheEntry))
+	e := v.(*cacheEntry)
+	e.once.Do(func() { e.w, e.err = Build(name, c.p) })
+	return e.w, e.err
+}
+
 // Build constructs a workload by name.
 func Build(name string, p Params) (*Workload, error) {
 	switch name {

@@ -239,6 +239,41 @@ func TestGraphCacheBuildsOnce(t *testing.T) {
 	}
 }
 
+// TestCacheBuildsOnce asks one Cache for a few names from many goroutines
+// at once: every caller of a name must get the same *Workload, and a name
+// that fails to build fails the same way for every caller.
+func TestCacheBuildsOnce(t *testing.T) {
+	c := NewCache(QuickParams())
+	names := []string{"bfs", "gups", "bfs", "mem$", "nope", "gups", "bfs", "mem$", "nope", "gups"}
+	got := make([]*Workload, len(names))
+	errs := make([]error, len(names))
+	var wg sync.WaitGroup
+	for i, name := range names {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = c.Get(name)
+		}()
+	}
+	wg.Wait()
+	first := map[string]int{}
+	for i, name := range names {
+		if name == "nope" {
+			if !errors.Is(errs[i], ErrUnknown) {
+				t.Errorf("caller %d of an unknown name got %v", i, errs[i])
+			}
+			continue
+		}
+		if errs[i] != nil || got[i] == nil {
+			t.Fatalf("caller %d of %s: %v", i, name, errs[i])
+		}
+		if j, ok := first[name]; ok && got[j] != got[i] {
+			t.Errorf("%s built twice", name)
+		}
+		first[name] = i
+	}
+}
+
 func TestAllWorkloadsBuild(t *testing.T) {
 	p := QuickParams()
 	for _, name := range SpeedupNames() {
