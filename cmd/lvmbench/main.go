@@ -15,7 +15,7 @@
 //	lvmbench              # full scale (about 80 s on two cores)
 //	lvmbench -quick       # reduced scale (seconds)
 //	lvmbench -only fig9,table2
-//	lvmbench -j 8 -mem 64 # 8 workers under a 64 GiB simulated-memory budget
+//	lvmbench -j 8 -mem 64 # 8 workers under a 64 GiB admission budget
 //	lvmbench -list        # print the plan (experiments, measurements, run matrix, costs), no execution
 //	lvmbench -quick -json out.json            # also write per-run metrics JSON
 //	lvmbench -quick -json out.json -timings   # include host wall-clock fields
@@ -49,7 +49,7 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced workload scale")
 	only := flag.String("only", "", "comma-separated experiment keys: "+strings.Join(experiments.Keys(), ", "))
 	workers := flag.Int("j", runtime.NumCPU(), "simulation worker goroutines")
-	memGiB := flag.Uint64("mem", 0, "memory budget in GiB bounding the summed simulated footprint of in-flight runs and measurements (0 = default 32)")
+	memGiB := flag.Uint64("mem", 0, "admission budget in GiB over the summed footprint charges of in-flight runs and measurements; each charge is the simulated footprint corrected by observed heap (0.25-4x), so up to 4x the budget in simulated footprint may be in flight (0 = default 32)")
 	list := flag.Bool("list", false, "print the selected experiments and deduped run matrix with estimated costs, then exit without executing")
 	jsonPath := flag.String("json", "", "write per-run metrics as schema-versioned JSON to this path")
 	timings := flag.Bool("timings", false, "include host wall-clock fields in -json output (breaks byte-identity across invocations)")

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 
 	"lvm/internal/addr"
 	"lvm/internal/fixed"
@@ -22,37 +24,42 @@ type builder struct {
 	p  Params
 	// totalPages is the whole index's mapped base-page count.
 	totalPages uint64
+
+	// Scratch every trial reuses: a trial's predicted slots and its
+	// simulated placement.
+	preds    []int
+	occupied []bool
 }
 
-// buildNode trains the node responsible for mappings ms covering the VPN
-// range [lo, hi].
+// buildNode trains the node responsible for mappings ms, whose VPNs are
+// keys, covering the VPN range [lo, hi].
 //
 // The loop implements §4.3.3's feedback: if any leaf in the subtree cannot
 // satisfy the error bound, the cost model is re-evaluated with a boosted x3
 // and a higher minimum fanout so the key space is subdivided more finely,
 // until the bound holds, widening is impossible, or attempts run out.
-func (b *builder) buildNode(ms []Mapping, lo, hi uint64, depth int) (*node, error) {
+func (b *builder) buildNode(ms []Mapping, keys []uint64, lo, hi uint64, depth int) (*node, error) {
 	if len(ms) == 0 {
 		return b.makeEmptyLeaf(lo, hi)
 	}
 	if depth >= b.p.DLimit {
 		// Depth limit reached: the node must be a leaf regardless of the
 		// cost model (the d_limit constraint of §4.2.3).
-		return b.makeLeaf(ms, lo, hi, true)
+		return b.makeLeaf(ms, keys, lo, hi, true)
 	}
 
+	s := b.newFanoutSearch(keys, lo, hi, depth)
 	x3 := b.p.X3
 	minN := 0
 	var best *node
 	for attempt := 0; attempt < 6; attempt++ {
-		fanout := b.chooseFanout(ms, lo, hi, depth, x3, minN)
+		fanout, _ := s.choose(x3, minN)
 		if fanout <= 1 {
 			// Skip the (expensive) table build when the trial placement
 			// or the regression residual already shows the error bound
 			// cannot hold.
-			if _, _, disp := b.trialLeaf(ms); disp <= b.p.ErrSlotBudget &&
-				b.residualOf(ms) <= b.p.ResidualSlotBudget {
-				n, err := b.makeLeaf(ms, lo, hi, false)
+			if s.leaf.maxDisp <= b.p.ErrSlotBudget && s.leaf.residual <= b.p.ResidualSlotBudget {
+				n, err := b.makeLeaf(ms, keys, lo, hi, false)
 				if err == nil {
 					return n, nil
 				}
@@ -68,14 +75,14 @@ func (b *builder) buildNode(ms []Mapping, lo, hi uint64, depth int) (*node, erro
 			}
 			continue
 		}
-		n, err := b.makeInternal(ms, lo, hi, fanout, depth)
+		n, err := b.makeInternal(ms, keys, lo, hi, fanout, depth)
 		if errors.Is(err, errDegenerate) {
 			// Quantization collapsed the internal model; fall back to a
 			// leaf with a relaxed bound.
 			if best != nil {
 				releaseSubtree(best)
 			}
-			return b.makeLeaf(ms, lo, hi, true)
+			return b.makeLeaf(ms, keys, lo, hi, true)
 		}
 		if err != nil {
 			if best != nil {
@@ -107,7 +114,7 @@ func (b *builder) buildNode(ms []Mapping, lo, hi uint64, depth int) (*node, erro
 	if best != nil {
 		return best, nil
 	}
-	return b.makeLeaf(ms, lo, hi, true)
+	return b.makeLeaf(ms, keys, lo, hi, true)
 }
 
 func max2(a, b int) int {
@@ -173,43 +180,80 @@ func (b *builder) errBudgetRanks() float64 {
 	return float64(b.p.ResidualSlotBudget) / b.p.GAScale
 }
 
-// residualOf returns the scaled worst-case model residual, in slots, of a
-// single linear model over the mappings.
-func (b *builder) residualOf(ms []Mapping) int {
+// vpnsOf returns the VPNs of ms, the keys every model over ms is fit to.
+func vpnsOf(ms []Mapping) []uint64 {
 	keys := make([]uint64, len(ms))
 	for i, m := range ms {
 		keys[i] = uint64(m.VPN)
 	}
-	l := model.FitRanks(keys)
-	return int(l.MaxAbsErr() * b.p.GAScale)
+	return keys
 }
 
-func splineEstimate(ms []Mapping, errBudget float64) int {
-	keys := make([]uint64, len(ms))
-	for i, m := range ms {
-		keys[i] = uint64(m.VPN)
+// fanoutSearch evaluates the cost model C(n) for one node across the
+// attempts of buildNode's §4.3.3 feedback loop. The attempts change only
+// x3 and the minimum fanout, so everything C(n) needs besides x3 — the
+// spline estimate, the node's own leaf trial and, per candidate n, the
+// depth, extra nodes and Σcr·ma of an even split — is computed once.
+type fanoutSearch struct {
+	b *builder
+	// keys are the node's sorted VPNs, covering [lo, hi].
+	keys   []uint64
+	lo, hi uint64
+	depth  int
+	// sp is the spline-point estimate of the node's child count.
+	sp int
+	// leaf is the trial of the node's keys as one leaf.
+	leaf leafTrial
+	// splits holds every candidate fanout evaluated so far.
+	splits []splitTrial
+}
+
+// leafTrial is what a trial placement of keys into one leaf shows: the
+// collision rate cr, the mean extra memory accesses per collision ma (the
+// cost-model inputs of §4.2.3), the largest displacement between prediction
+// and placement, and the scaled worst-case regression residual in slots.
+type leafTrial struct {
+	cr, ma            float64
+	maxDisp, residual int
+}
+
+// splitTrial holds the x3-independent terms of C(n) for n even children:
+// the depth d, the extra nodes of children that will split again, and the
+// key-weighted mean cr·ma of the children.
+type splitTrial struct {
+	n          int
+	d          float64
+	extraNodes int
+	crma       float64
+}
+
+func (b *builder) newFanoutSearch(keys []uint64, lo, hi uint64, depth int) *fanoutSearch {
+	return &fanoutSearch{
+		b: b, keys: keys, lo: lo, hi: hi, depth: depth,
+		sp:   model.SplinePoints(keys, b.errBudgetRanks()),
+		leaf: b.trial(keys),
 	}
-	return model.SplinePoints(keys, errBudget)
 }
 
-// chooseFanout evaluates the cost model C(n) = x1·d + x2·s + x3·cr·ma over
-// candidate child counts around the spline-point estimate (±2, §4.2.3) and
-// returns the winner; a result of 1 means "stay a leaf".
-func (b *builder) chooseFanout(ms []Mapping, lo, hi uint64, depth int, x3 float64, minN int) int {
-	sp := splineEstimate(ms, b.errBudgetRanks())
-
+// choose evaluates C(n) = x1·d + x2·s + x3·cr·ma over candidate child
+// counts around the spline-point estimate (±2, §4.2.3) and returns the
+// winner with its cost; a fanout of 1 means "stay a leaf", at cost +Inf
+// when no candidate was admissible.
+func (s *fanoutSearch) choose(x3 float64, minN int) (int, float64) {
+	b := s.b
 	// Constraint: children must each cover enough address space per byte
 	// of index (the cacheability floor of §4.2.3).
-	maxByCoverage := b.maxFanoutForCoverage(lo, hi, depth)
+	maxByCoverage := b.maxFanoutForCoverage(s.lo, s.hi, s.depth)
 
 	// Constraint: if the leaf table would exceed the available physical
 	// contiguity, enough siblings must be created for each table to fit
-	// (the adaptive leaf sizing of §4.2.2).
-	minByContiguity := b.minFanoutForContiguity(len(ms))
+	// (the adaptive leaf sizing of §4.2.2). Builds between attempts move
+	// the contiguity, so this is re-read every time.
+	minByContiguity := b.minFanoutForContiguity(len(s.keys))
 
 	// Constraint: an internal model's quantized slope (n / range) must be
 	// at least one Q44.20 ulp or the model cannot distinguish children.
-	minInternal := b.minFanoutForSlope(lo, hi)
+	minInternal := b.minFanoutForSlope(s.lo, s.hi)
 	if minByContiguity > minInternal {
 		minInternal = minByContiguity
 	}
@@ -220,29 +264,22 @@ func (b *builder) chooseFanout(ms []Mapping, lo, hi uint64, depth int, x3 float6
 	bestN, bestC := 0, math.Inf(1)
 	if minByContiguity <= 1 && minN <= 1 {
 		// A leaf is admissible.
-		cr, ma, _ := b.trialLeaf(ms)
-		bestN, bestC = 1, b.p.X1*1+b.p.X2*lines(NodeBytes)+x3*cr*ma
+		bestN, bestC = 1, b.p.X1*1+b.p.X2*lines(NodeBytes)+x3*s.leaf.cr*s.leaf.ma
 	}
 	// Candidates: ±2 around the spline estimate (§4.2.3), plus small
 	// fanouts — when one giant segment dominates the key space, a narrow
 	// node that descends is far cheaper in walk-cache pressure than a wide
-	// one whose width mirrors the count of tiny auxiliary segments.
-	candidates := []int{2, 3, 4}
-	for n := sp - 2; n <= sp+2; n++ {
-		candidates = append(candidates, n)
-	}
-	// The feedback loop (§4.3.3) may demand a minimum fanout beyond every
+	// one whose width mirrors the count of tiny auxiliary segments. The
+	// feedback loop (§4.3.3) may demand a minimum fanout beyond every
 	// spline-based candidate; the minimum itself must stay evaluable or
 	// escalation would dead-end in a leaf.
-	candidates = append(candidates, minInternal, minInternal+1, minInternal+2)
-	seen := map[int]bool{}
-	for _, n := range candidates {
-		if n < minInternal || n > b.p.MaxFanout || n > maxByCoverage || seen[n] {
+	candidates := [...]int{2, 3, 4, s.sp - 2, s.sp - 1, s.sp, s.sp + 1, s.sp + 2,
+		minInternal, minInternal + 1, minInternal + 2}
+	for i, n := range candidates {
+		if n < minInternal || n > b.p.MaxFanout || n > maxByCoverage || slices.Contains(candidates[:i], n) {
 			continue
 		}
-		seen[n] = true
-		c := b.splitCost(ms, lo, hi, n, depth, x3)
-		if c < bestC {
+		if c := s.splitCost(n, x3); c < bestC {
 			bestC, bestN = c, n
 		}
 	}
@@ -252,8 +289,7 @@ func (b *builder) chooseFanout(ms []Mapping, lo, hi uint64, depth int, x3 float6
 		// which will chain extents if it must.
 		bestN = 1
 	}
-	_ = depth
-	return bestN
+	return bestN, bestC
 }
 
 // minFanoutForSlope returns the smallest child count whose internal model
@@ -271,63 +307,95 @@ func (b *builder) minFanoutForSlope(lo, hi uint64) int {
 // model (a node's cost is its pressure on the walk cache).
 func lines(bytes int) float64 { return float64(bytes) / 64 }
 
-// splitCost estimates C(n) for subdividing into n children: depth, index
-// size, and the children's collision costs. A child whose keys cannot be
-// described by one model within the error bounds will subdivide again, so
-// its hidden depth and width are priced with a one-level lookahead.
-func (b *builder) splitCost(ms []Mapping, lo, hi uint64, n, depth int, x3 float64) float64 {
-	parts := partitionEven(ms, lo, hi, n)
-	var crma float64
-	d := 2.0
-	extraNodes := 0
-	for _, part := range parts {
-		if len(part) == 0 {
-			continue
+// splitCost is C(n) for subdividing into n children.
+func (s *fanoutSearch) splitCost(n int, x3 float64) float64 {
+	t := s.split(n)
+	return s.b.p.X1*t.d + s.b.p.X2*lines((1+n+t.extraNodes)*NodeBytes) + x3*t.crma
+}
+
+// split returns the x3-independent terms of C(n) for subdividing into n
+// children by even key-space division, computing them on first use. A child
+// whose keys cannot be described by one model within the error bounds will
+// subdivide again, so its hidden depth and width are priced with a
+// one-level lookahead.
+func (s *fanoutSearch) split(n int) splitTrial {
+	for _, t := range s.splits {
+		if t.n == n {
+			return t
 		}
-		cr, ma, disp := b.trialLeaf(part)
-		crma += cr * ma * float64(len(part))
-		if depth+1 < b.p.DLimit &&
-			(disp > b.p.ErrSlotBudget || b.residualOf(part) > b.p.ResidualSlotBudget) {
+	}
+	b, keys := s.b, s.keys
+	t := splitTrial{n: n, d: 2}
+	var crma float64
+	// The even division's float bucket index is monotone in the VPN, so
+	// each child's keys are a contiguous run of the sorted keys.
+	span := float64(s.hi-s.lo) + 1
+	bucket := func(i int) int {
+		k := int(float64(keys[i]-s.lo) / span * float64(n))
+		if k >= n {
+			k = n - 1
+		}
+		return k
+	}
+	for start := 0; start < len(keys); {
+		k := bucket(start)
+		end := start + sort.Search(len(keys)-start, func(i int) bool { return bucket(start+i) > k })
+		part := keys[start:end]
+		start = end
+		lt := b.trial(part)
+		crma += lt.cr * lt.ma * float64(len(part))
+		if s.depth+1 < b.p.DLimit &&
+			(lt.maxDisp > b.p.ErrSlotBudget || lt.residual > b.p.ResidualSlotBudget) {
 			// This child will split again: one more level, and its own
 			// children join the index.
-			d = 3
-			extraNodes += splineEstimate(part, b.errBudgetRanks())
+			t.d = 3
+			t.extraNodes += model.SplinePoints(part, b.errBudgetRanks())
 		}
 	}
-	crma /= float64(len(ms))
-	return b.p.X1*d + b.p.X2*lines((1+n+extraNodes)*NodeBytes) + x3*crma
+	t.crma = crma / float64(len(keys))
+	s.splits = append(s.splits, t)
+	return t
 }
 
-// partitionEven splits mappings by even key-space division (float-space;
-// used only for cost estimation).
-func partitionEven(ms []Mapping, lo, hi uint64, n int) [][]Mapping {
-	parts := make([][]Mapping, n)
-	span := float64(hi-lo) + 1
-	for _, m := range ms {
-		i := int(float64(uint64(m.VPN)-lo) / span * float64(n))
-		if i >= n {
-			i = n - 1
-		}
-		parts[i] = append(parts[i], m)
+// trial fits one leaf model over the sorted keys and simulates
+// nearest-free-slot placement of its quantized predictions into a gapped
+// array.
+func (b *builder) trial(keys []uint64) leafTrial {
+	l := model.FitRanks(keys)
+	t := leafTrial{residual: int(l.MaxAbsErr() * b.p.GAScale)}
+	// Predicted slots under the quantized, GAScale-scaled model, shifted
+	// so the minimum is 0: the same arithmetic the walk uses.
+	l.Slope *= b.p.GAScale
+	l.Intercept *= b.p.GAScale
+	slope, intercept := l.Quantize()
+	if cap(b.preds) < len(keys) {
+		b.preds = make([]int, len(keys))
 	}
-	return parts
-}
-
-// trialLeaf fits a leaf model over the mappings and simulates placement
-// into a gapped array, returning the collision rate cr, the mean extra
-// memory accesses per collision ma (the cost-model inputs of §4.2.3), and
-// the maximum displacement between prediction and placement.
-func (b *builder) trialLeaf(ms []Mapping) (cr, ma float64, maxDisp int) {
-	preds := b.predictedSlots(ms)
+	preds := b.preds[:len(keys)]
+	minP := int64(math.MaxInt64)
+	for i, k := range keys {
+		p := fixed.MulAdd(slope, fixed.FromInt(int64(k)), intercept).Floor()
+		preds[i] = int(p)
+		if p < minP {
+			minP = p
+		}
+	}
+	for i := range preds {
+		preds[i] -= int(minP)
+	}
 	size := preds[len(preds)-1] + b.p.InsertReach + 1
-	if occ := int(float64(len(ms))*b.p.GAScale) + 1; size < occ {
+	if occ := int(float64(len(keys))*b.p.GAScale) + 1; size < occ {
 		size = occ
 	}
 	// Predictions are monotone but may repeat; simulate nearest-free-slot
 	// placement. Keys arrive in ascending order, so when a prediction
 	// plateau piles up, the free slot is always upward of the plateau —
 	// track a rolling hint to keep the trial linear.
-	occupied := make([]bool, size)
+	if cap(b.occupied) < size {
+		b.occupied = make([]bool, size)
+	}
+	occupied := b.occupied[:size]
+	clear(occupied)
 	collisions, extra := 0, 0
 	hint := 0
 	for _, p := range preds {
@@ -353,14 +421,15 @@ func (b *builder) trialLeaf(ms []Mapping) (cr, ma float64, maxDisp int) {
 			d = size - p
 		}
 		extra += clusterDistance(d)
-		if d > maxDisp {
-			maxDisp = d
+		if d > t.maxDisp {
+			t.maxDisp = d
 		}
 	}
-	if collisions == 0 {
-		return 0, 0, maxDisp
+	if collisions > 0 {
+		t.cr = float64(collisions) / float64(len(keys))
+		t.ma = float64(extra) / float64(collisions)
 	}
-	return float64(collisions) / float64(len(ms)), float64(extra) / float64(collisions), maxDisp
+	return t
 }
 
 // clusterDistance converts a slot displacement into the number of extra
@@ -371,33 +440,6 @@ func clusterDistance(slots int) int {
 		return 0
 	}
 	return 2*c - 1
-}
-
-// predictedSlots trains the (quantized) leaf model over ms and returns the
-// predicted slot of every key, shifted so the minimum is 0, in key order.
-// The same quantized arithmetic is used at build and walk time.
-func (b *builder) predictedSlots(ms []Mapping) []int {
-	keys := make([]uint64, len(ms))
-	for i, m := range ms {
-		keys[i] = uint64(m.VPN)
-	}
-	l := model.FitRanks(keys)
-	l.Slope *= b.p.GAScale
-	l.Intercept *= b.p.GAScale
-	slope, intercept := l.Quantize()
-	preds := make([]int, len(ms))
-	minP := int64(math.MaxInt64)
-	for i, k := range keys {
-		p := fixed.MulAdd(slope, fixed.FromInt(int64(k)), intercept).Floor()
-		preds[i] = int(p)
-		if p < minP {
-			minP = p
-		}
-	}
-	for i := range preds {
-		preds[i] -= int(minP)
-	}
-	return preds
 }
 
 // minFanoutForContiguity returns the minimum number of children needed so
@@ -433,7 +475,7 @@ var errDegenerate = errors.New("core: internal model degenerate after quantizati
 // a huge page — with 2 MB-aligned regions (the ASLR normalizer guarantees
 // this), a child never splits a translation granule, which keeps interior
 // huge-page lookups routed to the right leaf.
-func (b *builder) makeInternal(ms []Mapping, lo, hi uint64, n int, depth int) (*node, error) {
+func (b *builder) makeInternal(ms []Mapping, keys []uint64, lo, hi uint64, n int, depth int) (*node, error) {
 	span := hi - lo + 1
 	granule := uint64(512)
 	for granule*2 <= span/uint64(n) && granule < 1<<fixed.FracBits {
@@ -469,22 +511,23 @@ func (b *builder) makeInternal(ms []Mapping, lo, hi uint64, n int, depth int) (*
 		}
 		return int(p)
 	}
-	// Partition mappings by the quantized model.
-	parts := make([][]Mapping, n)
+	// Partition mappings by the quantized model. It is monotone, so child
+	// i's mappings are the contiguous run starting at the first mapping it
+	// routes to i or beyond.
+	starts := make([]int, n+1)
 	distinct := 0
-	for _, m := range ms {
-		i := predict(uint64(m.VPN))
-		if len(parts[i]) == 0 {
+	for i := 0; i < n; i++ {
+		from := starts[i]
+		starts[i+1] = from + sort.Search(len(ms)-from, func(j int) bool { return predict(uint64(ms[from+j].VPN)) > i })
+		if starts[i+1] > from {
 			distinct++
 		}
-		parts[i] = append(parts[i], m)
 	}
 	if distinct < 2 {
 		return nil, errDegenerate
 	}
 	// Child key ranges: child i is responsible for the contiguous VPN span
-	// the quantized model routes to it, found by binary search (the model
-	// is monotone).
+	// the quantized model routes to it, found by binary search.
 	bounds := make([]uint64, n+1)
 	bounds[0] = lo
 	bounds[n] = hi + 1
@@ -507,7 +550,7 @@ func (b *builder) makeInternal(ms []Mapping, lo, hi uint64, n int, depth int) (*
 		if cHi < cLo {
 			cHi = cLo
 		}
-		child, err := b.buildNode(parts[i], cLo, cHi, depth+1)
+		child, err := b.buildNode(ms[starts[i]:starts[i+1]], keys[starts[i]:starts[i+1]], cLo, cHi, depth+1)
 		if err != nil {
 			for _, c := range nd.children[:i] {
 				releaseSubtree(c)
@@ -525,7 +568,7 @@ func (b *builder) makeInternal(ms []Mapping, lo, hi uint64, n int, depth int) (*
 //
 // If relaxed is false, the leaf reports errErrBound when any key's actual
 // slot is farther than ErrSlotBudget from its prediction.
-func (b *builder) makeLeaf(ms []Mapping, lo, hi uint64, relaxed bool) (*node, error) {
+func (b *builder) makeLeaf(ms []Mapping, keys []uint64, lo, hi uint64, relaxed bool) (*node, error) {
 	// Relaxed leaves over small spans use a positional model instead of a
 	// rank model: slot = ga_scale x (VPN - lo). Predictions are then exact
 	// for every key regardless of how 4 KB and 2 MB densities mix (the
@@ -537,10 +580,6 @@ func (b *builder) makeLeaf(ms []Mapping, lo, hi uint64, relaxed bool) (*node, er
 	// it trades table slack for exact predictions but
 	// its sparse tables are cache-hostile at scaled cache sizes, so the
 	// rank model below is used for all leaves.)
-	keys := make([]uint64, len(ms))
-	for i, m := range ms {
-		keys[i] = uint64(m.VPN)
-	}
 	l := model.FitRanks(keys)
 	residual := int(l.MaxAbsErr() * b.p.GAScale)
 	if !relaxed && residual > b.p.ResidualSlotBudget {

@@ -154,7 +154,7 @@ func (ix *Index) construct(sorted []Mapping) error {
 		totalPages += m.Entry.Size().BaseVPNs()
 	}
 	b := &builder{ix: ix, p: ix.params, totalPages: totalPages}
-	root, err := b.buildNode(sorted, uint64(sorted[0].VPN), uint64(sorted[len(sorted)-1].VPN), 1)
+	root, err := b.buildNode(sorted, vpnsOf(sorted), uint64(sorted[0].VPN), uint64(sorted[len(sorted)-1].VPN), 1)
 	if err != nil {
 		return err
 	}

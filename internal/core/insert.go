@@ -261,12 +261,13 @@ func (ix *Index) retrainLeaf(leaf *node, extras []Mapping) error {
 		hi = k
 	}
 	b := &builder{ix: ix, p: ix.params}
-	fresh, err := b.makeLeaf(ms, lo, hi, false)
+	keys := vpnsOf(ms)
+	fresh, err := b.makeLeaf(ms, keys, lo, hi, false)
 	if err != nil {
 		// The leaf's key space no longer fits one model within the bound;
 		// fall back to relaxed (monotone, perfectly sorted) placement —
 		// lookups resolve through the binary miss path.
-		if fresh, err = b.makeLeaf(ms, lo, hi, true); err != nil {
+		if fresh, err = b.makeLeaf(ms, keys, lo, hi, true); err != nil {
 			return err
 		}
 	}

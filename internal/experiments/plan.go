@@ -42,19 +42,24 @@ func NewPlan(cfg Config, exps []Experiment) Plan {
 	return Plan{Experiments: exps, Runs: runs}
 }
 
-// DefaultMemBudgetBytes bounds the summed simulated physical memory of
-// in-flight tasks, runs and measurements. Host memory per run is a fraction of the simulated size
-// (page tables plus allocator metadata, not data pages), so this default
-// keeps a full-scale sweep comfortably inside a 16 GB machine while still
-// admitting several multi-GB runs at once.
+// DefaultMemBudgetBytes bounds the summed admission charges of in-flight
+// tasks, runs and measurements. A task's charge is its simulated physical
+// memory scaled by sched.CostModel's correction, the observed heap over the
+// estimate of completed tasks clamped to 0.25–4×. Host memory per run is a
+// fraction of the simulated size (page tables plus allocator metadata, not
+// data pages), so at full scale the correction settles at its 0.25× floor
+// and up to four times this budget in simulated footprint runs at once;
+// the default still keeps a full-scale sweep comfortably inside a 16 GB
+// machine.
 const DefaultMemBudgetBytes = 32 << 30
 
 // ExecOptions bounds a plan execution.
 type ExecOptions struct {
 	// Workers is the number of simulation worker goroutines (min 1).
 	Workers int
-	// MemBudgetBytes caps the summed simulated footprint of in-flight
-	// tasks (0 means DefaultMemBudgetBytes; see sched.Options).
+	// MemBudgetBytes caps the summed admission charges of in-flight tasks:
+	// simulated footprints corrected by observed heap (0.25–4×; 0 means
+	// DefaultMemBudgetBytes; see sched.Options).
 	MemBudgetBytes uint64
 	// Cache, when non-nil, is consulted before each task (hits skip it
 	// entirely) and updated with every newly executed one.

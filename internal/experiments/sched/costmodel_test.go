@@ -42,3 +42,23 @@ func TestCostModelBlend(t *testing.T) {
 		t.Errorf("zero-estimate observation moved the factor to %d", got)
 	}
 }
+
+// TestCostModelFloor pins the 250‰ floor: however far the observed heap
+// falls below the estimates, the factor settles at exactly 0.25x and no
+// lower, so a budget admits at most four times its size in estimates.
+func TestCostModelFloor(t *testing.T) {
+	m := sched.NewCostModel()
+	for i := 0; i < 64; i++ {
+		m.Observe(7<<30, sched.MemSample{HeapInuseBytes: 1 << 30 / 16})
+	}
+	if got := m.FactorPerMille(); got != 250 {
+		t.Fatalf("factor after 64 tiny samples: %d, want 250", got)
+	}
+	m.Observe(7<<30, sched.MemSample{})
+	if got := m.FactorPerMille(); got != 250 {
+		t.Errorf("an empty heap sample moved the factor below the floor: %d", got)
+	}
+	if got := m.Corrected(16 << 30); got != 4<<30 {
+		t.Errorf("Corrected(16 GiB) at the floor = %d, want 4 GiB", got)
+	}
+}

@@ -37,8 +37,11 @@ type Task[K any] struct {
 type Options struct {
 	// Workers is the number of worker goroutines (values < 1 mean 1).
 	Workers int
-	// BudgetBytes caps the summed CostBytes of in-flight tasks
-	// (0 means unbounded).
+	// BudgetBytes caps the summed charges of in-flight tasks (0 means
+	// unbounded). A task's charge is its CostBytes, or, with a CostModel,
+	// its CostBytes corrected by observed heap (0.25–4×): the budget then
+	// bounds corrected charges, not the summed CostBytes, which may reach
+	// four times it.
 	BudgetBytes uint64
 	// ObserveMem, when non-nil, receives a host-memory sample for each
 	// task after it completes, keyed by the task's input index. Samples
@@ -47,8 +50,11 @@ type Options struct {
 	ObserveMem func(taskIndex int, s MemSample)
 	// CostModel, when non-nil, corrects each task's CostBytes with the
 	// host-memory samples of already-completed tasks before charging it
-	// against BudgetBytes, and is fed every completed task's sample. It
-	// affects only admission timing, never results or their order.
+	// against BudgetBytes, and is fed every completed task's sample. The
+	// correction is clamped to 0.25–4×, so a host heap far below the
+	// estimates (a full-scale sweep's) admits up to 4× BudgetBytes of
+	// CostBytes. It affects only admission timing, never results or their
+	// order.
 	CostModel *CostModel
 }
 

@@ -49,26 +49,29 @@ func (l Linear) MaxAbsErr() float64 {
 	return b
 }
 
-// Fit performs least-squares regression of positions onto keys. Keys must
-// be sorted ascending (they are VPNs from a sorted address space). The keys
-// are centered on keys[0] internally for numerical stability; the returned
-// intercept is already re-expressed in absolute key coordinates.
-func Fit(keys []uint64, positions []float64) Linear {
+// FitRanks fits sorted keys to their ranks 0..n−1 by least squares, the
+// CDF approximation every LVM node learns (output range scaling is applied
+// by the caller). Keys must be sorted ascending (they are VPNs from a sorted
+// address space). The keys are centered on keys[0] internally for numerical
+// stability; the returned intercept is already re-expressed in absolute key
+// coordinates. It allocates nothing.
+func FitRanks(keys []uint64) Linear { return fit(keys, nil) }
+
+// fit regresses positions onto keys; nil positions stand for the ranks
+// 0..n−1 without materializing them.
+func fit(keys []uint64, positions []float64) Linear {
 	n := len(keys)
-	if n != len(positions) {
-		panic("model: keys and positions length mismatch")
-	}
 	if n == 0 {
 		return Linear{}
 	}
 	if n == 1 {
-		return Linear{Slope: 0, Intercept: positions[0]}
+		return Linear{Slope: 0, Intercept: position(positions, 0)}
 	}
 	base := float64(keys[0])
 	var sx, sy, sxx, sxy float64
 	for i, k := range keys {
 		x := float64(k) - base
-		y := positions[i]
+		y := position(positions, i)
 		sx += x
 		sy += y
 		sxx += x * x
@@ -86,31 +89,25 @@ func Fit(keys []uint64, positions []float64) Linear {
 		Intercept: interceptCentered - slope*base,
 	}
 	// Residual bounds.
-	l.MinErr, l.MaxErr = residualBounds(l, keys, positions)
+	for i, k := range keys {
+		r := position(positions, i) - l.Predict(float64(k))
+		if r < l.MinErr {
+			l.MinErr = r
+		}
+		if r > l.MaxErr {
+			l.MaxErr = r
+		}
+	}
 	return l
 }
 
-// FitRanks fits sorted keys to their ranks 0..n−1, the CDF approximation
-// every LVM node learns (output range scaling is applied by the caller).
-func FitRanks(keys []uint64) Linear {
-	positions := make([]float64, len(keys))
-	for i := range positions {
-		positions[i] = float64(i)
+// position is key i's regression target: positions[i], or the rank i when
+// positions is nil.
+func position(positions []float64, i int) float64 {
+	if positions == nil {
+		return float64(i)
 	}
-	return Fit(keys, positions)
-}
-
-func residualBounds(l Linear, keys []uint64, positions []float64) (minErr, maxErr float64) {
-	for i, k := range keys {
-		r := positions[i] - l.Predict(float64(k))
-		if r < minErr {
-			minErr = r
-		}
-		if r > maxErr {
-			maxErr = r
-		}
-	}
-	return minErr, maxErr
+	return positions[i]
 }
 
 // SplinePoints counts the number of spline points needed to approximate the

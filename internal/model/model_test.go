@@ -74,6 +74,29 @@ func TestFitDegenerate(t *testing.T) {
 	}
 }
 
+// TestFitRanksMatchesFit: fitting ranks without materializing them gives
+// the bit-identical model Fit gives over explicit rank positions.
+func TestFitRanksMatchesFit(t *testing.T) {
+	f := func(raw []uint16, base uint32) bool {
+		keys := make([]uint64, len(raw))
+		ranks := make([]float64, len(raw))
+		k := uint64(base)
+		for i, r := range raw {
+			k += uint64(r) + 1
+			keys[i] = k
+			ranks[i] = float64(i)
+		}
+		a, b := FitRanks(keys), Fit(keys, ranks)
+		return math.Float64bits(a.Slope) == math.Float64bits(b.Slope) &&
+			math.Float64bits(a.Intercept) == math.Float64bits(b.Intercept) &&
+			math.Float64bits(a.MinErr) == math.Float64bits(b.MinErr) &&
+			math.Float64bits(a.MaxErr) == math.Float64bits(b.MaxErr)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestFitMismatchedLengthsPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -74,7 +74,7 @@ func checkGuard(t *testing.T, sys *System, p *Process, probes []addr.VPN, state 
 			after = ix.Stats()
 		}
 		sw, swOK := sys.SoftwareLookup(p.ASID, v)
-		_, _, rec := p.frameAt(v)
+		_, _, _, rec := p.frameAt(v)
 		if swOK != rawOK || sw != raw || rec != rawOK {
 			t.Fatalf("%s: VPN %#x: software %v/%t, table %v/%t, frame record %t",
 				state, uint64(v), sw, swOK, raw, rawOK, rec)
@@ -94,8 +94,8 @@ func checkGuard(t *testing.T, sys *System, p *Process, probes []addr.VPN, state 
 
 // TestSoftwareLookupGuard checks, for every scheme × 4K/THP, that the fault
 // guard gives exactly the table's answer straight after launch (only the
-// launch record live), after a 4 KB MapPage (the VPN → frame map live),
-// after a 1 GB MapPage, after unmapping the 2 MB-boundary 4 KB page, a huge
+// launch record live), after a 4 KB MapPage (the first grown page), after
+// a 1 GB MapPage, after unmapping the 2 MB-boundary 4 KB page, a huge
 // page's interior and the 1 GB page, and after Kill.
 func TestSoftwareLookupGuard(t *testing.T) {
 	for _, scheme := range AllSchemes() {
@@ -109,10 +109,10 @@ func TestSoftwareLookupGuard(t *testing.T) {
 				}
 				probes := guardProbes(space)
 				checkGuard(t, sys, p, probes, "launched")
-				// The guard reads launch's record in place: the VPN → frame
-				// map is for mutations only.
-				if p.dataPages != nil {
-					t.Fatal("lookups built the VPN → frame map")
+				// The guard reads launch's record in place: lookups neither
+				// zero a launched entry nor grow the map of later pages.
+				if p.unmapped != 0 || p.grown != nil {
+					t.Fatalf("lookups changed the frame record: %d unmapped, %d grown", p.unmapped, len(p.grown))
 				}
 				if err := sys.MapPage(1, guardGrow, addr.Page4K); err != nil {
 					t.Fatal(err)

@@ -10,7 +10,7 @@ package oskernel
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"lvm/internal/addr"
 	"lvm/internal/core"
@@ -74,15 +74,17 @@ type Process struct {
 	// MgmtCycles accumulates the software cost of page-table management.
 	MgmtCycles uint64
 	// launched is launch's VPN-sorted mapping record: each entry's PPN and
-	// size name the data frame behind it. It is all a process that is only
-	// translated or looked up ever needs (frameAt searches it in place), so
-	// dataPages is built from it the first time MapPage, UnmapPage or Kill
-	// needs frames by VPN, and then it is dropped: at most one of the two
-	// is non-empty.
+	// size name the data frame behind it. Unmapping a launched page clears
+	// its present bit in place and keeps its size, so the record stays
+	// sorted for frameAt's search, nothing is copied when a process first
+	// changes, and a page mapped again at its launch VPN and size takes its
+	// slot back.
 	launched []core.Mapping
-	// dataPages maps each page's base VPN → its frame (for freeing); nil
-	// until pages() builds it.
-	dataPages map[addr.VPN]dataPage
+	// unmapped counts launched's entries whose present bit is clear.
+	unmapped int
+	// grown maps the base VPN of every other page mapped after launch to
+	// its frame; nil until the first such page.
+	grown map[addr.VPN]dataPage
 }
 
 // LVMIndex returns the process's learned index (nil for other schemes).
@@ -108,19 +110,6 @@ func frameOrder(size addr.PageSize) int {
 		return phys.MaxOrder
 	}
 	return 0
-}
-
-// pages returns the VPN → frame map, building it from the launch record on
-// first use.
-func (p *Process) pages() map[addr.VPN]dataPage {
-	if p.dataPages == nil {
-		p.dataPages = make(map[addr.VPN]dataPage, len(p.launched))
-		for _, m := range p.launched {
-			p.dataPages[m.VPN] = dataPage{m.Entry.PPN(), frameOrder(m.Entry.Size())}
-		}
-		p.launched = nil
-	}
-	return p.dataPages
 }
 
 // HWConfig sizes the per-scheme walk caches. The zero value means
@@ -259,11 +248,10 @@ func (s *System) MapPage(asid uint16, v addr.VPN, size addr.PageSize) error {
 	if p == nil {
 		return fmt.Errorf("oskernel: no process %d", asid)
 	}
-	pages := p.pages()
 	if !addr.Aligned(v, size) {
 		return fmt.Errorf("oskernel: map of %#x is not %s-aligned", uint64(v), size)
 	}
-	if base, _, mapped := p.frameAt(v); mapped {
+	if base, _, _, mapped := p.frameAt(v); mapped {
 		return fmt.Errorf("oskernel: map of %#x: frame at %#x already mapped", uint64(v), uint64(base))
 	}
 	order := frameOrder(size)
@@ -271,13 +259,23 @@ func (s *System) MapPage(asid uint16, v addr.VPN, size addr.PageSize) error {
 	if err != nil {
 		return err
 	}
-	pages[v] = dataPage{base, order}
 	if err := p.pt.Map(v, pte.New(base, size)); err != nil {
 		// The table refused the page: give its frame back.
-		delete(pages, v)
 		s.Mem.Free(base, order)
 		return err
 	}
+	// Nothing covers v, so a launched entry at v is an unmapped one. It
+	// takes the page back only at its own size, which keeps the launched
+	// pages disjoint for frameAt's search.
+	if at := p.launchedAt(v); at >= 0 && p.launched[at].VPN == v && p.launched[at].Entry.Size() == size {
+		p.launched[at].Entry = pte.New(base, size)
+		p.unmapped--
+		return nil
+	}
+	if p.grown == nil {
+		p.grown = make(map[addr.VPN]dataPage)
+	}
+	p.grown[v] = dataPage{base, order}
 	return nil
 }
 
@@ -288,40 +286,59 @@ func (s *System) UnmapPage(asid uint16, v addr.VPN) bool {
 	if p == nil {
 		return false
 	}
-	// The record must be the map before the frame is freed: freeing from
-	// the launch record would leave it there for Kill to free again.
-	p.pages()
 	if !p.pt.Unmap(v) {
 		return false
 	}
-	if base, dp, have := p.frameAt(v); have {
+	if base, dp, at, have := p.frameAt(v); have {
 		s.Mem.Free(dp.base, dp.order)
-		delete(p.dataPages, base)
+		if at < 0 {
+			delete(p.grown, base)
+		} else {
+			p.launched[at].Entry &^= pte.FlagPresent
+			p.unmapped++
+		}
 	}
 	return true
 }
 
-// frameAt finds the frame record of the page that covers v without
-// building the VPN → frame map: while only the launch record is live, the
-// last launched page at or below v, if it extends over v; once the map
-// exists, v's own 4 KB record, or the record at its 2 MB or 1 GB base if
-// that record is a frame of that size.
-func (p *Process) frameAt(v addr.VPN) (addr.VPN, dataPage, bool) {
-	if p.dataPages == nil {
-		ms := p.launched
-		i := sort.Search(len(ms), func(i int) bool { return ms[i].VPN > v }) - 1
-		if i >= 0 && v-ms[i].VPN < addr.VPN(ms[i].Entry.Size().BaseVPNs()) {
-			return ms[i].VPN, dataPage{ms[i].Entry.PPN(), frameOrder(ms[i].Entry.Size())}, true
-		}
-		return 0, dataPage{}, false
+// frameAt finds the frame record of the page that covers v: v's own 4 KB
+// record, or the record at its 2 MB or 1 GB base if that record is a frame
+// of that size, looking in both the launch record and the grown map. at
+// is the record's index in launched, or -1 for a grown page. Launched
+// pages are aligned and disjoint, so the one launched page that can cover
+// v is the last at or below it.
+func (p *Process) frameAt(v addr.VPN) (base addr.VPN, dp dataPage, at int, ok bool) {
+	ms := p.launched
+	at = p.launchedAt(v)
+	if at >= 0 && (!ms[at].Entry.Present() || v-ms[at].VPN >= addr.VPN(ms[at].Entry.Size().BaseVPNs())) {
+		at = -1
 	}
 	for _, size := range [...]addr.PageSize{addr.Page4K, addr.Page2M, addr.Page1G} {
+		if at >= 0 && ms[at].Entry.Size() == size {
+			return ms[at].VPN, dataPage{ms[at].Entry.PPN(), frameOrder(size)}, at, true
+		}
 		base := addr.AlignDown(v, size)
-		if dp, ok := p.dataPages[base]; ok && dp.order == frameOrder(size) {
-			return base, dp, true
+		if dp, ok := p.grown[base]; ok && dp.order == frameOrder(size) {
+			return base, dp, -1, true
 		}
 	}
-	return 0, dataPage{}, false
+	return 0, dataPage{}, -1, false
+}
+
+// launchedAt returns the index of the last launched entry at or below v,
+// or -1.
+func (p *Process) launchedAt(v addr.VPN) int {
+	ms := p.launched
+	lo, hi := 0, len(ms)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ms[mid].VPN <= v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo - 1
 }
 
 // ProtectableFlags are the entry bits Protect may change: permission and
@@ -370,18 +387,29 @@ func (s *System) Kill(asid uint16) error {
 	}
 	p.pt.Release()
 	s.walker.Detach(asid)
-	// Free in VPN order: releasing in map-iteration order would scramble
-	// the buddy allocator's free lists run to run, making every later
-	// allocation — and therefore every later result — nondeterministic.
-	pages := p.pages()
-	vpns := make([]addr.VPN, 0, len(pages))
-	for v := range pages {
-		vpns = append(vpns, v)
+	// Free in VPN order, merging the launch record with the sorted grown
+	// pages: never in map-iteration order, which would make the buddy
+	// allocator's split/merge history differ run to run.
+	grown := make([]addr.VPN, 0, len(p.grown))
+	for v := range p.grown {
+		grown = append(grown, v)
 	}
-	sort.Slice(vpns, func(i, j int) bool { return vpns[i] < vpns[j] })
-	for _, v := range vpns {
-		dp := pages[v]
+	slices.Sort(grown)
+	freeGrown := func(v addr.VPN) {
+		dp := p.grown[v]
 		s.Mem.Free(dp.base, dp.order)
+	}
+	for _, m := range p.launched {
+		if !m.Entry.Present() {
+			continue
+		}
+		for ; len(grown) > 0 && grown[0] < m.VPN; grown = grown[1:] {
+			freeGrown(grown[0])
+		}
+		s.Mem.Free(m.Entry.PPN(), frameOrder(m.Entry.Size()))
+	}
+	for _, v := range grown {
+		freeGrown(v)
 	}
 	delete(s.procs, asid)
 	return nil
@@ -397,7 +425,7 @@ func (s *System) SoftwareLookup(asid uint16, v addr.VPN) (pte.Entry, bool) {
 	if p == nil {
 		return 0, false
 	}
-	if _, _, mapped := p.frameAt(v); !mapped {
+	if _, _, _, mapped := p.frameAt(v); !mapped {
 		return 0, false
 	}
 	return p.pt.Lookup(v)
@@ -415,8 +443,8 @@ func (s *System) TableOverheadBytes(asid uint16) uint64 {
 		return 0
 	}
 	used := ts.TableBytes()
-	// One data page per entry of whichever frame record is live.
-	minimum := uint64(len(p.launched)+len(p.dataPages)) * pte.Bytes
+	// One 8-byte entry per live page.
+	minimum := uint64(len(p.launched)-p.unmapped+len(p.grown)) * pte.Bytes
 	if used < minimum {
 		return 0
 	}

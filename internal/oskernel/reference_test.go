@@ -227,7 +227,7 @@ func (st *refStream) do(step int, asid uint16, v addr.VPN, op refOp, c choices) 
 			t.Fatalf("step %d: map %#x covered=%t: %v", step, uint64(v), covered, err)
 		}
 		if err == nil {
-			dp := sys.procs[asid].dataPages[v]
+			_, dp, _, _ := sys.procs[asid].frameAt(v)
 			rp.ref.Map(v, pte.New(dp.base, addr.Page4K))
 		}
 	case opUnmap:
@@ -256,7 +256,7 @@ func (st *refStream) do(step int, asid uint16, v addr.VPN, op refOp, c choices) 
 		if err := sys.MapPage(asid, v, size); err != nil {
 			t.Fatalf("step %d: grow %#x: %v", step, uint64(v), err)
 		}
-		dp := sys.procs[asid].dataPages[v]
+		_, dp, _, _ := sys.procs[asid].frameAt(v)
 		rp.ref.Map(v, pte.New(dp.base, size))
 		v += addr.VPN(c.Int63n(int64(size.BaseVPNs())))
 	}
