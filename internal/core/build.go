@@ -22,11 +22,9 @@ var errErrBound = errors.New("core: leaf error bound violated")
 type builder struct {
 	ix *Index
 	p  Params
-	// totalPages is the whole index's mapped base-page count.
-	totalPages uint64
 
-	// Scratch every trial reuses: a trial's predicted slots and its
-	// simulated placement.
+	// Scratch every fit and trial reuses: the keys' predicted slots and a
+	// trial's simulated placement.
 	preds    []int
 	occupied []bool
 }
@@ -40,12 +38,12 @@ type builder struct {
 // until the bound holds, widening is impossible, or attempts run out.
 func (b *builder) buildNode(ms []Mapping, keys []uint64, lo, hi uint64, depth int) (*node, error) {
 	if len(ms) == 0 {
-		return b.makeEmptyLeaf(lo, hi)
+		return makeEmptyLeaf(lo, hi), nil
 	}
 	if depth >= b.p.DLimit {
 		// Depth limit reached: the node must be a leaf regardless of the
 		// cost model (the d_limit constraint of §4.2.3).
-		return b.makeLeaf(ms, keys, lo, hi, true)
+		return b.makeLeaf(ms, b.fitLeaf(keys), lo, hi, true)
 	}
 
 	s := b.newFanoutSearch(keys, lo, hi, depth)
@@ -58,8 +56,8 @@ func (b *builder) buildNode(ms []Mapping, keys []uint64, lo, hi uint64, depth in
 			// Skip the (expensive) table build when the trial placement
 			// or the regression residual already shows the error bound
 			// cannot hold.
-			if s.leaf.maxDisp <= b.p.ErrSlotBudget && s.leaf.residual <= b.p.ResidualSlotBudget {
-				n, err := b.makeLeaf(ms, keys, lo, hi, false)
+			if s.leaf.maxDisp <= b.p.ErrSlotBudget && s.leaf.fit.residual <= b.p.ResidualSlotBudget {
+				n, err := b.makeLeaf(ms, s.leaf.fit, lo, hi, false)
 				if err == nil {
 					return n, nil
 				}
@@ -82,7 +80,7 @@ func (b *builder) buildNode(ms []Mapping, keys []uint64, lo, hi uint64, depth in
 			if best != nil {
 				releaseSubtree(best)
 			}
-			return b.makeLeaf(ms, keys, lo, hi, true)
+			return b.makeLeaf(ms, s.leaf.fit, lo, hi, true)
 		}
 		if err != nil {
 			if best != nil {
@@ -114,7 +112,7 @@ func (b *builder) buildNode(ms []Mapping, keys []uint64, lo, hi uint64, depth in
 	if best != nil {
 		return best, nil
 	}
-	return b.makeLeaf(ms, keys, lo, hi, true)
+	return b.makeLeaf(ms, s.leaf.fit, lo, hi, true)
 }
 
 func max2(a, b int) int {
@@ -208,13 +206,24 @@ type fanoutSearch struct {
 	splits []splitTrial
 }
 
-// leafTrial is what a trial placement of keys into one leaf shows: the
-// collision rate cr, the mean extra memory accesses per collision ma (the
-// cost-model inputs of §4.2.3), the largest displacement between prediction
-// and placement, and the scaled worst-case regression residual in slots.
+// leafFit is one leaf model trained over sorted keys (§4.3.2): the rank
+// fit's scaled worst-case residual in slots, its GAScale'd slope and
+// intercept quantized to Q44.20, and the smallest and largest slot it
+// predicts for the keys.
+type leafFit struct {
+	residual         int
+	slope, intercept fixed.Q
+	minP, maxP       int64
+}
+
+// leafTrial is what a trial placement of keys into one leaf shows: the fit,
+// the collision rate cr, the mean extra memory accesses per collision ma
+// (the cost-model inputs of §4.2.3), and the largest displacement between
+// prediction and placement.
 type leafTrial struct {
-	cr, ma            float64
-	maxDisp, residual int
+	fit     leafFit
+	cr, ma  float64
+	maxDisp int
 }
 
 // splitTrial holds the x3-independent terms of C(n) for n even children:
@@ -345,7 +354,7 @@ func (s *fanoutSearch) split(n int) splitTrial {
 		lt := b.trial(part)
 		crma += lt.cr * lt.ma * float64(len(part))
 		if s.depth+1 < b.p.DLimit &&
-			(lt.maxDisp > b.p.ErrSlotBudget || lt.residual > b.p.ResidualSlotBudget) {
+			(lt.maxDisp > b.p.ErrSlotBudget || lt.fit.residual > b.p.ResidualSlotBudget) {
 			// This child will split again: one more level, and its own
 			// children join the index.
 			t.d = 3
@@ -357,31 +366,42 @@ func (s *fanoutSearch) split(n int) splitTrial {
 	return t
 }
 
-// trial fits one leaf model over the sorted keys and simulates
-// nearest-free-slot placement of its quantized predictions into a gapped
-// array.
-func (b *builder) trial(keys []uint64) leafTrial {
+// fitLeaf fits one leaf model over the sorted keys, leaving each key's
+// predicted slot in b.preds[:len(keys)].
+func (b *builder) fitLeaf(keys []uint64) leafFit {
 	l := model.FitRanks(keys)
-	t := leafTrial{residual: int(l.MaxAbsErr() * b.p.GAScale)}
-	// Predicted slots under the quantized, GAScale-scaled model, shifted
-	// so the minimum is 0: the same arithmetic the walk uses.
+	f := leafFit{residual: int(l.MaxAbsErr() * b.p.GAScale), minP: math.MaxInt64, maxP: math.MinInt64}
+	// Predicted slots under the quantized, GAScale-scaled model: the same
+	// arithmetic the walk uses.
 	l.Slope *= b.p.GAScale
 	l.Intercept *= b.p.GAScale
-	slope, intercept := l.Quantize()
+	f.slope, f.intercept = l.Quantize()
 	if cap(b.preds) < len(keys) {
 		b.preds = make([]int, len(keys))
 	}
 	preds := b.preds[:len(keys)]
-	minP := int64(math.MaxInt64)
 	for i, k := range keys {
-		p := fixed.MulAdd(slope, fixed.FromInt(int64(k)), intercept).Floor()
+		p := fixed.MulAdd(f.slope, fixed.FromInt(int64(k)), f.intercept).Floor()
 		preds[i] = int(p)
-		if p < minP {
-			minP = p
+		if p < f.minP {
+			f.minP = p
+		}
+		if p > f.maxP {
+			f.maxP = p
 		}
 	}
+	return f
+}
+
+// trial fits one leaf model over the sorted keys and simulates
+// nearest-free-slot placement of its quantized predictions into a gapped
+// array.
+func (b *builder) trial(keys []uint64) leafTrial {
+	t := leafTrial{fit: b.fitLeaf(keys)}
+	// Shift the predictions so the minimum is slot 0.
+	preds := b.preds[:len(keys)]
 	for i := range preds {
-		preds[i] -= int(minP)
+		preds[i] -= int(t.fit.minP)
 	}
 	size := preds[len(preds)-1] + b.p.InsertReach + 1
 	if occ := int(float64(len(keys))*b.p.GAScale) + 1; size < occ {
@@ -562,65 +582,40 @@ func (b *builder) makeInternal(ms []Mapping, keys []uint64, lo, hi uint64, n int
 	return nd, nil
 }
 
-// makeLeaf trains a leaf node over ms: least-squares over (VPN, rank),
-// scaled by ga_scale, quantized, backed by a freshly allocated gapped page
-// table with the entries inserted at their predicted positions (§4.3.2).
+// makeLeaf builds a leaf node over ms from fit, the leaf model trained over
+// their VPNs (§4.3.2), backed by a freshly allocated gapped page table with
+// the entries inserted at their predicted positions. Every leaf uses the
+// rank model: a positional model (slot = ga_scale x (VPN - lo), see
+// makePositionalLeaf) predicts every key exactly, but its sparse tables are
+// cache-hostile at scaled cache sizes.
 //
 // If relaxed is false, the leaf reports errErrBound when any key's actual
 // slot is farther than ErrSlotBudget from its prediction.
-func (b *builder) makeLeaf(ms []Mapping, keys []uint64, lo, hi uint64, relaxed bool) (*node, error) {
-	// Relaxed leaves over small spans use a positional model instead of a
-	// rank model: slot = ga_scale x (VPN - lo). Predictions are then exact
-	// for every key regardless of how 4 KB and 2 MB densities mix (the
-	// mixed-density boundary case), trading bounded table slack for
-	// single-access lookups. Large sparse spans keep the rank model (a
-	// positional table there would waste real memory).
-	// (A positional-model variant for relaxed leaves lives in
-	// makePositionalLeaf, exercised by TestPositionalLeafExactPredictions;
-	// it trades table slack for exact predictions but
-	// its sparse tables are cache-hostile at scaled cache sizes, so the
-	// rank model below is used for all leaves.)
-	l := model.FitRanks(keys)
-	residual := int(l.MaxAbsErr() * b.p.GAScale)
-	if !relaxed && residual > b.p.ResidualSlotBudget {
+func (b *builder) makeLeaf(ms []Mapping, fit leafFit, lo, hi uint64, relaxed bool) (*node, error) {
+	if !relaxed && fit.residual > b.p.ResidualSlotBudget {
 		// The error bound enforced during regression (§4.3.3): the parent
 		// must subdivide.
 		return nil, errErrBound
 	}
-	l.Slope *= b.p.GAScale
-	l.Intercept *= b.p.GAScale
-	slope, intercept := l.Quantize()
-
-	nd := &node{slope: slope, intercept: intercept, loKey: lo, hiKey: hi, leaf: true, residual: residual}
-
 	// Shift the intercept so the smallest prediction is slot 0, then size
 	// the table to cover the largest prediction plus search margin.
-	minP, maxP := int64(math.MaxInt64), int64(math.MinInt64)
-	for _, k := range keys {
-		p := fixed.MulAdd(slope, fixed.FromInt(int64(k)), intercept).Floor()
-		if p < minP {
-			minP = p
-		}
-		if p > maxP {
-			maxP = p
-		}
-	}
-	nd.intercept = nd.intercept.Add(fixed.FromInt(-minP))
-	needSlots := int(maxP-minP) + b.p.InsertReach + pte.ClusterSlots + 1
+	nd := &node{slope: fit.slope, intercept: fit.intercept.Add(fixed.FromInt(-fit.minP)),
+		loKey: lo, hiKey: hi, leaf: true, residual: fit.residual}
+	needSlots := int(fit.maxP-fit.minP) + b.p.InsertReach + pte.ClusterSlots + 1
 	// Guarantee enough total room for every key even when quantization
 	// flattens predictions (pathological spaces): at least ga_scale × keys.
 	if occ := int(float64(len(ms))*b.p.GAScale) + pte.ClusterSlots + 1; needSlots < occ {
 		needSlots = occ
 	}
 
-	table, err := gapped.New(b.ix.mem, needSlots, b.availOrder())
+	table, err := gapped.New(b.ix.mem, needSlots, b.ix.availOrder())
 	if err != nil {
 		return nil, err
 	}
 	for table.Slots() < needSlots {
 		// Contiguity-limited: chain extents so the logical table still
 		// covers the prediction range.
-		if err := table.Expand(needSlots-table.Slots(), b.availOrder()); err != nil {
+		if err := table.Expand(needSlots-table.Slots(), b.ix.availOrder()); err != nil {
 			table.Release()
 			return nil, err
 		}
@@ -670,17 +665,8 @@ func (b *builder) makeLeaf(ms []Mapping, keys []uint64, lo, hi uint64, relaxed b
 // makeEmptyLeaf builds a leaf with no keys (an empty child range). It has
 // no table; walks through it miss, and a first insert creates the table by
 // retraining the leaf.
-func (b *builder) makeEmptyLeaf(lo, hi uint64) (*node, error) {
-	return &node{loKey: lo, hiKey: hi, leaf: true}, nil
-}
-
-// availOrder returns the current physical contiguity limit for table
-// allocations.
-func (b *builder) availOrder() int {
-	if o := b.ix.mem.MaxFreeOrder(); o >= 0 {
-		return o
-	}
-	return 0
+func makeEmptyLeaf(lo, hi uint64) *node {
+	return &node{loKey: lo, hiKey: hi, leaf: true}
 }
 
 func abs(x int) int {

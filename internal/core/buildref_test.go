@@ -272,7 +272,7 @@ func FuzzChooseFanout(f *testing.F) {
 			}
 		}
 		if cr, ma, disp := b.trialLeaf(ms); s.leaf.cr != cr || s.leaf.ma != ma || s.leaf.maxDisp != disp ||
-			s.leaf.residual != b.residualOf(ms) {
+			s.leaf.fit.residual != b.residualOf(ms) {
 			t.Fatalf("leaf trial %+v, reference cr %v ma %v disp %d residual %d", s.leaf, cr, ma, disp, b.residualOf(ms))
 		}
 		for _, st := range s.splits {

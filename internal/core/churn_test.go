@@ -16,7 +16,10 @@ import (
 // the key range (which force rebuilds). After every step the depth must
 // stay within DLimit, every live key must translate to its entry, every
 // freed key must miss, and every walk that did not overflow must fetch at
-// most 1 + 2·C_err PTE clusters.
+// most 1 + 2·C_err PTE clusters. At the end, the index's digest, its
+// maintenance statistics and the overflowed-walk count must equal the pinned
+// values: no golden test reaches retrains, lazy training, edge expansion,
+// rescaling or in-place remaps otherwise.
 func TestChurnKeepsErrorBound(t *testing.T) {
 	p := DefaultParams()
 	rng := rand.New(rand.NewSource(11))
@@ -110,5 +113,20 @@ func TestChurnKeepsErrorBound(t *testing.T) {
 		st.Retrains, st.Rebuilds, st.EdgeExpansions, st.Rescales, len(live), ix.Depth(), overflowed, walks)
 	if st.Retrains == 0 || st.Rebuilds == 0 {
 		t.Fatalf("the sequence forced %d retrains and %d rebuilds; it must force both", st.Retrains, st.Rebuilds)
+	}
+	// The whole run is deterministic, so what it found is pinned: the
+	// final index, every maintenance count, and how many live-key walks
+	// needed the §4.3.3 overflow search. The overflow count is a ratchet:
+	// a change that tightens the error bound lowers it here.
+	want := IndexStats{Retrains: 70, Rebuilds: 6, InsertCollisions: 1386, Inserts: 2008, EdgeExpansions: 10,
+		Rescales: 8, LazyTrains: 26, SearchOverflows: 470939, PeakIndexBytes: 9360}
+	if st != want {
+		t.Errorf("stats %+v, want %+v", st, want)
+	}
+	if overflowed != 470939 || walks != 2438903 {
+		t.Errorf("%d of %d live-key walks overflowed, want 470939 of 2438903", overflowed, walks)
+	}
+	if got := IndexDigest(ix); got != 0xd255441475e11e70 {
+		t.Errorf("IndexDigest %#x, want 0xd255441475e11e70", got)
 	}
 }

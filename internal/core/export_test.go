@@ -6,10 +6,11 @@ import (
 )
 
 // IndexDigest is FNV-64a over everything a build decides: the key range and
-// mapped count, then every node in level order (level, offset, node PA,
-// quantized slope and intercept, key range, leaf flag, child count,
-// displacement and residual) and, for a leaf with a table, its slot count,
-// used count and extent count followed by every slot's tag, entry and PA.
+// live translation count (MappedPages), then every node in level order
+// (level, offset, node PA, quantized slope and intercept, key range, leaf
+// flag, child count, displacement and residual) and, for a leaf with a
+// table, its slot count, used count and extent count followed by every
+// slot's tag, entry and PA.
 func IndexDigest(ix *Index) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
@@ -19,7 +20,7 @@ func IndexDigest(ix *Index) uint64 {
 	}
 	put(ix.loKey)
 	put(ix.hiKey)
-	put(uint64(ix.mapped))
+	put(uint64(ix.MappedPages()))
 	for _, level := range ix.levels {
 		for _, n := range level {
 			put(uint64(n.level))

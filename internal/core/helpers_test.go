@@ -26,12 +26,12 @@ func (b *builder) makePositionalLeaf(ms []Mapping, lo, hi uint64) (*node, error)
 	nd := &node{slope: slope, intercept: intercept, loKey: lo, hiKey: hi, leaf: true}
 	span := hi - lo + 1
 	needSlots := int(slope.MulInt(int64(span))) + pte.ClusterSlots + 1
-	table, err := gapped.New(b.ix.mem, needSlots, b.availOrder())
+	table, err := gapped.New(b.ix.mem, needSlots, b.ix.availOrder())
 	if err != nil {
 		return nil, err
 	}
 	for table.Slots() < needSlots {
-		if err := table.Expand(needSlots-table.Slots(), b.availOrder()); err != nil {
+		if err := table.Expand(needSlots-table.Slots(), b.ix.availOrder()); err != nil {
 			table.Release()
 			return nil, err
 		}

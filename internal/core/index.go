@@ -59,6 +59,32 @@ func (n *node) predict(v addr.VPN) int64 {
 	return fixed.MulAdd(n.slope, fixed.FromInt(int64(v)), n.intercept).Floor()
 }
 
+// child is one step of the descent: the child an internal node's model
+// routes v to, clamped to the node's children.
+func (n *node) child(v addr.VPN) *node {
+	idx := int(n.predict(v)) - n.children[0].offset
+	if idx < 0 {
+		idx = 0
+	}
+	if idx >= len(n.children) {
+		idx = len(n.children) - 1
+	}
+	return n.children[idx]
+}
+
+// appendLive appends the live translations in a leaf's table to ms.
+func (n *node) appendLive(ms []Mapping) []Mapping {
+	if n.table == nil {
+		return ms
+	}
+	for i := 0; i < n.table.Slots(); i++ {
+		if s := n.table.Get(i); s.Valid() {
+			ms = append(ms, Mapping{VPN: s.Tag, Entry: s.Entry})
+		}
+	}
+	return ms
+}
+
 // Index is a per-process LVM learned index.
 type Index struct {
 	mem    *phys.Memory
@@ -74,7 +100,6 @@ type Index struct {
 
 	// Key range currently covered.
 	loKey, hiKey uint64
-	mapped       int
 
 	// Reusable walk scratch: Walk's returned Nodes/PTEPAs slices view
 	// walkNodes/walkPTEPAs and stay valid until the next Walk; walkSeen
@@ -149,11 +174,7 @@ func normalize(mappings []Mapping) []Mapping {
 // construct builds the tree, assigns per-level offsets, and allocates the
 // physical node arrays. Called by Build and by full rebuilds.
 func (ix *Index) construct(sorted []Mapping) error {
-	var totalPages uint64
-	for _, m := range sorted {
-		totalPages += m.Entry.Size().BaseVPNs()
-	}
-	b := &builder{ix: ix, p: ix.params, totalPages: totalPages}
+	b := &builder{ix: ix, p: ix.params}
 	root, err := b.buildNode(sorted, vpnsOf(sorted), uint64(sorted[0].VPN), uint64(sorted[len(sorted)-1].VPN), 1)
 	if err != nil {
 		return err
@@ -161,7 +182,6 @@ func (ix *Index) construct(sorted []Mapping) error {
 	ix.root = root
 	ix.loKey = uint64(sorted[0].VPN)
 	ix.hiKey = uint64(sorted[len(sorted)-1].VPN)
-	ix.mapped = len(sorted)
 	ix.assignOffsets()
 	if err := ix.allocLevelStorage(); err != nil {
 		return err
@@ -304,7 +324,6 @@ func (ix *Index) Release() {
 	ix.levelBase = nil
 	ix.levelOrder = nil
 	ix.root = nil
-	ix.mapped = 0
 }
 
 // collectMappings gathers every live translation from the leaf tables, in
@@ -314,14 +333,7 @@ func (ix *Index) collectMappings() []Mapping {
 	var visit func(n *node)
 	visit = func(n *node) {
 		if n.isLeaf() {
-			if n.table == nil {
-				return
-			}
-			for i := 0; i < n.table.Slots(); i++ {
-				if s := n.table.Get(i); s.Valid() {
-					out = append(out, Mapping{VPN: s.Tag, Entry: s.Entry})
-				}
-			}
+			out = n.appendLive(out)
 			return
 		}
 		for _, c := range n.children {

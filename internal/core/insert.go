@@ -72,14 +72,7 @@ func (ix *Index) insertWithin(m Mapping) error {
 		leaf.table.Set(lr.Slot, pte.Tagged{Tag: leaf.table.Get(lr.Slot).Tag, Entry: m.Entry})
 		return nil
 	}
-	slot, collided, err := leaf.table.Insert(pred, m.VPN, m.Entry, ix.params.InsertReach)
-	if err == nil {
-		if collided {
-			ix.stats.InsertCollisions++
-		}
-		if d := abs(slot - pred); d > leaf.maxDisp {
-			leaf.maxDisp = d
-		}
+	if ix.place(leaf, pred, m) == nil {
 		return nil
 	}
 	// A prediction at or beyond the table's edge means a region is growing
@@ -92,14 +85,7 @@ func (ix *Index) insertWithin(m Mapping) error {
 		need := pred + batch + ix.params.InsertReach + pte.ClusterSlots + 1 - leaf.table.Slots()
 		if leaf.table.Expand(need, ix.availOrder()) == nil {
 			ix.stats.Rescales++
-			slot, collided, err = leaf.table.Insert(pred, m.VPN, m.Entry, ix.params.InsertReach)
-			if err == nil {
-				if collided {
-					ix.stats.InsertCollisions++
-				}
-				if d := abs(slot - pred); d > leaf.maxDisp {
-					leaf.maxDisp = d
-				}
+			if ix.place(leaf, pred, m) == nil {
 				return nil
 			}
 		}
@@ -147,15 +133,23 @@ func (ix *Index) insertEdgeHigh(m Mapping) error {
 	ix.stats.EdgeExpansions++
 	ix.extendHighBookkeeping(newHi)
 
-	pred := int(leaf.predict(m.VPN))
-	slot, collided, err := leaf.table.Insert(pred, m.VPN, m.Entry, ix.params.InsertReach)
-	if err != nil {
+	if ix.place(leaf, int(leaf.predict(m.VPN)), m) != nil {
 		// Extrapolation failed to leave room; fall back to retraining the
 		// leaf, then to a rebuild.
 		if err := ix.retrainLeaf(leaf, []Mapping{m}); err == nil {
 			return nil
 		}
 		return ix.rebuildWith([]Mapping{m})
+	}
+	return nil
+}
+
+// place inserts m into leaf's table near its predicted slot pred, counting
+// a collision and raising the leaf's observed displacement.
+func (ix *Index) place(leaf *node, pred int, m Mapping) error {
+	slot, collided, err := leaf.table.Insert(pred, m.VPN, m.Entry, ix.params.InsertReach)
+	if err != nil {
+		return err
 	}
 	if collided {
 		ix.stats.InsertCollisions++
@@ -241,15 +235,7 @@ func (ix *Index) insertEdgeLow(m Mapping) error {
 // that invalidates an LWC entry (paper §5.2 "LWC Flushes"); the caller's
 // MMU model observes it via Stats().Retrains.
 func (ix *Index) retrainLeaf(leaf *node, extras []Mapping) error {
-	var ms []Mapping
-	if leaf.table != nil {
-		for i := 0; i < leaf.table.Slots(); i++ {
-			if s := leaf.table.Get(i); s.Valid() {
-				ms = append(ms, Mapping{VPN: s.Tag, Entry: s.Entry})
-			}
-		}
-	}
-	ms = normalize(append(ms, extras...))
+	ms := normalize(append(leaf.appendLive(nil), extras...))
 	if len(ms) == 0 {
 		return nil
 	}
@@ -261,13 +247,13 @@ func (ix *Index) retrainLeaf(leaf *node, extras []Mapping) error {
 		hi = k
 	}
 	b := &builder{ix: ix, p: ix.params}
-	keys := vpnsOf(ms)
-	fresh, err := b.makeLeaf(ms, keys, lo, hi, false)
+	fit := b.fitLeaf(vpnsOf(ms))
+	fresh, err := b.makeLeaf(ms, fit, lo, hi, false)
 	if err != nil {
 		// The leaf's key space no longer fits one model within the bound;
 		// fall back to relaxed (monotone, perfectly sorted) placement —
 		// lookups resolve through the binary miss path.
-		if fresh, err = b.makeLeaf(ms, keys, lo, hi, true); err != nil {
+		if fresh, err = b.makeLeaf(ms, fit, lo, hi, true); err != nil {
 			return err
 		}
 	}
@@ -315,12 +301,7 @@ func (ix *Index) Free(v addr.VPN) bool {
 	if leaf == nil || leaf.table == nil {
 		return false
 	}
-	pred := int(leaf.predict(v))
-	reach := leaf.table.Slots()
-	if !leaf.table.Erase(pred, v, reach) {
-		return false
-	}
-	return true
+	return leaf.table.Erase(int(leaf.predict(v)), v, leaf.table.Slots())
 }
 
 // availOrder returns the contiguity limit for new table allocations.

@@ -88,16 +88,7 @@ func (ix *Index) walkInto(res *WalkResult, v addr.VPN, retry1G bool) {
 	n := ix.root
 	for !n.isLeaf() {
 		ix.walkNodes = append(ix.walkNodes, NodeRef{n.level, n.offset, ix.NodePA(n.level, n.offset)})
-		p := n.predict(v)
-		first := n.children[0].offset
-		idx := int(p) - first
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(n.children) {
-			idx = len(n.children) - 1
-		}
-		n = n.children[idx]
+		n = n.child(v)
 	}
 	ix.walkNodes = append(ix.walkNodes, NodeRef{n.level, n.offset, ix.NodePA(n.level, n.offset)})
 	if n.table == nil {
@@ -207,16 +198,7 @@ func (ix *Index) Lookup(va addr.VA) (addr.PA, bool) {
 func (ix *Index) leafFor(v addr.VPN) *node {
 	n := ix.root
 	for n != nil && !n.isLeaf() {
-		p := n.predict(v)
-		first := n.children[0].offset
-		idx := int(p) - first
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(n.children) {
-			idx = len(n.children) - 1
-		}
-		n = n.children[idx]
+		n = n.child(v)
 	}
 	return n
 }

@@ -273,9 +273,7 @@ func launchScaled(mem *phys.Memory, scheme oskernel.Scheme, space *vas.AddressSp
 // through — a served session and a sweep run of the same key simulate on
 // byte-identical state because both come from this one constructor.
 func (c Config) NewRunMachine(w *workload.Workload, scheme oskernel.Scheme, thp bool) (*oskernel.System, *oskernel.Process, *sim.CPU, error) {
-	mem := phys.New(c.RunCostBytes(w.FootprintBytes()))
-	sys := newScaledSystem(mem, scheme)
-	p, err := sys.Launch(1, w.Space, thp)
+	sys, p, err := launchScaled(phys.New(c.RunCostBytes(w.FootprintBytes())), scheme, w.Space, thp)
 	if err != nil {
 		return nil, nil, nil, err
 	}

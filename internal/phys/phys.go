@@ -376,35 +376,29 @@ func (m *Memory) Fragment(seed int64, cfg FragmentConfig) {
 	rng := rand.New(rand.NewSource(seed))
 
 	// Phase 1: exhaust memory with order-0 allocations.
-	var held []uint64
+	held := 0
 	for {
-		p, err := m.Alloc(0)
-		if err != nil {
+		if _, err := m.Alloc(0); err != nil {
 			break
 		}
-		held = append(held, uint64(p))
+		held++
 	}
 
 	// Phase 2: free geometric runs of consecutive pages at random
 	// positions until the free target is met. Runs of consecutive pages
 	// coalesce up to the run length but no further, because neighbours
-	// remain allocated.
+	// remain allocated. Free clears a page's allocOrder, so a page already
+	// freed is skipped like any page not allocated at order 0.
 	want := uint64(float64(m.totalPages) * cfg.TargetFreeFraction)
-	freed := make(map[uint64]bool, want)
-	for m.freePages < want && len(held) > 0 {
+	for m.freePages < want && held > 0 {
 		run := 1 + int(rng.ExpFloat64()*float64(cfg.MeanRunPages-1))
 		if run > cfg.MaxRunPages {
 			run = cfg.MaxRunPages
 		}
 		start := uint64(rng.Int63n(int64(m.totalPages)))
 		for i := 0; i < run && m.freePages < want; i++ {
-			pfn := start + uint64(i)
-			if pfn >= m.totalPages || freed[pfn] {
-				continue
-			}
-			if m.allocOrder[pfn] == 1 { // a live order-0 allocation
+			if pfn := start + uint64(i); pfn < m.totalPages && m.allocOrder[pfn] == 1 { // a live order-0 allocation
 				m.Free(addr.PPN(pfn), 0)
-				freed[pfn] = true
 			}
 		}
 	}

@@ -147,6 +147,7 @@ func TestContiguousFreeFractionFresh(t *testing.T) {
 func TestFragmentShape(t *testing.T) {
 	m := New(testMem)
 	m.Fragment(1, DatacenterFragmentation)
+	checkBuddy(t, m)
 
 	free := float64(m.FreePages()) / float64(m.TotalPages())
 	if free < 0.15 || free > 0.35 {
@@ -174,6 +175,7 @@ func TestFMFI(t *testing.T) {
 		t.Errorf("fresh FMFI = %v", got)
 	}
 	m.Fragment(7, DatacenterFragmentation)
+	checkBuddy(t, m)
 	if got := m.FMFI(9); got <= 0.2 {
 		t.Errorf("fragmented FMFI(2MB) = %v, want high", got)
 	}
@@ -185,6 +187,7 @@ func TestFMFI(t *testing.T) {
 func TestFragmentToFMFI(t *testing.T) {
 	m := New(testMem)
 	m.FragmentToFMFI(3, 9, 0.8)
+	checkBuddy(t, m)
 	if got := m.FMFI(9); got < 0.8 {
 		t.Errorf("FMFI after targeting 0.8 = %v", got)
 	}
